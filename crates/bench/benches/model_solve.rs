@@ -2,132 +2,93 @@
 //!
 //! The selling point of the model over simulation is that one operating point
 //! costs microseconds-to-milliseconds instead of seconds; this bench
-//! quantifies that for the paper's configurations (`S5`, `V = 6/9/12`) and for
-//! the larger networks the model is meant to reach (`S6`, `S7`).
+//! quantifies that for the paper's configurations (`S5`, `V = 6/9/12`), for
+//! the larger networks the model is meant to reach (`S6`, `S7`, `Q10`,
+//! `Q13`) and for a BFS-census topology (`T12`), plus the spectrum builds a
+//! sweep amortises and the warm- vs cold-started `Q10` sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use star_core::blocking::{batch_blocking_delays, total_blocking_delay, VcSplit};
-use star_core::occupancy::ChannelOccupancy;
-use star_core::{
-    AnalyticalModel, DestinationSpectrum, ModelConfig, ModelParams, ModelResult, SpectrumModel,
-    TraversalSpectrum,
-};
-use star_exec::spawn_ordered;
+use star_core::{ModelDiscipline, ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum};
 use star_graph::Torus;
+use star_workloads::{ModelBackend, Scenario, SweepRunner, SweepSpec};
 
-fn config(symbols: usize, v: usize, rate: f64) -> ModelConfig {
-    ModelConfig::builder()
-        .symbols(symbols)
-        .virtual_channels(v)
-        .message_length(32)
-        .traffic_rate(rate)
-        .build()
+fn params(v: usize, rate: f64) -> ModelParams {
+    ModelParams { virtual_channels: v, traffic_rate: rate, ..ModelParams::default() }
 }
 
-fn solve(symbols: usize, v: usize, rate: f64) -> ModelResult {
-    AnalyticalModel::new(config(symbols, v, rate)).solve()
+fn solve(spectrum: &Arc<TraversalSpectrum>, params: ModelParams) -> SpectrumResult {
+    SpectrumModel::new(params, Arc::clone(spectrum)).solve()
 }
 
-fn bench_model_solve(c: &mut Criterion) {
+fn bench_solves(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_solve");
+    let s5 = Arc::new(TraversalSpectrum::star(5));
     for &v in &[6usize, 9, 12] {
         group.bench_function(format!("s5_v{v}_moderate_load"), |b| {
-            b.iter(|| black_box(solve(5, v, 0.006)));
+            b.iter(|| black_box(solve(&s5, params(v, 0.006))));
         });
     }
+    let s6 = Arc::new(TraversalSpectrum::star(6));
     group.bench_function("s6_v6_moderate_load", |b| {
-        b.iter(|| black_box(solve(6, 6, 0.004)));
+        b.iter(|| black_box(solve(&s6, params(6, 0.004))));
     });
+    let s7 = Arc::new(TraversalSpectrum::star(7));
     group.bench_function("s7_v8_light_load", |b| {
-        b.iter(|| black_box(solve(7, 8, 0.001)));
+        b.iter(|| black_box(solve(&s7, params(8, 0.001))));
     });
-    // the per-destination parallelism pair: the same S7 solve with the
-    // per-cycle-type blocking sums computed serially vs sharded across
-    // the persistent pool (byte-identical answers; this records the
-    // speedup of the parallel path at the largest spectrum the star model
-    // ships, now that the pool removed the per-iteration spawn cost)
-    let spectrum = std::sync::Arc::new(DestinationSpectrum::new(7));
-    for threads in [1usize, 2, 4] {
-        let model = AnalyticalModel::with_spectrum(config(7, 8, 0.004), Arc::clone(&spectrum))
-            .with_parallelism(threads);
-        group.bench_function(format!("s7_v8_moderate_load_blocking_threads{threads}"), |b| {
-            b.iter(|| black_box(model.solve()));
+    group.bench_function("s7_v8_moderate_load", |b| {
+        b.iter(|| black_box(solve(&s7, params(8, 0.004))));
+    });
+    for dims in [10usize, 13] {
+        let cube = Arc::new(TraversalSpectrum::hypercube(dims));
+        group.bench_function(format!("q{dims}_v8_m32_solve"), |b| {
+            b.iter(|| black_box(solve(&cube, params(8, 0.008))));
+        });
+        let ecube = ModelParams { discipline: ModelDiscipline::Deterministic, ..params(8, 0.008) };
+        group.bench_function(format!("q{dims}_v8_m32_ecube_solve"), |b| {
+            b.iter(|| black_box(solve(&cube, ecube)));
         });
     }
-    group.finish();
-}
-
-fn bench_pool_vs_spawn(c: &mut Criterion) {
-    // one S7 blocking batch — the unit of work every fixed-point iteration
-    // repeats — through the persistent pool vs the retired spawn-per-call
-    // baseline.  PR 4 measured that spawn-per-step made this batch not
-    // worth parallelising; this pair records the regression being fixed
-    // (identical outputs, only the execution layer differs).
-    let spectrum = DestinationSpectrum::new(7);
-    let profiles: Vec<&star_graph::AdaptivityProfile> =
-        spectrum.classes().iter().map(|c| &c.profile).collect();
-    let split = VcSplit { adaptive: 2, escape_levels: 6, bonus_cards: true };
-    let occupancy = ChannelOccupancy::new(0.004, 60.0, 8);
-    let mut group = c.benchmark_group("blocking_batch");
-    group.bench_function("s7_serial", |b| {
-        b.iter(|| black_box(batch_blocking_delays(split, &occupancy, &profiles, 12.0, 1)));
-    });
-    for threads in [2usize, 4] {
-        group.bench_function(format!("s7_pool_threads{threads}"), |b| {
-            b.iter(|| {
-                black_box(batch_blocking_delays(split, &occupancy, &profiles, 12.0, threads))
-            });
-        });
-        group.bench_function(format!("s7_spawn_threads{threads}"), |b| {
-            b.iter(|| {
-                black_box(spawn_ordered(threads, &profiles, |_, profile| {
-                    total_blocking_delay(split, &occupancy, profile, 12.0)
-                }))
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_spectrum_and_sweep(c: &mut Criterion) {
-    let mut group = c.benchmark_group("model_components");
-    group.bench_function("destination_spectrum_s5", |b| {
-        b.iter(|| black_box(DestinationSpectrum::new(5)));
-    });
-    // per-destination parallelism of the spectrum build itself (path DAGs
-    // per cycle type are independent)
-    for threads in [1usize, 2, 4] {
-        group.bench_function(format!("destination_spectrum_s7_threads{threads}"), |b| {
-            b.iter(|| black_box(DestinationSpectrum::with_threads(7, threads)));
-        });
-    }
-    group.bench_function("sweep_reusing_spectrum_s5_v6_8pts", |b| {
-        let rates: Vec<f64> = (1..=8).map(|i| 0.0015 * i as f64).collect();
-        b.iter(|| black_box(star_core::sweep_traffic(config(5, 6, 0.001), &rates)));
-    });
-    // the generic-path pair: the one-off BFS distance census a new topology
-    // plugin pays instead of a closed-form spectrum, and the spectrum-model
-    // solve that reuses it per operating point
-    group.bench_function("traversal_spectrum_t12_build", |b| {
-        let torus = Torus::new(12);
-        b.iter(|| black_box(TraversalSpectrum::new(&torus)));
-    });
-    group.bench_function("t12_v8_moderate_load_spectrum_solve", |b| {
-        let params = ModelParams {
-            virtual_channels: 8,
-            message_length: 32,
-            traffic_rate: 0.004,
-            ..ModelParams::default()
-        };
-        let spectrum = Arc::new(TraversalSpectrum::new(&Torus::new(12)));
-        let model = SpectrumModel::new(params, Arc::clone(&spectrum));
-        b.iter(|| black_box(model.solve()));
+    let t12 = Arc::new(TraversalSpectrum::new(&Torus::new(12)));
+    group.bench_function("t12_v8_moderate_load", |b| {
+        b.iter(|| black_box(solve(&t12, params(8, 0.004))));
     });
     group.finish();
 }
 
-criterion_group!(benches, bench_model_solve, bench_spectrum_and_sweep, bench_pool_vs_spawn);
+fn bench_spectrum_builds(c: &mut Criterion) {
+    // the one-off cost a sweep amortises: the two closed forms, and the BFS
+    // census a topology without one pays instead
+    let mut group = c.benchmark_group("spectrum_build");
+    group.bench_function("star_s5", |b| b.iter(|| black_box(TraversalSpectrum::star(5))));
+    group.bench_function("star_s7", |b| b.iter(|| black_box(TraversalSpectrum::star(7))));
+    group.bench_function("hypercube_q13", |b| {
+        b.iter(|| black_box(TraversalSpectrum::hypercube(13)));
+    });
+    let torus = Torus::new(12);
+    group.bench_function("bfs_t12", |b| b.iter(|| black_box(TraversalSpectrum::new(&torus))));
+    group.finish();
+}
+
+fn bench_backend_sweeps(c: &mut Criterion) {
+    // warm- vs cold-started sweeps through the evaluator API at Q10, dense
+    // enough to hug the knee (saturation ≈ 0.028 at V = 8, M = 32)
+    let rates: Vec<f64> = (1..=16).map(|i| 0.0016 * i as f64).collect();
+    let sweep =
+        SweepSpec::new("q10-parity", Scenario::hypercube(10).with_virtual_channels(8), rates);
+    let runner = SweepRunner::with_threads(1);
+    let mut group = c.benchmark_group("model_backend");
+    group.bench_function("q10_v8_m32_cold_backend", |b| {
+        b.iter(|| black_box(runner.run_one(&ModelBackend::cold(), &sweep)));
+    });
+    group.bench_function("q10_v8_m32_warm_backend", |b| {
+        b.iter(|| black_box(runner.run_one(&ModelBackend::new(), &sweep)));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_solves, bench_spectrum_builds, bench_backend_sweeps);
 criterion_main!(benches);

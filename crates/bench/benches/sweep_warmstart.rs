@@ -1,17 +1,16 @@
 //! Criterion benchmark: cold-started vs warm-started Figure-1 model sweeps.
 //!
-//! `sweep_traffic` seeds each rate's damped fixed-point iteration with the
-//! previous rate's converged state; this bench pins the speedup against the
-//! cold-start sweep on the paper's `S5`, `V = 6`, `M = 32` curve (where the
-//! points near the saturation knee dominate the solve cost), both directly
-//! through `star-core` and through the `SweepRunner` + `ModelBackend` path
-//! the harness binaries use.
+//! `ModelBackend::evaluate_sweep` seeds each rate's damped fixed-point
+//! iteration with the previous rate's converged state; this bench pins the
+//! speedup against the cold-start sweep on the paper's `S5`, `V = 6`,
+//! `M = 32` curve (where the points near the saturation knee dominate the
+//! solve cost), both directly through the backend and through the
+//! `SweepRunner` path the harness binaries use.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
-use star_core::{sweep_traffic, sweep_traffic_cold, ModelConfig};
-use star_workloads::{ModelBackend, Scenario, SweepRunner, SweepSpec};
+use star_workloads::{Evaluator as _, ModelBackend, Scenario, SweepRunner, SweepSpec};
 
 fn s5_rates() -> Vec<f64> {
     // the V = 6, M = 32 axis of Figure 1, dense enough to hug the knee
@@ -19,14 +18,14 @@ fn s5_rates() -> Vec<f64> {
 }
 
 fn bench_core_sweeps(c: &mut Criterion) {
-    let config = ModelConfig::builder().symbols(5).virtual_channels(6).message_length(32).build();
+    let scenario = Scenario::star(5);
     let rates = s5_rates();
     let mut group = c.benchmark_group("sweep_warmstart");
     group.bench_function("s5_v6_m32_cold", |b| {
-        b.iter(|| black_box(sweep_traffic_cold(config, &rates)));
+        b.iter(|| black_box(ModelBackend::cold().evaluate_sweep(&scenario, &rates)));
     });
     group.bench_function("s5_v6_m32_warm", |b| {
-        b.iter(|| black_box(sweep_traffic(config, &rates)));
+        b.iter(|| black_box(ModelBackend::new().evaluate_sweep(&scenario, &rates)));
     });
     group.finish();
 }

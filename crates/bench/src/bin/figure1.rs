@@ -15,8 +15,8 @@
 //!
 //! `--topology` replays the same `V × M` grid on another family at its
 //! smoke size (`Q7`/`T8`/`R8`) — not a figure the paper has, but the same
-//! model-vs-sim cross-validation the figure performs, on a topology the
-//! closed-form star model never covered.  The curve ids (and so the CSV
+//! model-vs-sim cross-validation the figure performs, on a topology other
+//! than the paper's star graph.  The curve ids (and so the CSV
 //! names) gain a `-<family>` suffix so the star figure is never
 //! overwritten.
 //!

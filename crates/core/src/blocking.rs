@@ -29,9 +29,8 @@
 //! exact) — true of both the star graph and the binary hypercube — and all
 //! topology knowledge arrives pre-digested through the [`AdaptivityProfile`]
 //! (how many alternative ports each hop offers) and the [`VcSplit`] (how the
-//! discipline partitions the virtual channels).  The star model
-//! ([`crate::AnalyticalModel`]) and the hypercube model
-//! ([`crate::HypercubeModel`]) call these functions unchanged.
+//! discipline partitions the virtual channels).  [`crate::SpectrumModel`]
+//! calls these functions unchanged for every spectrum.
 
 use star_graph::coloring::{negative_hops_after, negative_hops_remaining, Color};
 use star_graph::AdaptivityProfile;
@@ -123,37 +122,6 @@ pub fn total_blocking_delay(
             hop_blocking_probability(split, occupancy, profile, hop, profile.distance) * mean_wait
         })
         .sum()
-}
-
-/// The per-destination-class blocking delays of one latency step, in input
-/// order: [`total_blocking_delay`] for every profile, optionally sharded
-/// across the shared [`star_exec::ExecPool`].
-///
-/// The classes are mutually independent (this is the embarrassingly parallel
-/// inner sum of every model iteration), and each class's delay is computed
-/// exactly as in the serial path, so the output is **byte-identical for any
-/// thread count** — parallelism only re-orders wall-clock, never the
-/// per-class floating-point evaluation or the caller's summation order.
-///
-/// `threads` follows the workspace-wide width convention: `1` (the default
-/// everywhere except explicitly opted-in solves and the
-/// `model_solve`/`hypercube_model` benches) short-circuits to the serial
-/// loop with no queue traffic, `0` means all pool workers, any other value
-/// caps the executors.  This function is called once per fixed-point
-/// iteration — thousands of times per solve — which is exactly why it runs
-/// on persistent pool workers instead of spawning threads per call (the
-/// spawn-per-step cost used to exceed the useful work on small spectra).
-#[must_use]
-pub fn batch_blocking_delays(
-    split: VcSplit,
-    occupancy: &ChannelOccupancy,
-    profiles: &[&AdaptivityProfile],
-    mean_wait: f64,
-    threads: usize,
-) -> Vec<f64> {
-    star_exec::ExecPool::global_ordered(threads, profiles, |_, profile| {
-        total_blocking_delay(split, occupancy, profile, mean_wait)
-    })
 }
 
 #[cfg(test)]
@@ -326,28 +294,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn hop_zero_is_rejected() {
         let _ = selectable_vcs(SPLIT_V6, Color::Zero, 0, 3);
-    }
-
-    #[test]
-    fn batched_delays_are_byte_identical_for_any_thread_count() {
-        let profiles = [
-            profile_for(&[2, 1, 4, 3, 5]),
-            profile_for(&[3, 4, 5, 1, 2]),
-            profile_for(&[5, 4, 3, 2, 1]),
-            profile_for(&[2, 3, 1, 5, 4]),
-            profile_for(&[1, 2, 3, 5, 4]),
-        ];
-        let refs: Vec<&AdaptivityProfile> = profiles.iter().collect();
-        let occ = ChannelOccupancy::new(0.006, 60.0, 6);
-        let serial = batch_blocking_delays(SPLIT_V6, &occ, &refs, 12.0, 1);
-        assert_eq!(serial.len(), refs.len());
-        for (delay, profile) in serial.iter().zip(&refs) {
-            assert_eq!(*delay, total_blocking_delay(SPLIT_V6, &occ, profile, 12.0));
-        }
-        // 0 = all pool workers, the workspace-wide width convention
-        for threads in [0usize, 2, 3, 5, 16] {
-            let sharded = batch_blocking_delays(SPLIT_V6, &occ, &refs, 12.0, threads);
-            assert_eq!(serial, sharded, "threads = {threads}");
-        }
     }
 }

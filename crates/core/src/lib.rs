@@ -25,39 +25,36 @@
 //!   fixed-point iteration over the circular dependency between `S̄` and the
 //!   waiting times.
 //!
-//! ## Derivation chain and topology split
+//! ## Derivation chain
 //!
-//! The modules compose in a fixed order — **config → spectrum → blocking →
-//! waiting → latency** — and the chain forks only at the spectrum:
+//! The modules compose in a fixed order — **params → spectrum → blocking →
+//! waiting → occupancy → latency** — and only the spectrum knows the
+//! topology:
 //!
-//! | stage | star `S_n` | hypercube `Q_d` | any [`star_graph::Topology`] | topology-agnostic? |
-//! |---|---|---|---|---|
-//! | config | [`config`] ([`ModelConfig`]) | [`hypercube`] ([`HypercubeConfig`]) | [`params`] ([`ModelParams`]) | shape yes, ranges no |
-//! | spectrum | [`adaptivity`] ([`DestinationSpectrum`], cycle types + path DAGs) | [`hypercube`] ([`HypercubeSpectrum`], binomial Hamming populations) | [`spectrum`] ([`TraversalSpectrum`], BFS census via `min_route_ports`) | the generic census makes it so |
-//! | blocking | [`blocking`] (Eqs. 6–11) | same module, unchanged | same module, unchanged | yes for any bipartite network |
-//! | waiting | [`waiting`] (Eqs. 12–16) | same module, unchanged | same module, unchanged | yes |
-//! | occupancy | [`occupancy`] (Eqs. 18–19) | same module, unchanged | same module, unchanged | yes |
-//! | latency | [`model`] ([`AnalyticalModel`]) | [`hypercube`] ([`HypercubeModel`]) | [`generic`] ([`SpectrumModel`]) | same fixed point, same solver |
+//! | stage | module | what it holds |
+//! |---|---|---|
+//! | params | [`params`] ([`ModelParams`]) | `V`, `M`, `λ_g`, discipline; validated against a topology |
+//! | spectrum | [`spectrum`] ([`TraversalSpectrum`]) | destination classes: distance, population, per-hop adaptivity |
+//! | blocking | [`blocking`] (Eqs. 6–11) | per-hop blocking over any bipartite network |
+//! | waiting | [`waiting`] (Eqs. 12–16) | M/G/1 channel and source waiting times |
+//! | occupancy | [`occupancy`] (Eqs. 18–19) | virtual-channel occupancy and `V̄` |
+//! | latency | [`generic`] ([`SpectrumModel`], [`saturation_rate`]) | the Eq. 1 fixed point and its saturation bisection |
 //!
-//! The closed-form star and hypercube columns are retained as **oracles**:
-//! the generic [`TraversalSpectrum`] reproduces both bit-identically (exact
-//! `u128` path counts, one final division), which the `spectrum` module's
-//! tests pin down.  New topologies (e.g. [`star_graph::Torus`] /
-//! [`star_graph::Ring`]) only implement the [`star_graph::Topology`] trait
-//! and go through the generic column.  Each module's docs state which side
-//! of this split it sits on.
+//! A spectrum comes from one of three constructors: the closed forms
+//! [`TraversalSpectrum::star`] (permutation cycle types of `S_n`) and
+//! [`TraversalSpectrum::hypercube`] (binomial Hamming classes of `Q_d`), or
+//! the BFS census [`TraversalSpectrum::new`] of any [`star_graph::Topology`]
+//! (torus, ring, plugged-in networks).  The census reproduces both closed
+//! forms bit for bit, which the `spectrum` module's tests pin down.
 //!
 //! ```
-//! use star_core::{AnalyticalModel, ModelConfig};
+//! use std::sync::Arc;
+//! use star_core::{ModelParams, SpectrumModel, TraversalSpectrum};
 //!
-//! let config = ModelConfig::builder()
-//!     .symbols(5)            // S5: 120 nodes, the network of Figure 1
-//!     .virtual_channels(6)
-//!     .message_length(32)
-//!     .traffic_rate(0.004)
-//!     .build();
-//! let result = AnalyticalModel::new(config).solve();
-//! assert!(!result.saturated);
+//! // S5 (120 nodes, the network of Figure 1), V = 6, M = 32, Enhanced-Nbc
+//! let params = ModelParams { traffic_rate: 0.004, ..ModelParams::default() };
+//! let result = SpectrumModel::new(params, Arc::new(TraversalSpectrum::star(5))).solve();
+//! assert!(!result.saturated && result.converged);
 //! // latency is above the zero-load bound M + d̄ and finite below saturation
 //! assert!(result.mean_latency > 32.0 + 3.5);
 //! ```
@@ -65,28 +62,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptivity;
 pub mod blocking;
-pub mod config;
 pub mod generic;
-pub mod hypercube;
-pub mod model;
 pub mod occupancy;
 pub mod params;
 pub mod spectrum;
-pub mod sweep;
 pub mod validation;
 pub mod waiting;
 
-pub use adaptivity::{DestinationClass, DestinationSpectrum};
-pub use config::{ConfigError, ModelConfig, ModelConfigBuilder, RoutingDiscipline};
-pub use generic::{spectrum_saturation_rate, SpectrumModel, SpectrumResult};
-pub use hypercube::{
-    hypercube_saturation_rate, HypercubeClass, HypercubeConfig, HypercubeConfigBuilder,
-    HypercubeConfigError, HypercubeModel, HypercubeResult, HypercubeRouting, HypercubeSpectrum,
-};
-pub use model::{AnalyticalModel, ModelResult};
+pub use generic::{saturation_rate, SpectrumModel, SpectrumResult};
 pub use params::{ModelDiscipline, ModelParams, ModelParamsError};
 pub use spectrum::{TraversalClass, TraversalSpectrum};
-pub use sweep::{saturation_rate, sweep_traffic, sweep_traffic_cold, SweepPoint};
 pub use validation::ValidationRow;

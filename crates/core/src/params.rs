@@ -1,35 +1,31 @@
-//! Unified model parameters that pair with a topology value instead of a
-//! per-topology config struct.
+//! The model's parameters: the four knobs common to every topology.
 //!
-//! [`crate::ModelConfig`] (star) and [`crate::HypercubeConfig`] (hypercube)
-//! bundle the *same* four knobs — virtual channels `V`, message length `M`,
-//! traffic rate `λ_g`, routing discipline — with a topology-specific size
-//! field and topology-specific validation ranges.  [`ModelParams`] keeps only
-//! the four knobs; the topology arrives separately as `&dyn Topology`, and
-//! [`ModelParams::validate_for`] derives the requirements (escape-level
-//! minimum `⌊diameter/2⌋ + 1`, size ranges) from the topology itself,
-//! delegating to the closed-form validators when the topology is a star graph
-//! or hypercube so the error messages stay identical.
+//! [`ModelParams`] holds virtual channels `V`, message length `M`, traffic
+//! rate `λ_g` and the routing discipline; the topology arrives separately
+//! (as a [`Topology`] value or as the [`crate::TraversalSpectrum`] built
+//! from one), and [`ModelParams::validate_for`] derives the requirements —
+//! the escape-level minimum `⌊diameter/2⌋ + 1` and a network large enough
+//! to route in — from the topology itself.
 
 use std::error::Error;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 use star_graph::coloring::max_negative_hops;
-use star_graph::{Hypercube, StarGraph, Topology};
+use star_graph::Topology;
 
 use crate::blocking::VcSplit;
-use crate::config::{ConfigError, ModelConfig, RoutingDiscipline};
-use crate::hypercube::{HypercubeConfig, HypercubeConfigError, HypercubeRouting};
 
 /// Which routing scheme the model evaluates, across every topology.
 ///
-/// The three adaptive variants are the star paper's negative-hop disciplines
-/// ([`RoutingDiscipline`]); `Deterministic` is the dimension-order style
-/// baseline (one admissible output port and one admissible virtual channel
-/// per hop), which the closed-form star model does not cover but the
-/// hypercube model ([`HypercubeRouting::DimensionOrder`]) and the generic
-/// [`crate::SpectrumModel`] do.
+/// The paper derives the model for Enhanced-Nbc and notes that "the
+/// modelling approach used here can be equally applied for other routing
+/// schemes after few changes"; the other adaptive variants implement exactly
+/// those changes — they only differ in how the virtual channels of a
+/// physical channel are split and in how many of them a header may request
+/// on one hop.  `Deterministic` is the dimension-order style baseline (one
+/// admissible output port and one admissible virtual channel per hop; e-cube
+/// routing on `Q_d`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 pub enum ModelDiscipline {
     /// Minimal escape levels plus fully adaptive class-a channels, with
@@ -60,39 +56,17 @@ impl ModelDiscipline {
     pub fn bonus_cards(self) -> bool {
         matches!(self, ModelDiscipline::EnhancedNbc | ModelDiscipline::Nbc)
     }
-
-    /// The star-model discipline, if the closed-form star model covers this
-    /// scheme (it has no deterministic variant).
-    #[must_use]
-    pub fn star_discipline(self) -> Option<RoutingDiscipline> {
-        match self {
-            ModelDiscipline::EnhancedNbc => Some(RoutingDiscipline::EnhancedNbc),
-            ModelDiscipline::Nbc => Some(RoutingDiscipline::Nbc),
-            ModelDiscipline::NHop => Some(RoutingDiscipline::NHop),
-            ModelDiscipline::Deterministic => None,
-        }
-    }
-
-    /// The hypercube-model routing scheme (every discipline is covered;
-    /// `Deterministic` maps to dimension-order e-cube routing).
-    #[must_use]
-    pub fn hypercube_routing(self) -> HypercubeRouting {
-        match self {
-            ModelDiscipline::EnhancedNbc => HypercubeRouting::EnhancedNbc,
-            ModelDiscipline::Nbc => HypercubeRouting::Nbc,
-            ModelDiscipline::NHop => HypercubeRouting::NHop,
-            ModelDiscipline::Deterministic => HypercubeRouting::DimensionOrder,
-        }
-    }
 }
 
 /// Why a [`ModelParams`] / topology pairing is invalid.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ModelParamsError {
-    /// The star-graph validator rejected the pairing.
-    Star(ConfigError),
-    /// The hypercube validator rejected the pairing.
-    Hypercube(HypercubeConfigError),
+    /// The network is a single link (`S_2` = `Q_1`): there is nothing to
+    /// route, so the model does not cover it.
+    TooFewNodes {
+        /// The rejected network's node count.
+        nodes: usize,
+    },
     /// Messages must be at least one flit long.
     ZeroLengthMessage,
     /// The traffic generation rate is negative, NaN or infinite.
@@ -114,8 +88,9 @@ pub enum ModelParamsError {
 impl fmt::Display for ModelParamsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            ModelParamsError::Star(e) => e.fmt(f),
-            ModelParamsError::Hypercube(e) => e.fmt(f),
+            ModelParamsError::TooFewNodes { nodes } => {
+                write!(f, "the model needs a network of at least 3 nodes, got {nodes}")
+            }
             ModelParamsError::ZeroLengthMessage => write!(f, "messages need at least one flit"),
             ModelParamsError::InvalidTrafficRate { rate } => {
                 write!(f, "traffic rate must be finite and non-negative, got {rate}")
@@ -226,12 +201,13 @@ impl ModelParams {
         }
     }
 
-    /// Topology-agnostic validation against a diameter: message length,
-    /// traffic rate and the virtual-channel floor.
-    ///
-    /// # Errors
-    /// Returns a [`ModelParamsError`] describing the first violation.
-    pub fn try_validate_generic(&self, diameter: usize) -> Result<(), ModelParamsError> {
+    /// Validates these parameters against a network of the given size and
+    /// diameter: at least three nodes, a message of at least one flit, a
+    /// finite non-negative rate and the discipline's virtual-channel floor.
+    pub(crate) fn validate(&self, nodes: usize, diameter: usize) -> Result<(), ModelParamsError> {
+        if nodes < 3 {
+            return Err(ModelParamsError::TooFewNodes { nodes });
+        }
         if self.message_length < 1 {
             return Err(ModelParamsError::ZeroLengthMessage);
         }
@@ -248,63 +224,19 @@ impl ModelParams {
         Ok(())
     }
 
-    /// Validates the pairing of these parameters with a topology, delegating
-    /// to the closed-form validators when the topology is a [`StarGraph`] or
-    /// [`Hypercube`] (so their size-range checks and error messages apply)
-    /// and to [`Self::try_validate_generic`] otherwise.
-    ///
-    /// A star graph with the deterministic discipline validates generically:
-    /// the closed-form star model has no deterministic variant, but the
-    /// generic spectrum model covers it.
+    /// Validates the pairing of these parameters with a topology.
     ///
     /// # Errors
     /// Returns a [`ModelParamsError`] describing the first violation.
     pub fn validate_for(&self, topology: &dyn Topology) -> Result<(), ModelParamsError> {
-        if let Some(star) = topology.as_any().downcast_ref::<StarGraph>() {
-            if let Some(config) = self.star_config(star.symbols()) {
-                return config.try_validate().map_err(ModelParamsError::Star);
-            }
-        } else if let Some(cube) = topology.as_any().downcast_ref::<Hypercube>() {
-            return self
-                .hypercube_config(cube.dims())
-                .try_validate()
-                .map_err(ModelParamsError::Hypercube);
-        }
-        self.try_validate_generic(topology.diameter())
-    }
-
-    /// The closed-form star configuration for `S_n`, if the star model
-    /// covers this discipline (not validated — pair with
-    /// [`ModelConfig::try_validate`]).
-    #[must_use]
-    pub fn star_config(&self, symbols: usize) -> Option<ModelConfig> {
-        Some(ModelConfig {
-            symbols,
-            virtual_channels: self.virtual_channels,
-            message_length: self.message_length,
-            traffic_rate: self.traffic_rate,
-            discipline: self.discipline.star_discipline()?,
-        })
-    }
-
-    /// The closed-form hypercube configuration for `Q_d` (not validated —
-    /// pair with [`HypercubeConfig::try_validate`]).
-    #[must_use]
-    pub fn hypercube_config(&self, dims: usize) -> HypercubeConfig {
-        HypercubeConfig {
-            dims,
-            virtual_channels: self.virtual_channels,
-            message_length: self.message_length,
-            traffic_rate: self.traffic_rate,
-            routing: self.discipline.hypercube_routing(),
-        }
+        self.validate(topology.node_count(), topology.diameter())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use star_graph::{Ring, Torus};
+    use star_graph::{Hypercube, Ring, StarGraph, Torus};
 
     fn params(v: usize) -> ModelParams {
         ModelParams { virtual_channels: v, ..ModelParams::default() }
@@ -320,34 +252,55 @@ mod tests {
     }
 
     #[test]
-    fn star_validation_delegates_to_the_closed_form() {
-        let star = StarGraph::new(5);
-        assert!(params(6).validate_for(&star).is_ok());
-        // V = 4 fails with the star validator's error, not the generic one
+    fn star_validation_applies_the_escape_level_floor() {
+        // S5: diameter 6 → 4 levels → Enhanced-Nbc needs V ≥ 5
+        let s5 = StarGraph::new(5);
+        assert!(params(5).validate_for(&s5).is_ok());
         assert_eq!(
-            params(4).validate_for(&star),
-            Err(ModelParamsError::Star(ConfigError::TooFewVirtualChannels {
-                discipline: RoutingDiscipline::EnhancedNbc,
-                symbols: 5,
+            params(4).validate_for(&s5),
+            Err(ModelParamsError::TooFewVirtualChannels {
+                discipline: ModelDiscipline::EnhancedNbc,
                 required_levels: 4,
                 got: 4,
-            }))
+            })
         );
-        let msg = params(4).validate_for(&star).unwrap_err().to_string();
-        assert!(msg.contains("Enhanced-Nbc on S_5"), "delegated message: {msg}");
+        // the escape-only schemes accept V == levels
+        for discipline in [ModelDiscipline::Nbc, ModelDiscipline::NHop] {
+            assert!(ModelParams { discipline, ..params(4) }.validate_for(&s5).is_ok());
+            assert!(ModelParams { discipline, ..params(3) }.validate_for(&s5).is_err());
+        }
+        // S6: diameter 7 → 4 levels; S7: diameter 9 → 5 levels
+        assert!(params(5).validate_for(&StarGraph::new(6)).is_ok());
+        assert!(params(5).validate_for(&StarGraph::new(7)).is_err());
+        assert!(params(6).validate_for(&StarGraph::new(7)).is_ok());
     }
 
     #[test]
-    fn hypercube_validation_delegates_to_the_closed_form() {
-        let cube = Hypercube::new(10);
-        assert!(params(8).validate_for(&cube).is_ok());
-        let err = params(6).validate_for(&cube).unwrap_err();
-        assert!(matches!(err, ModelParamsError::Hypercube(_)));
-        assert!(err.to_string().contains("Q_10"));
-        // the deterministic discipline maps to dimension-order and accepts
-        // V == required levels
+    fn hypercube_validation_applies_the_escape_level_floor() {
+        let cube = Hypercube::new(10); // diameter 10 → 6 levels
+        assert!(params(7).validate_for(&cube).is_ok());
+        assert!(matches!(
+            params(6).validate_for(&cube),
+            Err(ModelParamsError::TooFewVirtualChannels { required_levels: 6, got: 6, .. })
+        ));
+        // the deterministic discipline accepts V == required levels
         let det = ModelParams { discipline: ModelDiscipline::Deterministic, ..params(6) };
         assert!(det.validate_for(&cube).is_ok());
+        assert_eq!(params(8).vc_split(13).escape_levels, 7);
+        assert_eq!(params(8).vc_split(10).adaptive, 2);
+    }
+
+    #[test]
+    fn single_link_networks_are_outside_the_model() {
+        // S2 and Q1 are both one link between two nodes
+        for topology in [&StarGraph::new(2) as &dyn Topology, &Hypercube::new(1)] {
+            assert_eq!(
+                params(8).validate_for(topology),
+                Err(ModelParamsError::TooFewNodes { nodes: 2 })
+            );
+        }
+        assert!(params(8).validate_for(&StarGraph::new(3)).is_ok());
+        assert!(params(8).validate_for(&Hypercube::new(2)).is_ok());
     }
 
     #[test]
@@ -370,7 +323,7 @@ mod tests {
     }
 
     #[test]
-    fn generic_validation_rejects_bad_messages_and_rates() {
+    fn validation_rejects_bad_messages_and_rates() {
         let torus = Torus::new(8);
         let zero = ModelParams { message_length: 0, ..params(8) };
         assert_eq!(zero.validate_for(&torus), Err(ModelParamsError::ZeroLengthMessage));
@@ -382,44 +335,17 @@ mod tests {
     }
 
     #[test]
-    fn star_deterministic_falls_back_to_generic_validation() {
-        let star = StarGraph::new(5);
-        let det = ModelParams { discipline: ModelDiscipline::Deterministic, ..params(4) };
-        assert!(det.star_config(5).is_none(), "no closed-form star deterministic model");
-        assert!(det.validate_for(&star).is_ok(), "V = 4 covers the 4 levels S5 needs");
-    }
-
-    #[test]
-    fn vc_split_matches_the_per_topology_configs() {
-        let p = params(6);
-        let star_cfg = p.star_config(5).unwrap();
-        let split = p.vc_split(star_cfg.diameter());
-        assert_eq!(split.adaptive, star_cfg.adaptive_channels());
-        assert_eq!(split.escape_levels, star_cfg.escape_levels());
-        assert_eq!(split.bonus_cards, star_cfg.bonus_cards());
-        let cube_cfg = params(8).hypercube_config(10);
-        let split = params(8).vc_split(cube_cfg.diameter());
-        assert_eq!(split.adaptive, cube_cfg.adaptive_channels());
-        assert_eq!(split.escape_levels, cube_cfg.escape_levels());
-        assert_eq!(split.bonus_cards, cube_cfg.bonus_cards());
-    }
-
-    #[test]
-    fn discipline_mappings_round_trip() {
-        for d in [
-            ModelDiscipline::EnhancedNbc,
-            ModelDiscipline::Nbc,
-            ModelDiscipline::NHop,
-            ModelDiscipline::Deterministic,
-        ] {
-            assert_eq!(d.is_adaptive(), d.hypercube_routing().is_adaptive());
-            if let Some(star) = d.star_discipline() {
-                assert_eq!(format!("{star:?}"), format!("{d:?}"));
-            }
+    fn vc_split_follows_the_discipline() {
+        // S5 (diameter 6, 4 levels) at V = 6
+        let split = params(6).vc_split(6);
+        assert_eq!((split.adaptive, split.escape_levels, split.bonus_cards), (2, 4, true));
+        for (discipline, bonus) in [(ModelDiscipline::Nbc, true), (ModelDiscipline::NHop, false)] {
+            let split = ModelParams { discipline, ..params(6) }.vc_split(6);
+            assert_eq!((split.adaptive, split.escape_levels, split.bonus_cards), (0, 6, bonus));
         }
-        assert!(!ModelDiscipline::NHop.bonus_cards());
         assert!(!ModelDiscipline::Deterministic.bonus_cards());
-        assert!(ModelDiscipline::Nbc.bonus_cards());
+        assert!(!ModelDiscipline::Deterministic.is_adaptive());
+        assert!(ModelDiscipline::NHop.is_adaptive());
     }
 
     #[test]
@@ -438,5 +364,9 @@ mod tests {
         assert_eq!(err.to_string(), "Deterministic needs at least 3 virtual channels, got 2");
         let boxed: Box<dyn std::error::Error> = Box::new(ModelParamsError::ZeroLengthMessage);
         assert_eq!(boxed.to_string(), "messages need at least one flit");
+        assert_eq!(
+            ModelParamsError::TooFewNodes { nodes: 2 }.to_string(),
+            "the model needs a network of at least 3 nodes, got 2"
+        );
     }
 }

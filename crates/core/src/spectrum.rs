@@ -1,27 +1,39 @@
-//! The generic traversal spectrum: the model's destination census derived
-//! from any [`Topology`] instead of a per-topology closed form.
+//! The traversal spectrum: the model's destination census.
 //!
-//! **Topology split:** this module *removes* the split.  The star spectrum
-//! ([`crate::DestinationSpectrum`]) enumerates permutation cycle types and the
-//! hypercube spectrum ([`crate::HypercubeSpectrum`]) uses binomial Hamming
-//! populations; both are exact combinatorial constructions that only exist
-//! because someone derived them.  [`TraversalSpectrum`] instead asks the
-//! topology three questions — `symmetry_classes()`, `min_route_ports()` and
-//! `neighbor()` — and rebuilds the same information by breadth-first search
-//! over the minimal-path DAG of each class representative, with the same
-//! prefix/suffix path-counting DP `star_graph::path` uses.
+//! Under uniform traffic the model fixes the source at node 0 and averages
+//! the network latency over every destination (Eq. 5).  Destinations that
+//! look alike from the source — same distance, same number of minimal
+//! paths, same per-hop adaptivity `f(i, j, k)` — form one class, so the
+//! model walks a few dozen classes instead of `N − 1` destinations.
+//! [`TraversalSpectrum`] is that list of classes, and it has three
+//! constructors:
 //!
-//! Because both builders accumulate exact `u128` path counts per adaptivity
-//! value and divide once at the end, the generic spectrum reproduces the
-//! closed forms **bit-identically** (see the oracle tests below), which is
-//! what lets the closed-form stacks be retained as oracles rather than as
-//! load-bearing code.  The contract a topology must satisfy for the census to
+//! * [`TraversalSpectrum::new`] asks any [`Topology`] three questions —
+//!   `symmetry_classes()`, `min_route_ports()` and `neighbor()` — and
+//!   rebuilds each class's profile by breadth-first search over the
+//!   minimal-path DAG of its representative, with the same prefix/suffix
+//!   path-counting DP `star_graph::path` uses;
+//! * [`TraversalSpectrum::star`] is the closed form for `S_n`: permutation
+//!   cycle types and their minimal-path DAGs, sorted by (distance, cycle
+//!   type);
+//! * [`TraversalSpectrum::hypercube`] is the closed form for `Q_d`: binomial
+//!   Hamming populations, where hop `k` of an `h`-hop journey always offers
+//!   `h − k` profitable dimensions.
+//!
+//! Every builder accumulates exact `u128` path counts per adaptivity value
+//! and divides once at the end, so the BFS census reproduces both closed
+//! forms bit for bit (see the tests below).  The closed forms are kept
+//! because they are orders of magnitude cheaper to build at large sizes and
+//! because their class order is the one the pinned model curves were
+//! computed in.  The contract a topology must satisfy for the BFS census to
 //! be meaningful is documented on [`Topology`] ("The spectrum contract").
 
 use std::collections::{BTreeMap, HashMap};
 
 use star_graph::topology::NodeId;
-use star_graph::{AdaptivityProfile, Topology};
+use star_graph::{AdaptivityProfile, CycleType, Hypercube, MinimalPathDag, Topology};
+
+use crate::occupancy::binomial;
 
 /// One destination equivalence class of a topology: all `count` destinations
 /// that look like `representative` from node 0, with the per-hop adaptivity
@@ -42,11 +54,9 @@ pub struct TraversalClass {
     pub deterministic_profile: AdaptivityProfile,
 }
 
-/// The traversal spectrum of an arbitrary vertex-transitive [`Topology`]:
-/// destination populations and per-hop adaptivity profiles in the same shape
-/// the closed-form [`crate::DestinationSpectrum`] / [`crate::HypercubeSpectrum`]
-/// provide, so the same blocking/waiting/occupancy chain consumes it
-/// unchanged (see [`crate::SpectrumModel`]).
+/// The traversal spectrum of a vertex-transitive topology: destination
+/// populations and per-hop adaptivity profiles, which the
+/// blocking/waiting/occupancy chain of [`crate::SpectrumModel`] consumes.
 #[derive(Debug, Clone)]
 pub struct TraversalSpectrum {
     topology_name: String,
@@ -54,6 +64,9 @@ pub struct TraversalSpectrum {
     degree: usize,
     diameter: usize,
     classes: Vec<TraversalClass>,
+    /// Built by [`Self::star`]; [`crate::saturation_rate`] brackets the star
+    /// with `1/M`.
+    star: bool,
 }
 
 /// Builds the adaptivity profile for routing node 0 → `dest` by BFS over the
@@ -125,27 +138,35 @@ fn profile_to(topology: &dyn Topology, dest: NodeId) -> AdaptivityProfile {
     AdaptivityProfile { distance, path_count, hop_adaptivity }
 }
 
+/// The deterministic (dimension-order style) profile of a class at the given
+/// distance: exactly one admissible output port on every hop.
+fn deterministic_profile(distance: usize) -> AdaptivityProfile {
+    AdaptivityProfile { distance, path_count: 1, hop_adaptivity: vec![vec![(1, 1.0)]; distance] }
+}
+
+impl TraversalClass {
+    fn new(representative: NodeId, count: u64, adaptive_profile: AdaptivityProfile) -> Self {
+        let distance = adaptive_profile.distance;
+        Self {
+            representative,
+            count,
+            distance,
+            adaptive_profile,
+            deterministic_profile: deterministic_profile(distance),
+        }
+    }
+}
+
 impl TraversalSpectrum {
-    /// Builds the spectrum of a topology from its symmetry classes.
+    /// Builds the spectrum of a topology from its symmetry classes, by BFS
+    /// over each representative's minimal-path DAG.  Classes are sorted by
+    /// `(distance, representative)`.
     ///
     /// # Panics
     /// Panics if the topology's [`Topology::symmetry_classes`] do not cover
     /// exactly the `node_count() − 1` destinations.
     #[must_use]
     pub fn new(topology: &dyn Topology) -> Self {
-        Self::with_threads(topology, 1)
-    }
-
-    /// Builds the spectrum, sharding the per-class path-DAG construction
-    /// across the shared [`star_exec::ExecPool`] (`1` = serial, `0` = all
-    /// pool workers, anything else caps the executors).  Each class is built
-    /// identically wherever it runs and the classes are sorted afterwards,
-    /// so the result is identical for any width.
-    ///
-    /// # Panics
-    /// As [`Self::new`].
-    #[must_use]
-    pub fn with_threads(topology: &dyn Topology, threads: usize) -> Self {
         let reps = topology.symmetry_classes();
         let covered: u64 = reps.iter().map(|&(_, count)| count).sum();
         assert_eq!(
@@ -154,23 +175,12 @@ impl TraversalSpectrum {
             "symmetry classes of {} must cover every destination",
             topology.name()
         );
-        let mut classes =
-            star_exec::ExecPool::global_ordered(threads, &reps, |_, &(representative, count)| {
-                let adaptive_profile = profile_to(topology, representative);
-                let distance = adaptive_profile.distance;
-                let deterministic_profile = AdaptivityProfile {
-                    distance,
-                    path_count: 1,
-                    hop_adaptivity: vec![vec![(1, 1.0)]; distance],
-                };
-                TraversalClass {
-                    representative,
-                    count,
-                    distance,
-                    adaptive_profile,
-                    deterministic_profile,
-                }
-            });
+        let mut classes: Vec<TraversalClass> = reps
+            .iter()
+            .map(|&(representative, count)| {
+                TraversalClass::new(representative, count, profile_to(topology, representative))
+            })
+            .collect();
         classes.sort_by_key(|c| (c.distance, c.representative));
         Self {
             topology_name: topology.name(),
@@ -178,7 +188,83 @@ impl TraversalSpectrum {
             degree: topology.degree(),
             diameter: topology.diameter(),
             classes,
+            star: false,
         }
+    }
+
+    /// The closed-form spectrum of the star graph `S_n`: one class per
+    /// permutation cycle type, with the profile of the type's minimal-path
+    /// DAG, sorted by (distance, cycle type).  The representatives are the
+    /// node ids [`star_graph::StarGraph`]'s symmetry classes use.
+    ///
+    /// # Panics
+    /// Panics if `symbols` is outside the permutation machinery's range.
+    #[must_use]
+    pub fn star(symbols: usize) -> Self {
+        let mut types: Vec<(CycleType, u64)> = star_graph::distance::enumerate_types(symbols)
+            .into_iter()
+            .filter(|(cycle_type, _)| !cycle_type.cycle_lengths.is_empty()) // skip the source
+            .collect();
+        types.sort_by_key(|(t, _)| (t.distance(), t.cycle_lengths.clone()));
+        let classes = types
+            .iter()
+            .map(|(cycle_type, count)| {
+                let relative = cycle_type.representative(symbols);
+                let profile = MinimalPathDag::build(&relative).adaptivity_profile();
+                debug_assert_eq!(profile.distance, cycle_type.distance());
+                let node = star_graph::rank::rank(&relative.inverse());
+                TraversalClass::new(node as NodeId, *count, profile)
+            })
+            .collect();
+        Self {
+            topology_name: format!("S{symbols}"),
+            node_count: star_graph::factorial(symbols) as usize,
+            degree: symbols - 1,
+            diameter: 3 * (symbols - 1) / 2,
+            classes,
+            star: true,
+        }
+    }
+
+    /// The closed-form spectrum of the binary hypercube `Q_d`: one class per
+    /// Hamming distance `h`, holding `C(d, h)` destinations, sorted by
+    /// distance.  Every minimal path is an ordering of the `h` differing
+    /// dimensions, so hop `k` (0-based) always offers `h − k` choices.
+    ///
+    /// # Panics
+    /// Panics if `dims` is outside `1..=`[`Hypercube::MAX_DIMS`].
+    #[must_use]
+    pub fn hypercube(dims: usize) -> Self {
+        assert!(
+            (1..=Hypercube::MAX_DIMS).contains(&dims),
+            "hypercube dimension {dims} out of range 1..={}",
+            Hypercube::MAX_DIMS
+        );
+        let classes = (1..=dims)
+            .map(|h| {
+                let profile = AdaptivityProfile {
+                    distance: h,
+                    path_count: (1..=h as u128).product(),
+                    hop_adaptivity: (0..h).map(|k| vec![(h - k, 1.0)]).collect(),
+                };
+                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+                let count = binomial(dims, h) as u64;
+                TraversalClass::new(((1u64 << h) - 1) as NodeId, count, profile)
+            })
+            .collect();
+        Self {
+            topology_name: format!("Q{dims}"),
+            node_count: 1 << dims,
+            degree: dims,
+            diameter: dims,
+            classes,
+            star: false,
+        }
+    }
+
+    /// Whether [`Self::star`] built this spectrum.
+    pub(crate) fn is_closed_form_star(&self) -> bool {
+        self.star
     }
 
     /// Name of the topology the spectrum was built from (e.g. `"T8"`).
@@ -205,7 +291,8 @@ impl TraversalSpectrum {
         self.diameter
     }
 
-    /// The destination classes, sorted by `(distance, representative)`.
+    /// The destination classes, in the constructor's order (always
+    /// ascending distance).
     #[must_use]
     pub fn classes(&self) -> &[TraversalClass] {
         &self.classes
@@ -230,43 +317,95 @@ mod tests {
     use super::*;
     use star_graph::{factorial, Hypercube, Ring, StarGraph, Torus};
 
+    /// A class as comparable data: (distance, representative, count, path
+    /// count, per-hop adaptivity).
+    type ClassKey = (usize, NodeId, u64, u128, Vec<Vec<(usize, f64)>>);
+
+    fn keys(spectrum: &TraversalSpectrum) -> Vec<ClassKey> {
+        spectrum
+            .classes()
+            .iter()
+            .map(|c| {
+                (
+                    c.distance,
+                    c.representative,
+                    c.count,
+                    c.adaptive_profile.path_count,
+                    c.adaptive_profile.hop_adaptivity.clone(),
+                )
+            })
+            .collect()
+    }
+
     #[test]
     fn star_census_matches_closed_form_exactly() {
         // the generic BFS census must reproduce the cycle-type spectrum of
-        // S3–S6 bit-for-bit: same populations, path counts and per-hop
-        // adaptivity histograms (exact f64 equality, not tolerance)
+        // S3–S6 bit for bit: same representatives, populations, path counts
+        // and per-hop adaptivity histograms (exact f64 equality)
         for n in 3..=6 {
             let star = StarGraph::new(n);
             let generic = TraversalSpectrum::new(&star);
-            let oracle = crate::DestinationSpectrum::new(n);
+            let closed = TraversalSpectrum::star(n);
             assert_eq!(generic.destination_count(), factorial(n) - 1);
-            assert_eq!(generic.classes().len(), oracle.classes().len(), "S{n} class count");
+            assert_eq!(closed.destination_count(), factorial(n) - 1);
+            assert_eq!(
+                (closed.topology_name(), closed.node_count(), closed.degree(), closed.diameter()),
+                (
+                    generic.topology_name(),
+                    generic.node_count(),
+                    generic.degree(),
+                    generic.diameter()
+                )
+            );
             // cycle-type order and (distance, representative) order may
-            // interleave within a distance; compare sorted per-distance bags
-            let mut a: Vec<_> = generic
-                .classes()
-                .iter()
-                .map(|c| {
-                    (
-                        c.distance,
-                        c.count,
-                        c.adaptive_profile.path_count,
-                        c.adaptive_profile.hop_adaptivity.clone(),
-                    )
-                })
-                .collect();
-            let mut b: Vec<_> = oracle
-                .classes()
-                .iter()
-                .map(|c| {
-                    (c.distance, c.count, c.profile.path_count, c.profile.hop_adaptivity.clone())
-                })
-                .collect();
-            a.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            b.sort_by(|x, y| x.partial_cmp(y).unwrap());
-            assert_eq!(a, b, "S{n}: generic census must equal the cycle-type oracle exactly");
-            assert!((generic.mean_distance() - oracle.mean_distance()).abs() < 1e-15);
+            // interleave within a distance; compare sorted
+            let mut closed_keys = keys(&closed);
+            closed_keys.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            assert_eq!(keys(&generic), closed_keys, "S{n}: census must equal the closed form");
+            assert!((generic.mean_distance() - closed.mean_distance()).abs() < 1e-15);
         }
+    }
+
+    #[test]
+    fn star_closed_form_is_sorted_by_distance_then_cycle_type() {
+        let spectrum = TraversalSpectrum::star(6);
+        let types = star_graph::distance::enumerate_types(6);
+        let order: Vec<(usize, Vec<usize>)> = spectrum
+            .classes()
+            .iter()
+            .map(|c| {
+                let relative = StarGraph::new(6).permutation(c.representative).inverse();
+                let t = CycleType::of(&relative);
+                assert!(types.iter().any(|(u, _)| *u == t));
+                (c.distance, t.cycle_lengths)
+            })
+            .collect();
+        assert!(order.windows(2).all(|w| w[0] <= w[1]), "{order:?}");
+    }
+
+    #[test]
+    fn star_closed_form_shape() {
+        for n in 3..=6 {
+            let spectrum = TraversalSpectrum::star(n);
+            assert!((spectrum.mean_distance() - StarGraph::new(n).mean_distance()).abs() < 1e-12);
+        }
+        let spectrum = TraversalSpectrum::star(5);
+        for class in spectrum.classes() {
+            assert_eq!(class.adaptive_profile.distance, class.distance);
+            assert_eq!(class.adaptive_profile.hop_adaptivity.len(), class.distance);
+            assert!(class.count > 0);
+            // first hop adaptivity can never exceed the degree
+            assert!(class.adaptive_profile.mean_adaptivity(0) <= 4.0);
+            // last hop of any minimal path is forced
+            let last = &class.adaptive_profile.hop_adaptivity[class.distance - 1];
+            assert_eq!(last, &vec![(1, 1.0)]);
+        }
+        // S5 distance distribution: [1, 4, 12, 30, 44, 26, 3]
+        let at = |d: usize| -> u64 {
+            spectrum.classes().iter().filter(|c| c.distance == d).map(|c| c.count).sum()
+        };
+        assert_eq!(spectrum.classes().last().unwrap().distance, 6);
+        assert_eq!((at(1), at(6)), (4, 3));
     }
 
     #[test]
@@ -274,15 +413,37 @@ mod tests {
         for d in 3..=8 {
             let cube = Hypercube::new(d);
             let generic = TraversalSpectrum::new(&cube);
-            let oracle = crate::HypercubeSpectrum::new(d);
-            assert_eq!(generic.classes().len(), oracle.classes().len(), "Q{d} class count");
-            for (g, o) in generic.classes().iter().zip(oracle.classes()) {
-                assert_eq!(g.distance, o.distance);
-                assert_eq!(g.count, o.count, "Q{d} population at h={}", o.distance);
-                assert_eq!(g.adaptive_profile, o.adaptive_profile, "Q{d} adaptive profile");
-                assert_eq!(g.deterministic_profile, o.deterministic_profile);
+            let closed = TraversalSpectrum::hypercube(d);
+            assert_eq!(
+                (closed.topology_name(), closed.node_count(), closed.degree(), closed.diameter()),
+                (
+                    generic.topology_name(),
+                    generic.node_count(),
+                    generic.degree(),
+                    generic.diameter()
+                )
+            );
+            assert_eq!(keys(&generic), keys(&closed), "Q{d}: census must equal the closed form");
+            for (g, c) in generic.classes().iter().zip(closed.classes()) {
+                assert_eq!(g.deterministic_profile, c.deterministic_profile);
             }
-            assert!((generic.mean_distance() - oracle.mean_distance()).abs() < 1e-15);
+            assert!((generic.mean_distance() - closed.mean_distance()).abs() < 1e-15);
+        }
+    }
+
+    #[test]
+    fn hypercube_closed_form_shape() {
+        for d in 2..=12 {
+            let spectrum = TraversalSpectrum::hypercube(d);
+            assert_eq!(spectrum.destination_count(), (1u64 << d) - 1);
+            assert_eq!(spectrum.classes().len(), d);
+            assert!((spectrum.mean_distance() - Hypercube::new(d).mean_distance()).abs() < 1e-12);
+        }
+        for class in TraversalSpectrum::hypercube(8).classes() {
+            // the first hop offers every differing dimension, the last one
+            assert_eq!(class.adaptive_profile.hop_adaptivity[0], vec![(class.distance, 1.0)]);
+            assert_eq!(class.adaptive_profile.hop_adaptivity[class.distance - 1], vec![(1, 1.0)]);
+            assert_eq!(class.deterministic_profile.distance, class.distance);
         }
     }
 
@@ -385,21 +546,6 @@ mod tests {
             } else {
                 assert_eq!(class.count, 2);
                 assert_eq!(class.adaptive_profile.path_count, 1);
-            }
-        }
-    }
-
-    #[test]
-    fn threaded_spectrum_construction_matches_serial() {
-        let star = StarGraph::new(5);
-        let serial = TraversalSpectrum::new(&star);
-        for threads in [0usize, 2, 4] {
-            let threaded = TraversalSpectrum::with_threads(&star, threads);
-            assert_eq!(serial.classes().len(), threaded.classes().len());
-            for (a, b) in serial.classes().iter().zip(threaded.classes()) {
-                assert_eq!(a.representative, b.representative, "threads = {threads}");
-                assert_eq!(a.count, b.count);
-                assert_eq!(a.adaptive_profile, b.adaptive_profile);
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::model::ModelResult;
+use crate::generic::SpectrumResult;
 
 /// One operating point with both the model prediction and the simulation
 /// measurement.
@@ -35,14 +35,15 @@ pub struct ValidationRow {
 
 impl ValidationRow {
     /// Builds a row from a model result and a (possibly saturated)
-    /// single-replicate simulation measurement.
+    /// single-replicate simulation measurement.  A saturated or
+    /// non-converged model result has no latency.
     #[must_use]
-    pub fn new(model: &ModelResult, simulated_latency: Option<f64>) -> Self {
+    pub fn new(model: &SpectrumResult, simulated_latency: Option<f64>) -> Self {
         Self {
-            traffic_rate: model.config.traffic_rate,
-            message_length: model.config.message_length,
-            virtual_channels: model.config.virtual_channels,
-            model_latency: if model.saturated { None } else { Some(model.mean_latency) },
+            traffic_rate: model.params.traffic_rate,
+            message_length: model.params.message_length,
+            virtual_channels: model.params.virtual_channels,
+            model_latency: (!model.saturated && model.converged).then_some(model.mean_latency),
             simulated_latency,
             simulated_ci95: 0.0,
             sim_replicates: 1,
@@ -116,19 +117,12 @@ pub fn mean_absolute_relative_error(rows: &[ValidationRow]) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ModelConfig;
-    use crate::model::AnalyticalModel;
+    use crate::{ModelParams, SpectrumModel, TraversalSpectrum};
+    use std::sync::Arc;
 
-    fn model_at(rate: f64) -> ModelResult {
-        AnalyticalModel::new(
-            ModelConfig::builder()
-                .symbols(4)
-                .virtual_channels(6)
-                .message_length(16)
-                .traffic_rate(rate)
-                .build(),
-        )
-        .solve()
+    fn model_at(rate: f64) -> SpectrumResult {
+        let params = ModelParams { message_length: 16, traffic_rate: rate, ..Default::default() };
+        SpectrumModel::new(params, Arc::new(TraversalSpectrum::star(4))).solve()
     }
 
     #[test]

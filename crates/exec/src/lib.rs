@@ -2,24 +2,19 @@
 //!
 //! The shared execution layer of the star-wormhole workspace: one
 //! [`ExecPool`] of persistent workers behind every parallel path
-//! (`SweepRunner` sweep sharding, the analytical models' per-iteration
-//! blocking sums, the destination-spectrum build), plus the
+//! (`SweepRunner` sweep sharding, simulator replicate fan-out, the serving
+//! daemon's solve batches), plus the
 //! [`shard`] machinery that splits one run's work list across processes
 //! and merges the partial CSVs back together.
 //!
 //! ## Why a persistent pool
 //!
-//! Before this crate each parallel site spawned its own scoped threads per
-//! call.  That is fine for coarse work (a sweep of operating points) but
-//! PR 4 measured that it makes the *fine-grained* sites — the per-class
-//! blocking sums inside every fixed-point iteration, called thousands of
-//! times per solve — slower than the serial loop on all but the largest
-//! spectra: the spawn/join cost dominates the microseconds of useful work.
+//! Spawning scoped threads per call is fine for coarse work (a sweep of
+//! operating points) but makes fine-grained batches slower than the serial
+//! loop: the spawn/join cost dominates the microseconds of useful work.
 //! [`ExecPool`] spawns its workers once and reuses them for every batch, so
-//! opting a solve into parallelism costs a queue push per batch instead of
-//! a thread spawn per iteration.  The `model_solve`/`hypercube_model`
-//! benches record the pool-vs-spawn delta (see [`spawn_ordered`], the
-//! spawn-per-call baseline kept exactly for that comparison).
+//! a parallel batch costs a queue push instead of a thread spawn per
+//! executor.
 //!
 //! ## The determinism contract
 //!
@@ -61,5 +56,5 @@
 pub mod pool;
 pub mod shard;
 
-pub use pool::{spawn_ordered, ExecPool};
+pub use pool::ExecPool;
 pub use shard::{merge_shard_csvs, MergeError, RunFingerprint, ShardParseError, ShardSpec};

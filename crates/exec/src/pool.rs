@@ -378,48 +378,6 @@ unsafe fn run_batch<I: Sync, T: Send, F: Fn(usize, &I) -> T + Sync>(ctx: *const 
     ctx.run();
 }
 
-/// The spawn-per-call baseline [`ExecPool::run_ordered`] replaced: the same
-/// ordered-map semantics (identical outputs, same width convention with
-/// `0` = all available parallelism) implemented by spawning fresh scoped
-/// threads for every call.
-///
-/// Kept **only** so the `model_solve`/`hypercube_model` benches can record
-/// the pool-vs-spawn delta that motivated the persistent pool; production
-/// code paths all use the pool.
-///
-/// # Panics
-/// Propagates panics from `f` (via the scoped join).
-#[must_use]
-pub fn spawn_ordered<I, T, F>(width: usize, items: &[I], f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(usize, &I) -> T + Sync,
-{
-    let width = if width > 0 {
-        width
-    } else {
-        thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    };
-    let workers = width.min(items.len()).max(1);
-    if workers == 1 {
-        return items.iter().enumerate().map(|(i, item)| f(i, item)).collect();
-    }
-    let chunk = items.len().div_ceil(workers);
-    let indexed: Vec<(usize, &I)> = items.iter().enumerate().collect();
-    let f = &f;
-    thread::scope(|scope| {
-        let handles: Vec<_> = indexed
-            .chunks(chunk)
-            .map(|chunk| {
-                scope.spawn(move || chunk.iter().map(|&(i, item)| f(i, item)).collect::<Vec<T>>())
-            })
-            .collect();
-        // joining in spawn order restores item order
-        handles.into_iter().flat_map(|h| h.join().expect("spawned worker panicked")).collect()
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,8 +391,6 @@ mod tests {
         for width in [0usize, 1, 2, 3, 4, 7, 200] {
             assert_eq!(pool.run_ordered(width, &items, |_, &i| i * i), expect, "width {width}");
         }
-        assert_eq!(spawn_ordered(3, &items, |_, &i| i * i), expect);
-        assert_eq!(spawn_ordered(0, &items, |_, &i| i * i), expect);
     }
 
     #[test]

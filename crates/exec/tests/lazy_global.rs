@@ -36,8 +36,16 @@ fn serial_batches_never_instantiate_the_global_pool() {
     // first request that can actually run in parallel
     assert_eq!(ExecPool::global_ordered(2, &items, |_, &i| i * 3), expect);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
+    let expected = if cores == 1 { 0 } else { cores };
+    // a worker names itself once it starts running, which may be after the
+    // batch that spawned the pool has already been answered: wait for the
+    // names to show up (bounded) before counting
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while pool_worker_count().is_some_and(|w| w < expected) && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
     if let Some(workers) = pool_worker_count() {
-        let expected = if cores == 1 { 0 } else { cores };
         assert_eq!(workers, expected, "pool spawns only for genuinely parallel work");
     }
 }

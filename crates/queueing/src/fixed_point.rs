@@ -23,6 +23,8 @@ pub enum FixedPointOutcome {
         state: Vec<f64>,
         /// Number of iterations performed.
         iterations: usize,
+        /// Relative change at the final iteration (below the tolerance).
+        residual: f64,
     },
     /// The iteration diverged (non-finite values or state above the ceiling),
     /// which the latency model interprets as operating beyond saturation.
@@ -120,7 +122,7 @@ impl FixedPointSolver {
             state = next;
             residual = max_rel;
             if max_rel < self.tolerance {
-                return FixedPointOutcome::Converged { state, iterations: iteration };
+                return FixedPointOutcome::Converged { state, iterations: iteration, residual };
             }
         }
         FixedPointOutcome::MaxIterations { state, residual }

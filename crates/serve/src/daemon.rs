@@ -44,7 +44,7 @@ use star_workloads::{
 
 use crate::cache::{Admission, ConfigCache, Flight, FlightToken, ShardedSolveCache};
 use crate::prewarm::{self, PrewarmReport};
-use crate::protocol::{self, CacheOutcome, Request};
+use crate::protocol::{self, CacheOutcome, Request, RequestError};
 use crate::signal;
 
 /// Daemon tuning knobs, all defaulted for the smoke/bench setups.
@@ -206,6 +206,67 @@ pub struct Daemon {
 /// shutdown flag.
 const IDLE_POLL: Duration = Duration::from_millis(25);
 
+/// Longest request line a connection buffers, newline included.  A longer
+/// line is answered with one error and discarded up to its newline, so a
+/// client that never sends `\n` cannot grow the buffer without bound.
+const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// One request line of a window: its text, or `None` for a line longer than
+/// [`MAX_LINE_BYTES`].
+type WindowLine = Option<String>;
+
+/// A connection's request lines, read with at most [`MAX_LINE_BYTES`] of
+/// one line buffered.
+struct LineReader<R> {
+    inner: R,
+    /// The line read so far.
+    pending: Vec<u8>,
+    /// Whether the rest of an oversized line is being discarded.
+    discarding: bool,
+}
+
+impl<R: BufRead> LineReader<R> {
+    fn new(inner: R) -> Self {
+        Self { inner, pending: Vec::new(), discarding: false }
+    }
+
+    /// Reads up to the next newline; `Ok(None)` at end of stream.  On an
+    /// error (a timed-out or would-block read included) the partial line
+    /// stays buffered for the next call.
+    fn read_line(&mut self) -> io::Result<Option<WindowLine>> {
+        loop {
+            let available = self.inner.fill_buf()?;
+            if available.is_empty() {
+                return Ok(None);
+            }
+            let newline = available.iter().position(|&b| b == b'\n');
+            let take = newline.map_or(available.len(), |i| i + 1);
+            if self.discarding || self.pending.len() + take > MAX_LINE_BYTES {
+                let oversized = !self.discarding;
+                self.inner.consume(take);
+                self.pending.clear();
+                self.discarding = newline.is_none();
+                if oversized {
+                    return Ok(Some(None));
+                }
+                continue;
+            }
+            self.pending.extend_from_slice(&available[..take]);
+            self.inner.consume(take);
+            if newline.is_some() {
+                return Ok(Some(Some(self.take_pending())));
+            }
+        }
+    }
+
+    /// The buffered partial line, emptied.
+    fn take_pending(&mut self) -> String {
+        let line = String::from_utf8_lossy(&self.pending).into_owned();
+        self.pending.clear();
+        line
+    }
+}
+
 impl Daemon {
     /// Binds the listener (port 0 = ephemeral), builds the shared state,
     /// and — when [`ServeConfig::prewarm`] names configurations — solves
@@ -323,24 +384,23 @@ fn serve_connection(
     width: usize,
     window_cap: usize,
 ) -> io::Result<()> {
-    let mut reader = BufReader::new(stream.try_clone()?);
+    let mut reader = LineReader::new(BufReader::new(stream.try_clone()?));
     let mut writer = BufWriter::new(stream);
-    let mut pending = String::new();
-    let mut window: Vec<String> = Vec::new();
+    let mut window: Vec<WindowLine> = Vec::new();
     loop {
         stream.set_nonblocking(false)?;
         stream.set_read_timeout(Some(IDLE_POLL))?;
-        let mut eof = match reader.read_line(&mut pending) {
-            Ok(0) => true,
-            Ok(_) => {
-                window.push(std::mem::take(&mut pending));
+        let mut eof = match reader.read_line() {
+            Ok(None) => true,
+            Ok(Some(line)) => {
+                window.push(line);
                 false
             }
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // idle (a timed-out read keeps any partial line buffered in
-                // `pending` for the next pass): drain out when asked to
+                // idle (a timed-out read keeps any partial line buffered
+                // for the next pass): drain out when asked to
                 if state.draining() {
                     return writer.flush();
                 }
@@ -352,21 +412,24 @@ fn serve_connection(
         if !eof {
             stream.set_nonblocking(true)?;
             while window.len() < window_cap {
-                match reader.read_line(&mut pending) {
-                    Ok(0) => {
+                match reader.read_line() {
+                    Ok(None) => {
                         eof = true;
                         break;
                     }
-                    Ok(_) => window.push(std::mem::take(&mut pending)),
+                    Ok(Some(line)) => window.push(line),
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => return Err(e),
                 }
             }
         }
-        if eof && !pending.trim().is_empty() {
+        if eof {
             // a trailing unterminated line still deserves an answer
-            window.push(std::mem::take(&mut pending));
+            let rest = reader.take_pending();
+            if !rest.trim().is_empty() {
+                window.push(Some(rest));
+            }
         }
         if !window.is_empty() {
             let draining = process_window(state, width, &std::mem::take(&mut window), &mut writer)?;
@@ -393,14 +456,21 @@ fn serve_connection(
 fn process_window(
     state: &ServerState,
     width: usize,
-    lines: &[String],
+    lines: &[WindowLine],
     writer: &mut impl Write,
 ) -> io::Result<bool> {
     let mut planned: Vec<Planned> = Vec::with_capacity(lines.len());
     let mut jobs: Vec<SolveJob> = Vec::new();
     let mut saw_shutdown = false;
     for line in lines {
-        planned.push(match Request::parse(line) {
+        let request = match line {
+            Some(line) => Request::parse(line),
+            None => Err(RequestError {
+                id: None,
+                message: format!("request line exceeds {MAX_LINE_BYTES} bytes"),
+            }),
+        };
+        planned.push(match request {
             Err(e) => {
                 state.errors.fetch_add(1, Ordering::Relaxed);
                 Planned::Ready(protocol::error_response(e.id, &e.message))
@@ -521,4 +591,40 @@ fn process_window(
         writer.write_all(b"\n")?;
     }
     Ok(saw_shutdown)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lines(input: &[u8]) -> Vec<WindowLine> {
+        let mut reader = LineReader::new(BufReader::with_capacity(1000, input));
+        std::iter::from_fn(|| reader.read_line().expect("in-memory reads cannot fail")).collect()
+    }
+
+    #[test]
+    fn line_reader_caps_each_line_and_resumes_after_the_oversized_one() {
+        let mut input = b"first\n".to_vec();
+        // exactly the cap (newline included) still fits…
+        input.extend(vec![b'a'; MAX_LINE_BYTES - 1]);
+        input.push(b'\n');
+        // …one byte more does not, and is skipped up to its newline
+        input.extend(vec![b'b'; MAX_LINE_BYTES]);
+        input.extend(b"\nlast\n");
+        let got = lines(&input);
+        assert_eq!(got.len(), 4);
+        assert_eq!(got[0].as_deref(), Some("first\n"));
+        assert_eq!(got[1].as_ref().map(String::len), Some(MAX_LINE_BYTES));
+        assert_eq!(got[2], None);
+        assert_eq!(got[3].as_deref(), Some("last\n"));
+    }
+
+    #[test]
+    fn an_unterminated_oversized_tail_reports_once() {
+        let input = vec![b'c'; 3 * MAX_LINE_BYTES];
+        let mut reader = LineReader::new(BufReader::new(&input[..]));
+        assert_eq!(reader.read_line().unwrap(), Some(None));
+        assert_eq!(reader.read_line().unwrap(), None);
+        assert_eq!(reader.take_pending(), "");
+    }
 }

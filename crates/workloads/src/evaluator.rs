@@ -22,10 +22,7 @@
 use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
-use star_core::{
-    AnalyticalModel, DestinationSpectrum, HypercubeModel, HypercubeResult, HypercubeSpectrum,
-    ModelParams, ModelResult, SpectrumModel, SpectrumResult, TraversalSpectrum,
-};
+use star_core::{ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum};
 use star_graph::{Hypercube, StarGraph};
 use star_queueing::ReplicateStats;
 use star_sim::{ReplicateReport, ReplicateRun, SimReport};
@@ -36,17 +33,8 @@ use crate::scenario::{OperatingPoint, Scenario};
 /// Backend-specific diagnostics attached to a [`PointEstimate`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum EstimateDetail {
-    /// The full star analytical-model result (fixed-point iterations,
-    /// multiplexing degree, waiting times, …).
-    Model(ModelResult),
-    /// The full hypercube analytical-model result (same quantities, `Q_d`
-    /// configuration).
-    HypercubeModel(HypercubeResult),
-    /// The generic spectrum-model result, for topologies without a
-    /// closed-form spectrum (torus, ring, any plugged-in [`Topology`]
-    /// implementation).
-    ///
-    /// [`Topology`]: star_graph::Topology
+    /// The full analytical-model result (fixed-point iterations and
+    /// residual, multiplexing degree, waiting times, …).
     Spectrum(SpectrumResult),
     /// The replicate set of simulation reports with across-replicate
     /// statistics (cycles, observed multiplexing, … per replicate).
@@ -79,34 +67,22 @@ pub struct PointEstimate {
 }
 
 impl PointEstimate {
-    /// The mean latency when the point is below saturation.
+    /// The mean latency when the point is below saturation and, for a model
+    /// estimate, its fixed point converged.
     #[must_use]
     pub fn latency(&self) -> Option<f64> {
-        (!self.saturated).then_some(self.mean_latency)
+        (!self.saturated && self.converged() != Some(false)).then_some(self.mean_latency)
     }
 
-    /// The star analytical-model result, if this estimate came from the
-    /// model on a star scenario.
+    /// Whether the model's fixed-point iteration met its tolerance (model
+    /// estimates only).  An unsaturated estimate that did not converge has
+    /// no [`Self::latency`].
     #[must_use]
-    pub fn model_result(&self) -> Option<&ModelResult> {
-        match &self.detail {
-            EstimateDetail::Model(r) => Some(r),
-            _ => None,
-        }
+    pub fn converged(&self) -> Option<bool> {
+        self.spectrum_result().map(|r| r.converged)
     }
 
-    /// The hypercube analytical-model result, if this estimate came from the
-    /// model on a hypercube scenario.
-    #[must_use]
-    pub fn hypercube_result(&self) -> Option<&HypercubeResult> {
-        match &self.detail {
-            EstimateDetail::HypercubeModel(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The generic spectrum-model result, if this estimate came from the
-    /// model on a topology outside the two closed forms.
+    /// The analytical-model result, if this estimate came from the model.
     #[must_use]
     pub fn spectrum_result(&self) -> Option<&SpectrumResult> {
         match &self.detail {
@@ -151,15 +127,10 @@ impl PointEstimate {
         self.latency_stats.relative_ci95()
     }
 
-    /// Fixed-point iterations spent (model estimates only, any topology).
+    /// Fixed-point iterations spent (model estimates only).
     #[must_use]
     pub fn iterations(&self) -> Option<usize> {
-        match &self.detail {
-            EstimateDetail::Model(r) => Some(r.iterations),
-            EstimateDetail::HypercubeModel(r) => Some(r.iterations),
-            EstimateDetail::Spectrum(r) => Some(r.iterations),
-            EstimateDetail::Sim(_) => None,
-        }
+        self.spectrum_result().map(|r| r.iterations)
     }
 
     /// The latency as a plottable value: infinite when saturated.
@@ -168,19 +139,25 @@ impl PointEstimate {
         self.latency().unwrap_or(f64::INFINITY)
     }
 
-    /// Formats the latency for tables (`"saturated"` beyond saturation).
+    /// The table cell of an estimate without a latency.
+    fn no_latency_cell(&self) -> String {
+        if self.saturated { "saturated" } else { "unconverged" }.to_string()
+    }
+
+    /// Formats the latency for tables (`"saturated"` beyond saturation,
+    /// `"unconverged"` for a fixed point that ran out of iterations).
     #[must_use]
     pub fn latency_cell(&self) -> String {
-        self.latency().map_or_else(|| "saturated".to_string(), |l| format!("{l:.1}"))
+        self.latency().map_or_else(|| self.no_latency_cell(), |l| format!("{l:.1}"))
     }
 
     /// Formats the latency with its confidence interval for tables
     /// (`"74.3 ± 1.2"`; the `± 0.0` is omitted for degenerate intervals,
-    /// `"saturated"` beyond saturation).
+    /// and estimates without a latency read as in [`Self::latency_cell`]).
     #[must_use]
     pub fn latency_ci_cell(&self) -> String {
         match self.latency() {
-            None => "saturated".to_string(),
+            None => self.no_latency_cell(),
             Some(_) if self.latency_stats.ci95 > 0.0 => self.latency_stats.pretty(),
             Some(l) => format!("{l:.1}"),
         }
@@ -188,7 +165,7 @@ impl PointEstimate {
 }
 
 /// A backend that can answer operating points: the analytical model
-/// ([`ModelBackend`], covering both the star and the hypercube), the
+/// ([`ModelBackend`], covering every topology family), the
 /// flit-level simulator ([`SimBackend`]), or anything else that can estimate
 /// a latency (future: a learned surrogate, a remote service).
 ///
@@ -273,27 +250,9 @@ pub trait Evaluator: Sync {
     }
 }
 
-/// The topology spectrum a model sweep shares across its rates: the star's
-/// cycle-type destination spectrum, the hypercube's Hamming traversal
-/// spectrum, or the generic BFS traversal census for any other
-/// [`star_graph::Topology`] — behind one `Arc` so threads and rates reuse
-/// one allocation.
-///
-/// Dispatch is by downcast on the scenario's topology *value*, not by a kind
-/// enum: the two closed forms are an optimisation (and the oracles the
-/// generic census is tested against), everything else flows through
-/// [`TraversalSpectrum`].
-enum ModelSpectrum {
-    Star { symbols: usize, spectrum: Arc<DestinationSpectrum> },
-    Hypercube { dims: usize, spectrum: Arc<HypercubeSpectrum> },
-    Generic(Arc<TraversalSpectrum>),
-}
-
 /// The spectrum build a scenario's model evaluations share, as a reusable
-/// value: the expensive topology-dependent half of a model solve (the
-/// star's cycle-type census, the hypercube's Hamming populations, or the
-/// generic BFS traversal census), `Arc`-shared internally so clones and
-/// concurrent evaluations reuse one allocation.
+/// value: the expensive topology-dependent half of a model solve,
+/// `Arc`-shared so clones and concurrent evaluations reuse one allocation.
 ///
 /// [`Evaluator::evaluate`] builds one per call; callers that answer *many*
 /// points of one scenario family — the serving daemon's topology/spectrum
@@ -302,55 +261,45 @@ enum ModelSpectrum {
 /// [`ModelBackend::estimate_with`], which is exactly the
 /// [`Evaluator::evaluate`] computation with the spectrum build hoisted out
 /// (the answers are bit-identical).
-pub struct ScenarioSpectrum(ModelSpectrum);
+pub struct ScenarioSpectrum(Arc<TraversalSpectrum>);
 
 impl std::fmt::Debug for ScenarioSpectrum {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let family = match &self.0 {
-            ModelSpectrum::Star { symbols, .. } => format!("Star(S{symbols})"),
-            ModelSpectrum::Hypercube { dims, .. } => format!("Hypercube(Q{dims})"),
-            ModelSpectrum::Generic(_) => "Generic".to_string(),
-        };
-        f.debug_tuple("ScenarioSpectrum").field(&family).finish()
+        f.debug_tuple("ScenarioSpectrum").field(&self.0.topology_name()).finish()
     }
 }
 
 impl ScenarioSpectrum {
-    /// Builds the spectrum for a scenario's topology (closed-form star and
-    /// hypercube spectra, generic BFS census otherwise).  Only the topology
-    /// matters: every `V`/`M`/rate/discipline of the same network shares
-    /// the build.
+    /// Builds the spectrum for a scenario's topology: the closed forms for
+    /// star graphs and hypercubes, the BFS census for anything else.  Only
+    /// the topology matters: every `V`/`M`/rate/discipline of the same
+    /// network shares the build.
     #[must_use]
     pub fn build(scenario: &Scenario) -> Self {
-        Self(ModelSpectrum::for_scenario(scenario))
-    }
-}
-
-impl ModelSpectrum {
-    fn for_scenario(scenario: &Scenario) -> Self {
         let topology = scenario.topology();
-        if let Some(star) = topology.as_any().downcast_ref::<StarGraph>() {
-            Self::Star {
-                symbols: star.symbols(),
-                spectrum: Arc::new(DestinationSpectrum::new(star.symbols())),
-            }
-        } else if let Some(cube) = topology.as_any().downcast_ref::<Hypercube>() {
-            Self::Hypercube {
-                dims: cube.dims(),
-                spectrum: Arc::new(HypercubeSpectrum::new(cube.dims())),
-            }
+        let any = topology.as_any();
+        let spectrum = if let Some(star) = any.downcast_ref::<StarGraph>() {
+            TraversalSpectrum::star(star.symbols())
+        } else if let Some(cube) = any.downcast_ref::<Hypercube>() {
+            TraversalSpectrum::hypercube(cube.dims())
         } else {
-            Self::Generic(Arc::new(TraversalSpectrum::new(topology.as_ref())))
-        }
+            TraversalSpectrum::new(topology.as_ref())
+        };
+        Self(Arc::new(spectrum))
+    }
+
+    /// The spectrum itself.
+    #[must_use]
+    pub fn spectrum(&self) -> &Arc<TraversalSpectrum> {
+        &self.0
     }
 }
 
 /// The analytical model as an [`Evaluator`]: microseconds per point.  Covers
-/// star networks with the three modelled disciplines and every other
+/// star networks with the three adaptive disciplines and every other
 /// topology with all four (deterministic routing on `Q_d` is
-/// dimension-order), under uniform traffic.  Star and hypercube scenarios
-/// use the closed-form spectra; any other topology (torus, ring, plugged-in
-/// implementations) goes through the generic [`TraversalSpectrum`].
+/// dimension-order), under uniform traffic, through [`SpectrumModel`] on the
+/// scenario's [`ScenarioSpectrum`].
 ///
 /// ```
 /// use star_workloads::{Evaluator, ModelBackend, Scenario};
@@ -363,9 +312,8 @@ impl ModelSpectrum {
 /// let cube = backend.evaluate(&Scenario::hypercube(7).at(0.004));
 /// let torus = backend.evaluate(&Scenario::torus(8).at(0.004));
 /// assert!(!star.saturated && !cube.saturated && !torus.saturated);
-/// assert!(star.model_result().is_some());
-/// assert!(cube.hypercube_result().is_some());
-/// assert!(torus.spectrum_result().is_some());
+/// assert_eq!(cube.spectrum_result().unwrap().topology, "Q7");
+/// assert_eq!(torus.converged(), Some(true));
 /// // all are latency estimates above their zero-load bound M + d̄
 /// assert!(star.mean_latency > 32.0);
 /// assert!(cube.mean_latency > 32.0);
@@ -401,7 +349,7 @@ impl ModelBackend {
     fn estimate(
         &self,
         point: &OperatingPoint,
-        spectrum: &ModelSpectrum,
+        spectrum: &ScenarioSpectrum,
         warm_state: &[f64],
     ) -> PointEstimate {
         let scenario = &point.scenario;
@@ -409,42 +357,21 @@ impl ModelBackend {
             .model_params(point.traffic_rate)
             .unwrap_or_else(|e| panic!("invalid model scenario {}: {e}", scenario.label()))
             .unwrap_or_else(|| panic!("{}", Self::unsupported_message(scenario)));
-        let (saturated, mean_latency, detail) = match spectrum {
-            ModelSpectrum::Star { symbols, spectrum } => {
-                let config = params
-                    .star_config(*symbols)
-                    .unwrap_or_else(|| panic!("{}", Self::unsupported_message(scenario)));
-                let result = AnalyticalModel::with_spectrum(config, Arc::clone(spectrum))
-                    .solve_from(warm_state);
-                (result.saturated, result.mean_latency, EstimateDetail::Model(result))
-            }
-            ModelSpectrum::Hypercube { dims, spectrum } => {
-                let result = HypercubeModel::with_spectrum(
-                    params.hypercube_config(*dims),
-                    Arc::clone(spectrum),
-                )
-                .solve_from(warm_state);
-                (result.saturated, result.mean_latency, EstimateDetail::HypercubeModel(result))
-            }
-            ModelSpectrum::Generic(spectrum) => {
-                let result =
-                    SpectrumModel::new(params, Arc::clone(spectrum)).solve_from(warm_state);
-                (result.saturated, result.mean_latency, EstimateDetail::Spectrum(result))
-            }
-        };
+        let result = SpectrumModel::new(params, Arc::clone(&spectrum.0)).solve_from(warm_state);
+        let answered = !result.saturated && result.converged;
         PointEstimate {
             point: point.clone(),
             backend: self.name().to_string(),
-            saturated,
-            mean_latency,
+            saturated: result.saturated,
+            mean_latency: result.mean_latency,
             // the model is deterministic: one degenerate replicate, CI of
-            // zero width (no finite observation at all when saturated)
-            latency_stats: if saturated {
-                ReplicateStats::empty()
+            // zero width (no observation at all when there is no answer)
+            latency_stats: if answered {
+                ReplicateStats::degenerate(result.mean_latency)
             } else {
-                ReplicateStats::degenerate(mean_latency)
+                ReplicateStats::empty()
             },
-            detail,
+            detail: EstimateDetail::Spectrum(result),
         }
     }
 
@@ -479,36 +406,25 @@ impl ModelBackend {
         spectrum: &ScenarioSpectrum,
         warm_state: &[f64],
     ) -> PointEstimate {
-        match (&spectrum.0, point.scenario.topology().name().as_str()) {
-            (ModelSpectrum::Star { symbols, .. }, name) => {
-                assert_eq!(name, format!("S{symbols}"), "spectrum built for another topology");
-            }
-            (ModelSpectrum::Hypercube { dims, .. }, name) => {
-                assert_eq!(name, format!("Q{dims}"), "spectrum built for another topology");
-            }
-            (ModelSpectrum::Generic(s), name) => {
-                assert_eq!(name, s.topology_name(), "spectrum built for another topology");
-            }
-        }
-        self.estimate(point, &spectrum.0, warm_state)
+        assert_eq!(
+            point.scenario.topology().name(),
+            spectrum.0.topology_name(),
+            "spectrum built for another topology"
+        );
+        self.estimate(point, spectrum, warm_state)
     }
 
-    /// The converged mean network latency an estimate contributes as the next
-    /// rate's warm-start seed (any topology): the value
+    /// The mean network latency an estimate contributes as the next rate's
+    /// warm-start seed: the value
     /// [`Evaluator::evaluate_sweep`] chains between rates, and the value the
     /// serving daemon's solve cache stores per chain point.  `None` for
     /// simulator estimates; non-finite (and ignored by `solve_from` in
     /// favour of a cold start) for saturated points.
     #[must_use]
     pub fn warm_seed(estimate: &PointEstimate) -> Option<f64> {
-        match &estimate.detail {
-            // saturated points leave a non-finite seed, which solve_from
-            // ignores in favour of the cold start
-            EstimateDetail::Model(r) => Some(r.mean_network_latency),
-            EstimateDetail::HypercubeModel(r) => Some(r.mean_network_latency),
-            EstimateDetail::Spectrum(r) => Some(r.mean_network_latency),
-            EstimateDetail::Sim(_) => None,
-        }
+        // saturated points leave a non-finite seed, which solve_from ignores
+        // in favour of the cold start
+        estimate.spectrum_result().map(|r| r.mean_network_latency)
     }
 }
 
@@ -523,15 +439,15 @@ impl Evaluator for ModelBackend {
 
     fn evaluate_replicate(&self, point: &OperatingPoint, _replicate: usize) -> PointEstimate {
         // the model is deterministic — every replicate is the same solve
-        self.estimate(point, &ModelSpectrum::for_scenario(&point.scenario), &[])
+        self.estimate(point, &ScenarioSpectrum::build(&point.scenario), &[])
     }
 
     fn evaluate(&self, point: &OperatingPoint) -> PointEstimate {
-        self.estimate(point, &ModelSpectrum::for_scenario(&point.scenario), &[])
+        self.estimate(point, &ScenarioSpectrum::build(&point.scenario), &[])
     }
 
     fn evaluate_sweep(&self, scenario: &Scenario, rates: &[f64]) -> Vec<PointEstimate> {
-        let spectrum = ModelSpectrum::for_scenario(scenario);
+        let spectrum = ScenarioSpectrum::build(scenario);
         let mut warm_state: Vec<f64> = Vec::new();
         rates
             .iter()
@@ -755,7 +671,7 @@ mod tests {
         let backend = ModelBackend::new();
         // the star model has no deterministic variant
         assert!(!backend.supports(&s4().with_discipline(Discipline::Deterministic)));
-        // too few virtual channels is a ConfigError, not a supported scenario
+        // too few virtual channels is a validation error, not a supported scenario
         assert!(!backend.supports(&s4().with_virtual_channels(3)));
         // hypercube scenarios check against the cube's own level minimum
         assert!(!backend.supports(&Scenario::hypercube(10).with_virtual_channels(6)));
@@ -787,8 +703,8 @@ mod tests {
             assert!(!estimate.saturated);
             assert!(estimate.latency().unwrap() > 32.0);
             assert!(estimate.iterations().unwrap() > 0);
-            assert!(estimate.hypercube_result().is_some());
-            assert!(estimate.model_result().is_none());
+            assert_eq!(estimate.spectrum_result().unwrap().topology, "Q4");
+            assert_eq!(estimate.converged(), Some(true));
             assert!(estimate.sim_report().is_none());
         }
     }
@@ -807,9 +723,8 @@ mod tests {
             assert!(!estimate.saturated);
             assert!(estimate.latency().unwrap() > 32.0);
             assert!(estimate.iterations().unwrap() > 0);
-            assert!(estimate.spectrum_result().is_some());
-            assert!(estimate.model_result().is_none());
-            assert!(estimate.hypercube_result().is_none());
+            assert_eq!(estimate.spectrum_result().unwrap().topology, "T8");
+            assert!(estimate.sim_report().is_none());
         }
         let ring = backend.evaluate(&Scenario::ring(8).with_virtual_channels(4).at(0.004));
         assert!(!ring.saturated);
@@ -818,8 +733,8 @@ mod tests {
 
     #[test]
     fn warm_started_torus_sweep_matches_independent_evaluations() {
-        // the generic spectrum model participates in the same warm-start
-        // chain as the closed forms
+        // a BFS-census spectrum takes part in the same warm-start chain as
+        // the closed-form ones
         let backend = ModelBackend::new();
         let scenario = Scenario::torus(8);
         let rates = [0.006, 0.010, 0.013];
@@ -874,7 +789,7 @@ mod tests {
             let scenario = Scenario::hypercube(dims).with_virtual_channels(8);
             let estimate = backend.evaluate(&scenario.at(0.002));
             assert!(!estimate.saturated, "Q{dims} must solve at light load");
-            assert!(estimate.hypercube_result().is_some());
+            assert_eq!(estimate.converged(), Some(true));
         }
     }
 
@@ -910,8 +825,9 @@ mod tests {
         assert_eq!(report.replicates(), 1);
         assert_eq!(report.first().virtual_channels, 6);
         assert_eq!(a.latency_ci95(), 0.0, "one replicate has a degenerate interval");
-        assert!(a.model_result().is_none());
+        assert!(a.spectrum_result().is_none());
         assert!(a.iterations().is_none());
+        assert!(a.converged().is_none());
     }
 
     #[test]
@@ -1019,6 +935,19 @@ mod tests {
             sim.mean_latency,
             sim.latency_ci95()
         );
+    }
+
+    #[test]
+    fn a_non_converged_solve_has_no_latency() {
+        // T8 at its knee: the fixed point runs out of iterations unsaturated
+        let point = Scenario::torus(8).at(0.014_881_188_037_297_724);
+        let estimate = ModelBackend::new().evaluate(&point);
+        assert!(!estimate.saturated);
+        assert_eq!(estimate.converged(), Some(false));
+        assert!(estimate.mean_latency.is_finite());
+        assert_eq!(estimate.latency(), None);
+        assert_eq!(estimate.latency_stats.replicates, 0);
+        assert_eq!(estimate.latency_cell(), "unconverged");
     }
 
     #[test]

@@ -115,12 +115,6 @@ impl TopologyKind {
     }
 }
 
-/// The old name of [`TopologyKind`], kept for one release so downstream code
-/// migrates gradually.
-#[deprecated(note = "renamed to TopologyKind; scenarios now carry an Arc<dyn Topology> — \
-            construct them with Scenario::on or the per-family constructors")]
-pub type NetworkKind = TopologyKind;
-
 /// Routing discipline of a scenario: the three schemes the analytical model
 /// covers plus the deterministic minimal baseline the simulator also
 /// implements.
@@ -135,8 +129,7 @@ pub enum Discipline {
     /// Plain negative-hop.
     NHop,
     /// Deterministic minimal routing (the analytical model covers it on
-    /// every topology except the star, where the closed form has no
-    /// deterministic variant).
+    /// every topology except the star graph).
     Deterministic,
 }
 
@@ -162,9 +155,8 @@ impl Discipline {
         Self::ALL.into_iter().find(|d| d.name() == name)
     }
 
-    /// The unified analytical-model discipline.  All four map;
-    /// [`ModelDiscipline`] itself knows which closed-form models cover which
-    /// scheme (the star model skips `Deterministic`).
+    /// The analytical-model discipline.  All four map;
+    /// [`Scenario::model_params`] decides which pairings the model covers.
     #[must_use]
     pub fn model_discipline(self) -> ModelDiscipline {
         match self {
@@ -425,25 +417,22 @@ impl Scenario {
         self.discipline.routing(self.topology.as_ref(), self.virtual_channels)
     }
 
-    /// The unified analytical-model parameters at the given traffic rate,
-    /// when the model covers this scenario, validated against this
-    /// scenario's topology.  One surface replaces the old per-topology
-    /// `model_config` / `hypercube_model_config` pair:
+    /// The analytical-model parameters at the given traffic rate, when the
+    /// model covers this scenario, validated against this scenario's
+    /// topology:
     ///
     /// * `Ok(Some(params))` — the model covers the scenario; pair the
-    ///   parameters with [`Self::topology`] (closed-form star/hypercube
-    ///   solvers or the generic spectrum model — the backend picks).
+    ///   parameters with the scenario's spectrum
+    ///   ([`crate::ScenarioSpectrum`]).
     /// * `Ok(None)` — outside the model's reach by *kind*, not by range:
     ///   non-uniform traffic, or deterministic routing on the star graph
-    ///   (the closed form has no deterministic variant and the star's
-    ///   generic spectrum is reserved as the adaptive oracle).
+    ///   (the star's cycle-type spectrum models the adaptive schemes only).
     ///
     /// # Errors
     /// Returns the [`ModelParamsError`] when the scenario is in the model's
     /// reach but its parameters are out of range (too few virtual channels
-    /// for the topology's escape-level minimum, zero-length messages, …).
-    /// Star and hypercube scenarios keep their closed-form validators' exact
-    /// errors.
+    /// for the topology's escape-level minimum, zero-length messages, a
+    /// single-link network, …).
     pub fn model_params(&self, traffic_rate: f64) -> Result<Option<ModelParams>, ModelParamsError> {
         if self.pattern != TrafficPattern::Uniform {
             return Ok(None);
@@ -563,13 +552,11 @@ mod tests {
                 assert!((params.traffic_rate - 0.002).abs() < 1e-15);
             }
         }
-        // out-of-range parameters surface as errors, not None — with the
-        // closed-form validator's own error on the hypercube
+        // out-of-range parameters surface as errors, not None
         assert!(matches!(
             Scenario::hypercube(10).model_params(0.002),
-            Err(ModelParamsError::Hypercube(_))
+            Err(ModelParamsError::TooFewVirtualChannels { .. })
         ));
-        // …and the generic validator's on the torus
         assert!(matches!(
             Scenario::torus(12).model_params(0.002),
             Err(ModelParamsError::TooFewVirtualChannels { .. })
@@ -583,12 +570,19 @@ mod tests {
         assert_eq!(params.virtual_channels, 6);
         assert!((params.traffic_rate - 0.004).abs() < 1e-15);
         assert_eq!(params.discipline, ModelDiscipline::EnhancedNbc);
-        // the closed-form star model has no deterministic variant
+        // the star model has no deterministic variant
         let det = s.clone().with_discipline(Discipline::Deterministic);
         assert_eq!(det.model_params(0.004), Ok(None));
-        // star errors come from the star validator
         let invalid = s.with_virtual_channels(4);
-        assert!(matches!(invalid.model_params(0.004), Err(ModelParamsError::Star(_))));
+        assert!(matches!(
+            invalid.model_params(0.004),
+            Err(ModelParamsError::TooFewVirtualChannels { .. })
+        ));
+        // S2 is a single link
+        assert_eq!(
+            Scenario::star(2).model_params(0.004),
+            Err(ModelParamsError::TooFewNodes { nodes: 2 })
+        );
         // non-uniform traffic is outside the model on every topology
         let hot = TrafficPattern::HotSpot { node: 0, fraction: 0.2 };
         assert_eq!(Scenario::torus(8).with_pattern(hot).model_params(0.004), Ok(None));

@@ -30,7 +30,7 @@ use serde_json::Value;
 use star_exec::RunFingerprint;
 use star_graph::{Hypercube, StarGraph, Topology};
 
-use crate::evaluator::PointEstimate;
+use crate::evaluator::{PointEstimate, ScenarioSpectrum};
 use crate::scenario::{Discipline, Scenario, TopologyKind};
 
 /// Why a wire query (or a scenario headed for the wire) was rejected.
@@ -328,8 +328,6 @@ pub fn default_config_pool() -> Vec<WireScenario> {
 /// The model-predicted saturation rate of a scenario, on any topology —
 /// the bisection the model-only harness binaries and the serving layer use
 /// to pick rate grids that cover the whole latency curve up to the knee.
-/// Star and hypercube scenarios use the closed-form solvers; anything else
-/// goes through the generic [`star_core::TraversalSpectrum`].
 ///
 /// # Panics
 /// Panics if the analytical model does not cover the scenario, or if the
@@ -345,17 +343,7 @@ pub fn model_saturation_rate(scenario: &Scenario, tolerance: f64) -> f64 {
             panic!("the analytical model does not cover scenario {}", scenario.label())
         }
     };
-    let topology = scenario.topology();
-    if let Some(star) = topology.as_any().downcast_ref::<StarGraph>() {
-        let config =
-            params.star_config(star.symbols()).expect("star scenarios map to modelled disciplines");
-        star_core::saturation_rate(config, tolerance)
-    } else if let Some(cube) = topology.as_any().downcast_ref::<Hypercube>() {
-        star_core::hypercube_saturation_rate(params.hypercube_config(cube.dims()), tolerance)
-    } else {
-        let spectrum = Arc::new(star_core::TraversalSpectrum::new(topology.as_ref()));
-        star_core::spectrum_saturation_rate(params, &spectrum, tolerance)
-    }
+    star_core::saturation_rate(params, ScenarioSpectrum::build(scenario).spectrum(), tolerance)
 }
 
 /// The saturation-scaled serving rate grid of a scenario: `steps` rates
@@ -381,8 +369,9 @@ pub fn load_rate_grid(scenario: &Scenario, steps: usize) -> Vec<f64> {
 }
 
 /// Encodes a model answer as the canonical wire payload:
-/// `{"latency":…,"saturated":…,"iterations":…}` with `latency` null beyond
-/// saturation and `iterations` null for non-model backends.  Field order is
+/// `{"latency":…,"saturated":…,"iterations":…,"converged":…}` with
+/// `latency` null beyond saturation or when the fixed point did not
+/// converge, and `iterations`/`converged` null for non-model backends.  Field order is
 /// fixed and floats use Rust's shortest round-trip formatting, so two
 /// estimates are byte-equal here exactly when their headline numbers are
 /// bit-equal — the string the daemon's byte-identity contract is stated on.
@@ -390,10 +379,12 @@ pub fn load_rate_grid(scenario: &Scenario, steps: usize) -> Vec<f64> {
 pub fn encode_estimate(estimate: &PointEstimate) -> String {
     let latency = estimate.latency().map_or(Value::Null, Value::from);
     let iterations = estimate.iterations().map_or(Value::Null, Value::from);
+    let converged = estimate.converged().map_or(Value::Null, Value::from);
     Value::Object(vec![
         ("latency".to_string(), latency),
         ("saturated".to_string(), Value::from(estimate.saturated)),
         ("iterations".to_string(), iterations),
+        ("converged".to_string(), converged),
     ])
     .to_string()
 }
@@ -578,6 +569,7 @@ mod tests {
         assert!(encoded.starts_with("{\"latency\":"));
         assert!(encoded.contains("\"saturated\":false"));
         assert!(encoded.contains("\"iterations\":"));
+        assert!(encoded.ends_with(",\"converged\":true}"));
         assert_eq!(encoded, encode_estimate(&backend.evaluate(&Scenario::star(5).at(0.004))));
         // the float in the payload is the exact latency, shortest-form
         let value = serde_json::from_str(&encoded).unwrap();
@@ -589,5 +581,10 @@ mod tests {
         let value = serde_json::from_str(&encoded).unwrap();
         assert!(value.get("latency").unwrap().is_null());
         assert!(value.get("iterations").unwrap().as_u64().is_some());
+        // a fixed point that ran out of iterations answers no latency either
+        let knee = backend.evaluate(&Scenario::torus(8).at(0.014_881_188_037_297_724));
+        let encoded = encode_estimate(&knee);
+        assert!(encoded.starts_with("{\"latency\":null,\"saturated\":false,"), "{encoded}");
+        assert!(encoded.ends_with(",\"converged\":false}"), "{encoded}");
     }
 }

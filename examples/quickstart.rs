@@ -24,7 +24,7 @@ fn main() {
 
     // 1. The analytical model (microseconds).
     let model = ModelBackend::new().evaluate(&point);
-    let result = model.model_result().expect("model backend yields model results");
+    let result = model.spectrum_result().expect("model backend yields model results");
     println!("analytical model:");
     println!("  mean network latency  S̄  = {:.2} cycles", result.mean_network_latency);
     println!("  source queueing       W_s = {:.2} cycles", result.source_waiting);

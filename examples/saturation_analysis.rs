@@ -2,22 +2,19 @@
 //! of virtual-channel counts and message lengths — the kind of design-space
 //! exploration the paper argues analytical models are for (evaluating many
 //! configurations is cheap, no simulation needed) — then repeat the exercise
-//! on the other topology families through the generic traversal-spectrum
-//! model.
+//! on the other topology families.
 //!
 //! ```text
 //! cargo run --release --example saturation_analysis
 //! ```
 
-use std::sync::Arc;
-
-use star_wormhole::model::{saturation_rate, spectrum_saturation_rate};
 use star_wormhole::workloads::markdown_table;
-use star_wormhole::{Scenario, TopologyKind, TraversalSpectrum};
+use star_wormhole::{saturation_rate, Scenario, ScenarioSpectrum, TopologyKind};
 
 fn main() {
     println!("# Predicted saturation rate of S5 (messages/node/cycle)\n");
     let mut rows = Vec::new();
+    let s5 = ScenarioSpectrum::build(&Scenario::star(5));
     for &v in &[5usize, 6, 8, 9, 12, 16] {
         let mut cells = vec![format!("V = {v}")];
         for &m in &[16usize, 32, 64, 128] {
@@ -26,8 +23,7 @@ fn main() {
                 .model_params(0.0)
                 .expect("paper-range parameters")
                 .expect("star scenarios are modelled");
-            let config = params.star_config(5).expect("paper-range parameters");
-            let sat = saturation_rate(config, 0.02);
+            let sat = saturation_rate(params, s5.spectrum(), 0.02);
             cells.push(format!("{sat:.4}"));
         }
         rows.push(cells);
@@ -41,7 +37,7 @@ fn main() {
     println!("  * doubling the message length roughly halves the saturation rate;");
     println!("  * returns diminish once the adaptive class dwarfs the escape class.");
 
-    println!("\n# The same question on the plugin families (generic spectrum model, M = 32)\n");
+    println!("\n# The same question on the other families (M = 32)\n");
     let mut rows = Vec::new();
     for (kind, size) in
         [(TopologyKind::Hypercube, 7usize), (TopologyKind::Torus, 8), (TopologyKind::Ring, 16)]
@@ -49,10 +45,10 @@ fn main() {
         let scenario = kind.scenario(size).with_virtual_channels(6);
         let params = scenario
             .model_params(0.0)
-            .expect("smoke sizes fit the generic validator")
+            .expect("smoke sizes fit the validator")
             .expect("uniform Enhanced-Nbc scenarios are modelled");
-        let spectrum = Arc::new(TraversalSpectrum::new(scenario.topology().as_ref()));
-        let sat = spectrum_saturation_rate(params, &spectrum, 0.02);
+        let spectrum = ScenarioSpectrum::build(&scenario);
+        let sat = saturation_rate(params, spectrum.spectrum(), 0.02);
         rows.push(vec![
             scenario.network_label(),
             format!("{}", scenario.topology().node_count()),
@@ -60,6 +56,6 @@ fn main() {
         ]);
     }
     println!("{}", markdown_table(&["network", "nodes", "saturation rate (V = 6)"], &rows));
-    println!("No closed form was involved above: each rate comes from bisection over");
-    println!("the spectrum model built from a BFS census of the topology value.");
+    println!("Each rate comes from the same bisection over the same model: only the");
+    println!("spectrum differs (closed form for Q7, BFS census for the torus and ring).");
 }

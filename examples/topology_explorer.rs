@@ -10,7 +10,6 @@
 //! ```
 
 use star_wormhole::graph::distance::star_distance_distribution;
-use star_wormhole::model::DestinationSpectrum;
 use star_wormhole::workloads::markdown_table;
 use star_wormhole::{Hypercube, StarGraph, TopologyKind, TopologyProperties, TraversalSpectrum};
 
@@ -84,12 +83,20 @@ fn main() {
     println!("\n# Routing adaptivity (mean number of minimal-path output channels per hop)\n");
     let mut rows = Vec::new();
     for n in 4..=max_n.min(7) {
-        let spectrum = DestinationSpectrum::new(n);
+        let spectrum = TraversalSpectrum::star(n);
+        // mean over every destination and every hop of its minimal paths
+        let (mut weighted, mut hops) = (0.0, 0.0);
+        for class in spectrum.classes() {
+            for k in 0..class.distance {
+                weighted += class.adaptive_profile.mean_adaptivity(k) * class.count as f64;
+                hops += class.count as f64;
+            }
+        }
         rows.push(vec![
             format!("S{n}"),
             format!("{}", spectrum.classes().len()),
             format!("{:.3}", spectrum.mean_distance()),
-            format!("{:.3}", spectrum.mean_adaptivity()),
+            format!("{:.3}", weighted / hops),
         ]);
     }
     println!(

@@ -21,12 +21,12 @@
 //! * [`sim`] (crate `star-sim`) — the cycle-accurate flit-level wormhole
 //!   simulator used to validate the model;
 //! * [`model`] (crate `star-core`) — **the paper's contribution**: the
-//!   analytical latency model and its traffic sweeps, extended to the
-//!   binary hypercube (`HypercubeModel`) so the star-vs-hypercube
-//!   comparison runs model-only far beyond simulator scale, plus the
-//!   generic [`TraversalSpectrum`]/[`SpectrumModel`] pair that evaluates
-//!   the same model on **any** [`Topology`] value from a BFS distance
-//!   census (the closed forms remain as exact oracles);
+//!   analytical latency model, [`SpectrumModel`], solved over a
+//!   [`TraversalSpectrum`] of destination classes.  The star's cycle types
+//!   and the hypercube's Hamming classes are closed-form spectrum
+//!   constructors (so the star-vs-hypercube comparison runs model-only far
+//!   beyond simulator scale); any other [`Topology`] value gets its
+//!   spectrum from a BFS census;
 //! * [`serve`] (crate `star-serve`) — the persistent evaluation daemon:
 //!   a line-delimited-JSON TCP server answering scenario queries from a
 //!   two-level cache (fingerprint-keyed topology/spectrum sharing plus an
@@ -80,10 +80,8 @@ pub use star_sim as sim;
 pub use star_workloads as workloads;
 
 pub use star_core::{
-    spectrum_saturation_rate, AnalyticalModel, ConfigError, HypercubeConfig, HypercubeConfigError,
-    HypercubeModel, HypercubeResult, HypercubeRouting, HypercubeSpectrum, ModelConfig,
-    ModelDiscipline, ModelParams, ModelParamsError, ModelResult, RoutingDiscipline, SpectrumModel,
-    SpectrumResult, TraversalSpectrum, ValidationRow,
+    saturation_rate, ModelDiscipline, ModelParams, ModelParamsError, SpectrumModel, SpectrumResult,
+    TraversalSpectrum, ValidationRow,
 };
 pub use star_exec::{merge_shard_csvs, ExecPool, ShardSpec};
 pub use star_graph::{
@@ -95,11 +93,9 @@ pub use star_serve::{Daemon, ServeConfig};
 pub use star_sim::{
     ReplicateReport, ReplicateRun, SimConfig, SimCore, SimReport, Simulation, TrafficPattern,
 };
-#[allow(deprecated)]
-pub use star_workloads::NetworkKind;
 pub use star_workloads::{
     default_config_pool, encode_estimate, load_rate_grid, scenario_fingerprint, shard_sweeps,
     CiTarget, Discipline, EstimateDetail, Evaluator, ModelBackend, OperatingPoint, PointEstimate,
-    ReportSink, RunReport, RunRow, Scenario, SimBackend, SimBudget, SweepReport, SweepRunner,
-    SweepSpec, TopologyKind, WireScenario,
+    ReportSink, RunReport, RunRow, Scenario, ScenarioSpectrum, SimBackend, SimBudget, SweepReport,
+    SweepRunner, SweepSpec, TopologyKind, WireScenario,
 };

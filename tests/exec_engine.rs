@@ -1,21 +1,20 @@
 //! Integration tests for the unified execution engine: the persistent
-//! [`ExecPool`] behind all three parallel paths (sweep runner, blocking
-//! sums, spectrum build), panic propagation through the pool, and the
-//! cross-process shard/merge round trip.
+//! [`ExecPool`] against serial evaluation on three kinds of work (sweep
+//! runner, blocking sums, spectrum classes), panic propagation through the
+//! pool, and the cross-process shard/merge round trip.
 
 use star_wormhole::exec::shard::{partial_header, partial_rows};
-use star_wormhole::exec::spawn_ordered;
-use star_wormhole::model::blocking::{batch_blocking_delays, total_blocking_delay, VcSplit};
+use star_wormhole::graph::MinimalPathDag;
+use star_wormhole::model::blocking::{total_blocking_delay, VcSplit};
 use star_wormhole::model::occupancy::ChannelOccupancy;
-use star_wormhole::model::DestinationSpectrum;
 use star_wormhole::workloads::{rate_indices, retain_shard};
 use star_wormhole::{
     merge_shard_csvs, shard_sweeps, ExecPool, ModelBackend, ReportSink, Scenario, ShardSpec,
-    SimBackend, SimBudget, SweepRunner, SweepSpec,
+    SimBackend, SimBudget, StarGraph, SweepRunner, SweepSpec, TraversalSpectrum,
 };
 
-/// The three refactored parallel paths must stay byte-identical between a
-/// single worker and many pool workers.
+/// Work run on the pool must stay byte-identical to the serial evaluation,
+/// for any width.
 #[test]
 fn pool_determinism_across_all_three_parallel_paths() {
     // 1. SweepRunner: (point × replicate) sharding over the pool
@@ -31,31 +30,33 @@ fn pool_determinism_across_all_three_parallel_paths() {
         assert_eq!(one, many, "SweepRunner, threads = {threads}");
     }
 
-    // 2. blocking sums: the per-iteration batch behind with_parallelism
-    let spectrum = DestinationSpectrum::new(5);
-    let profiles: Vec<_> = spectrum.classes().iter().map(|c| &c.profile).collect();
+    // 2. blocking sums: one fixed-point iteration's per-class batch
+    let spectrum = TraversalSpectrum::star(5);
+    let profiles: Vec<_> = spectrum.classes().iter().map(|c| &c.adaptive_profile).collect();
     let split = VcSplit { adaptive: 2, escape_levels: 4, bonus_cards: true };
     let occupancy = ChannelOccupancy::new(0.006, 60.0, 6);
-    let serial = batch_blocking_delays(split, &occupancy, &profiles, 12.0, 1);
+    let blocking = |_, profile: &&_| total_blocking_delay(split, &occupancy, profile, 12.0);
+    let serial: Vec<f64> = profiles.iter().enumerate().map(|(i, p)| blocking(i, p)).collect();
     for threads in [0usize, 2, 5] {
-        let pooled = batch_blocking_delays(split, &occupancy, &profiles, 12.0, threads);
+        let pooled = ExecPool::global_ordered(threads, &profiles, blocking);
         assert_eq!(serial, pooled, "blocking sums, threads = {threads}");
     }
-    // …and the pool agrees with the spawn-per-call baseline it replaced
-    let spawned = spawn_ordered(3, &profiles, |_, profile| {
-        total_blocking_delay(split, &occupancy, profile, 12.0)
-    });
-    assert_eq!(serial, spawned);
 
-    // 3. spectrum build: per-cycle-type path-DAG construction
-    let reference = DestinationSpectrum::new(6);
+    // 3. spectrum classes: per-cycle-type path-DAG construction, each from
+    // the class's relative source permutation (node 0 seen from the
+    // representative)
+    let s6 = StarGraph::new(6);
+    let spectrum = TraversalSpectrum::star(6);
+    let sources: Vec<_> =
+        spectrum.classes().iter().map(|c| s6.permutation(c.representative).inverse()).collect();
+    let profile = |_, source: &_| MinimalPathDag::build(source).adaptivity_profile();
+    let serial: Vec<_> = sources.iter().enumerate().map(|(i, s)| profile(i, s)).collect();
+    for (class, built) in spectrum.classes().iter().zip(&serial) {
+        assert_eq!(&class.adaptive_profile, built, "the closed form is this very DAG");
+    }
     for threads in [0usize, 3] {
-        let pooled = DestinationSpectrum::with_threads(6, threads);
-        assert_eq!(reference.classes().len(), pooled.classes().len());
-        for (a, b) in reference.classes().iter().zip(pooled.classes()) {
-            assert_eq!(a.cycle_type, b.cycle_type, "spectrum, threads = {threads}");
-            assert_eq!(a.profile.hop_adaptivity, b.profile.hop_adaptivity);
-        }
+        let pooled = ExecPool::global_ordered(threads, &sources, profile);
+        assert_eq!(serial, pooled, "spectrum classes, threads = {threads}");
     }
 }
 

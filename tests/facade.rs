@@ -5,11 +5,12 @@
 //! test, so a regression fails `cargo test` even if doctests are skipped.
 
 use star_wormhole::{
-    replicate_seed, AnalyticalModel, CiTarget, ConfigError, DeterministicMinimal, Discipline,
-    EnhancedNbc, Evaluator as _, Hypercube, ModelBackend, ModelConfig, ModelParams, ModelResult,
-    NHop, Nbc, Permutation, ReplicateStats, Ring, RoutingAlgorithm, RunReport, Scenario,
-    SimBackend, SimBudget, SimConfig, SpectrumModel, StarGraph, SweepRunner, SweepSpec, Topology,
-    TopologyKind, TopologyProperties, Torus, TrafficPattern, TraversalSpectrum,
+    replicate_seed, CiTarget, DeterministicMinimal, Discipline, EnhancedNbc, Evaluator as _,
+    Hypercube, ModelBackend, ModelDiscipline, ModelParams, ModelParamsError, NHop, Nbc,
+    Permutation, ReplicateStats, Ring, RoutingAlgorithm, RunReport, Scenario, ScenarioSpectrum,
+    SimBackend, SimBudget, SimConfig, SpectrumModel, SpectrumResult, StarGraph, SweepRunner,
+    SweepSpec, Topology, TopologyKind, TopologyProperties, Torus, TrafficPattern,
+    TraversalSpectrum,
 };
 
 /// The root doc example, restated: the documented sweep must solve
@@ -23,16 +24,10 @@ fn root_doc_example_sweep_solves_unsaturated() {
     assert!(report.estimates.iter().all(|e| !e.saturated));
     let curve = report.latency_curve();
     assert!(curve.windows(2).all(|w| w[0] < w[1]));
-    // the classic single-point entry keeps working too
-    let result: ModelResult = AnalyticalModel::new(
-        ModelConfig::builder()
-            .symbols(5)
-            .virtual_channels(9)
-            .message_length(32)
-            .traffic_rate(0.005)
-            .build(),
-    )
-    .solve();
+    // the single-point entry keeps working too
+    let params = ModelParams { virtual_channels: 9, traffic_rate: 0.005, ..ModelParams::default() };
+    let result: SpectrumResult =
+        SpectrumModel::new(params, std::sync::Arc::new(TraversalSpectrum::star(5))).solve();
     assert!(!result.saturated, "the documented quickstart point must be below saturation");
     assert!(result.mean_latency.is_finite());
     assert!(result.mean_latency > 32.0 + result.mean_distance);
@@ -71,10 +66,16 @@ fn evaluator_reexports_compose() {
     assert!(stats.ci95 > 0.0);
     assert_ne!(replicate_seed(7, 0), replicate_seed(7, 1));
     assert_eq!(RunReport::csv_header().split(',').count(), 10);
-    // non-panicking validation travels through the facade
-    let err: ConfigError =
-        ModelConfig::builder().symbols(12).try_build().expect_err("S12 is out of model range");
-    assert!(err.to_string().contains("S_12"));
+    // non-panicking validation travels through the facade: S2 is a single
+    // link, out of the model's range
+    let err: ModelParamsError =
+        Scenario::star(2).model_params(0.001).expect_err("S2 is out of model range");
+    assert!(err.to_string().contains("at least 3 nodes"));
+    assert_eq!(
+        ScenarioSpectrum::build(&Scenario::star(5)).spectrum().topology_name(),
+        "S5",
+        "star scenarios get the closed-form spectrum"
+    );
 }
 
 /// Every module alias documented in the crate root must resolve.
@@ -85,7 +86,8 @@ fn module_aliases_resolve() {
     let layout = star_wormhole::routing::VirtualChannelLayout { adaptive: 2, escape_levels: 4 };
     assert_eq!(layout.total(), 6);
     let _ = star_wormhole::sim::TrafficPattern::Uniform;
-    let _ = star_wormhole::model::RoutingDiscipline::EnhancedNbc;
+    let _ = star_wormhole::model::ModelDiscipline::EnhancedNbc;
+    let _ = ModelDiscipline::Deterministic;
     let _ = star_wormhole::workloads::SimBudget::Quick;
 }
 

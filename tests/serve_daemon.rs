@@ -338,3 +338,28 @@ fn bad_input_yields_error_responses_not_a_dead_daemon() {
     let _ = client.recv();
     handle.join().expect("daemon thread").expect("clean drain");
 }
+
+#[test]
+fn an_oversized_request_line_gets_one_error_and_the_connection_keeps_serving() {
+    let scenario = Scenario::star(4).with_message_length(16);
+    let expected = encode_estimate(&ModelBackend::new().evaluate(&scenario.at(0.002)));
+    let (addr, _state, handle) = spawn_daemon();
+    let mut client = Client::connect(addr);
+    // 1 MiB without a newline, then the newline, then a valid query
+    client.writer.write_all(&vec![b'x'; 1 << 20]).expect("write the oversized line");
+    client.send("");
+    client.send("{\"id\":7,\"topology\":\"star\",\"size\":4,\"m\":16,\"rate\":0.002}");
+    assert_eq!(
+        client.recv(),
+        "{\"id\":null,\"status\":\"error\",\"error\":\"request line exceeds 65536 bytes\"}"
+    );
+    let answer = client.recv();
+    assert!(answer.starts_with("{\"id\":7,\"status\":\"ok\""), "got {answer}");
+    assert!(
+        answer.ends_with(&format!("\"result\":{expected}}}")),
+        "the valid query is answered byte-identically to a batch solve: {answer}"
+    );
+    client.send("{\"op\":\"shutdown\",\"id\":8}");
+    let _ = client.recv();
+    handle.join().expect("daemon thread").expect("clean drain");
+}

@@ -1,7 +1,7 @@
 //! Cross-validation of the generic traversal-spectrum model against the
-//! flit-level simulator on the torus — a topology no closed-form model in
-//! this workspace covers, so every analytical answer here flows through the
-//! BFS census of `TraversalSpectrum` and the `SpectrumModel` solver.  The
+//! flit-level simulator on the torus — a topology with no closed-form
+//! spectrum in this workspace, so every analytical answer here flows through
+//! the BFS census of `TraversalSpectrum` and the `SpectrumModel` solver.  The
 //! same operating point answered by both backends must agree within the
 //! tolerance bands of the star and hypercube validations (10% at light
 //! load, 25% at moderate load), for the adaptive scheme and the
@@ -10,8 +10,8 @@
 use std::sync::Arc;
 
 use star_wormhole::{
-    spectrum_saturation_rate, Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario,
-    SimBackend, SimBudget, SweepRunner, SweepSpec, TraversalSpectrum,
+    saturation_rate, Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario, SimBackend,
+    SimBudget, SweepRunner, SweepSpec, TraversalSpectrum,
 };
 
 /// A `T_k` scenario with short messages so the simulated points stay fast in
@@ -103,7 +103,7 @@ fn both_backends_show_latency_growth_with_load_on_the_torus() {
 
 #[test]
 fn warm_started_torus_sweep_equals_cold_start() {
-    // the warm-start contract carried over from the closed-form paths: same
+    // the warm-start contract on a BFS-census spectrum: same
     // fixed points (to solver tolerance), strictly fewer total iterations.
     // The grid clusters just below the saturation knee — far below it the
     // torus fixed point barely moves between rates and a warm seed saves
@@ -111,7 +111,7 @@ fn warm_started_torus_sweep_equals_cold_start() {
     let scenario = torus(6, Discipline::EnhancedNbc);
     let params = scenario.model_params(0.0).expect("valid pairing").expect("modelled");
     let spectrum = Arc::new(TraversalSpectrum::new(scenario.topology().as_ref()));
-    let knee = spectrum_saturation_rate(params, &spectrum, 0.02);
+    let knee = saturation_rate(params, &spectrum, 0.02);
     let rates: Vec<f64> = (1..=8).map(|i| knee * (0.60 + 0.04 * i as f64)).collect();
     let spec = SweepSpec::new("t6", scenario, rates);
     let runner = SweepRunner::with_threads(1);

@@ -1,32 +1,20 @@
-//! The `sim-bench` binary: the simulator flit-throughput benchmark and the
-//! engine-equivalence smoke, behind `cargo xtask sim-bench` and the
-//! `sim-equiv-smoke` step of `cargo xtask ci`.
+//! The `sim-bench` binary: the simulator flit-throughput benchmark behind
+//! `cargo xtask sim-bench`.
 //!
 //! ```text
 //! sim-bench [--messages N] [--seed N] [--points LIST] [--json PATH]
-//! sim-bench --equiv
 //! ```
 //!
-//! The default mode runs the pinned `light` operating point — `S5`,
-//! Enhanced-NBC, `V = 6`, `M = 16`, ~10% channel utilisation — once per
-//! engine ([`SimCore::Ticking`] and [`SimCore::EventDriven`]), checks the
-//! two reports are byte-identical (the equivalence contract rides along on
-//! every benchmark run), and reports wall-clock flits/sec per engine, the
-//! event-over-ticking speedup, and the per-stage cycle-cost breakdown the
-//! stage-skip counters afford (how many active cycles each pipeline stage
-//! actually ran).  `--points light,moderate,heavy` sweeps the same pinned
-//! scenario across several utilisations (10%/30%/45%) so the profile covers
-//! the stage-skip spectrum, not just the idle-dominated end.  With
-//! `--json PATH` one measurement object **per point** is appended to the
-//! JSON trajectory file — how `cargo xtask sim-bench` maintains
-//! `BENCH_sim.json` at the repository root.
-//!
-//! `--equiv` instead runs the CI smoke: a quick ticking-vs-event byte-compare
-//! on every topology family (`S4`/`Q5`/`T6`/`R8`) asserting non-zero
-//! stage-skip counters at light load, a parallel-replicate byte-compare
-//! (`R = 3`, width 2 vs width 1), then one `S6` light-load point on the
-//! event-driven default checked against the analytical model's 10%
-//! light-load band.
+//! It runs the pinned `light` operating point — `S5`, Enhanced-NBC, `V = 6`,
+//! `M = 16`, ~10% channel utilisation — and reports wall-clock flits/sec and
+//! the per-stage cycle-cost breakdown the stage-skip counters afford (how
+//! many active cycles each pipeline stage actually ran).
+//! `--points light,moderate,heavy` sweeps the same pinned scenario across
+//! several utilisations (10%/30%/45%) so the profile covers the stage-skip
+//! spectrum, not just the idle-dominated end.  With `--json PATH` one
+//! measurement object **per point** is appended to the JSON trajectory file
+//! — how `cargo xtask sim-bench` maintains `BENCH_sim.json` at the
+//! repository root.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -35,23 +23,18 @@ use std::time::Instant;
 
 use serde_json::Value;
 use star_bench::loadgen::append_trajectory;
-use star_graph::{Hypercube, Ring, StarGraph, Topology, Torus};
+use star_graph::{StarGraph, Topology};
 use star_routing::EnhancedNbc;
-use star_sim::{
-    ReplicateReport, ReplicateRun, SimConfig, SimCore, SimReport, StageSkips, TrafficPattern,
-};
-use star_workloads::{Discipline, Evaluator as _, ModelBackend, Scenario, SimBackend, SimBudget};
+use star_sim::{ReplicateRun, SimConfig, SimReport, StageSkips, TrafficPattern};
 
 fn usage() -> &'static str {
     "usage: sim-bench [--messages N] [--seed N] [--points LIST] [--json PATH]\n\
-     \x20      sim-bench --equiv\n\
      \n\
-     --messages N   measured messages per engine in bench mode (default 20000)\n\
+     --messages N   measured messages per point (default 20000)\n\
      --seed N       simulation seed (default 42)\n\
      --points LIST  comma-separated utilisation points to profile, from\n\
      \x20              light (10%), moderate (30%), heavy (45%); default light\n\
-     --json PATH    append one measurement per point to this trajectory file\n\
-     --equiv        run the engine-equivalence smoke instead of the benchmark"
+     --json PATH    append one measurement per point to this trajectory file"
 }
 
 /// One named utilisation point of the multi-point benchmark mode.  `light`
@@ -92,15 +75,9 @@ impl Default for BenchConfig {
     }
 }
 
-enum Mode {
-    Bench(BenchConfig, Option<PathBuf>),
-    Equiv,
-}
-
-fn parse_args(args: &[String]) -> Result<Mode, String> {
+fn parse_args(args: &[String]) -> Result<(BenchConfig, Option<PathBuf>), String> {
     let mut config = BenchConfig::default();
     let mut json: Option<PathBuf> = None;
-    let mut equiv = false;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -127,18 +104,11 @@ fn parse_args(args: &[String]) -> Result<Mode, String> {
                 }
             }
             "--json" => json = Some(PathBuf::from(value("--json")?)),
-            "--equiv" => equiv = true,
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    if equiv {
-        if json.is_some() {
-            return Err("--equiv does not write a trajectory (drop --json)".to_string());
-        }
-        return Ok(Mode::Equiv);
-    }
-    Ok(Mode::Bench(config, json))
+    Ok((config, json))
 }
 
 /// The generation rate that targets channel utilisation `u` on `topology`
@@ -147,9 +117,8 @@ fn rate_at_utilisation(topology: &dyn Topology, u: f64, m: usize) -> f64 {
     u * topology.degree() as f64 / (topology.mean_distance() * m as f64)
 }
 
-/// Runs the pinned benchmark scenario at one utilisation point on one
-/// engine and times it.
-fn timed_run(config: &BenchConfig, point: BenchPoint, core: SimCore) -> (SimReport, f64) {
+/// Runs the pinned benchmark scenario at one utilisation point and times it.
+fn timed_run(config: &BenchConfig, point: BenchPoint) -> (SimReport, f64) {
     let topology: Arc<dyn Topology> = Arc::new(StarGraph::new(5));
     let routing = Arc::new(EnhancedNbc::for_topology(topology.as_ref(), 6));
     let rate = rate_at_utilisation(topology.as_ref(), point.utilisation, 16);
@@ -160,7 +129,6 @@ fn timed_run(config: &BenchConfig, point: BenchPoint, core: SimCore) -> (SimRepo
         .measured_messages(config.messages)
         .max_cycles(4_000_000)
         .seed(config.seed)
-        .core(core)
         .build();
     let started = Instant::now();
     let report = ReplicateRun::new(topology, routing, sim_config, TrafficPattern::Uniform, 1)
@@ -174,8 +142,8 @@ fn round3(x: f64) -> f64 {
     (x * 1000.0).round() / 1000.0
 }
 
-/// One engine's timing as a JSON object.
-fn engine_point(seconds: f64, flits_per_sec: f64) -> Value {
+/// The timing as a JSON object.
+fn timing_json(seconds: f64, flits_per_sec: f64) -> Value {
     Value::Object(vec![
         ("seconds".to_string(), Value::from(round3(seconds))),
         ("flits_per_sec".to_string(), Value::from(flits_per_sec.round())),
@@ -222,71 +190,54 @@ fn bench(config: &BenchConfig, json: Option<&PathBuf>) -> Result<(), String> {
     Ok(())
 }
 
-/// Benchmarks both engines at one utilisation point, prints the profile and
-/// appends one trajectory object.
+/// Benchmarks one utilisation point, prints the profile and appends one
+/// trajectory object.
 fn bench_one(
     config: &BenchConfig,
     point: BenchPoint,
     json: Option<&PathBuf>,
 ) -> Result<(), String> {
-    let (ticking, ticking_secs) = timed_run(config, point, SimCore::Ticking);
-    let (event, event_secs) = timed_run(config, point, SimCore::EventDriven);
-    if ticking != event {
-        return Err(format!(
-            "engines diverged on the {} benchmark point (seed {}):\n  ticking: {ticking:?}\n  \
-             event:   {event:?}",
-            point.name, config.seed
-        ));
-    }
-    if event.saturated || event.deadlock_detected {
+    let (report, seconds) = timed_run(config, point);
+    if report.saturated || report.deadlock_detected {
         return Err(format!("the {} benchmark point must run below saturation", point.name));
     }
-    let ticking_fps = ticking.flit_transfers as f64 / ticking_secs;
-    let event_fps = event.flit_transfers as f64 / event_secs;
-    let speedup = ticking_secs / event_secs;
+    let flits_per_sec = report.flit_transfers as f64 / seconds;
     println!(
         "point       {} ({:.0}% util): {} / {} / V{} / M{} @ rate {:.6} (seed {})",
         point.name,
         point.utilisation * 100.0,
-        event.topology,
-        event.routing,
-        event.virtual_channels,
-        event.message_length,
-        event.offered_rate,
+        report.topology,
+        report.routing,
+        report.virtual_channels,
+        report.message_length,
+        report.offered_rate,
         config.seed
     );
-    println!(
-        "cycles      {} ({} flit transfers, byte-identical engines)",
-        event.cycles, event.flit_transfers
-    );
-    print_stage_breakdown(&event);
-    println!("ticking     {ticking_secs:.3}s  ({ticking_fps:.0} flits/sec)");
-    println!("event       {event_secs:.3}s  ({event_fps:.0} flits/sec)");
-    println!("speedup     {speedup:.2}x event over ticking");
+    println!("cycles      {} ({} flit transfers)", report.cycles, report.flit_transfers);
+    print_stage_breakdown(&report);
+    println!("time        {seconds:.3}s  ({flits_per_sec:.0} flits/sec)");
     if let Some(path) = json {
         let entry = Value::Object(vec![
             (
                 "config".to_string(),
                 Value::Object(vec![
-                    ("topology".to_string(), Value::from(event.topology.clone())),
-                    ("routing".to_string(), Value::from(event.routing.clone())),
-                    ("virtual_channels".to_string(), Value::from(event.virtual_channels)),
-                    ("message_length".to_string(), Value::from(event.message_length)),
+                    ("topology".to_string(), Value::from(report.topology.clone())),
+                    ("routing".to_string(), Value::from(report.routing.clone())),
+                    ("virtual_channels".to_string(), Value::from(report.virtual_channels)),
+                    ("message_length".to_string(), Value::from(report.message_length)),
                     ("point".to_string(), Value::from(point.name)),
                     ("utilisation".to_string(), Value::from(point.utilisation)),
-                    ("rate".to_string(), Value::from(event.offered_rate)),
+                    ("rate".to_string(), Value::from(report.offered_rate)),
                     ("messages".to_string(), Value::from(config.messages)),
                     ("seed".to_string(), Value::from(config.seed)),
                 ]),
             ),
-            ("cycles".to_string(), Value::from(event.cycles)),
-            ("flits".to_string(), Value::from(event.flit_transfers)),
-            ("mean_latency".to_string(), Value::from(round3(event.mean_message_latency))),
-            ("active_cycles".to_string(), Value::from(event.active_cycles)),
-            ("stage_skips".to_string(), skips_json(&event.stage_skips)),
-            ("ticking".to_string(), engine_point(ticking_secs, ticking_fps)),
-            ("event".to_string(), engine_point(event_secs, event_fps)),
-            ("speedup".to_string(), Value::from(round3(speedup))),
+            ("cycles".to_string(), Value::from(report.cycles)),
+            ("flits".to_string(), Value::from(report.flit_transfers)),
+            ("mean_latency".to_string(), Value::from(round3(report.mean_message_latency))),
+            ("active_cycles".to_string(), Value::from(report.active_cycles)),
+            ("stage_skips".to_string(), skips_json(&report.stage_skips)),
+            ("event".to_string(), timing_json(seconds, flits_per_sec)),
         ]);
         append_trajectory(path, &entry).map_err(|e| format!("writing {}: {e}", path.display()))?;
         println!("trajectory  appended to {}", path.display());
@@ -294,143 +245,16 @@ fn bench_one(
     Ok(())
 }
 
-/// Replicates per compared point in `--equiv` mode — more than one so
-/// replicate-seed derivation is part of the smoke.
-const EQUIV_REPLICATES: usize = 2;
-
-/// The replicate fan-out for one quick operating point on one engine.
-fn equiv_fanout(
-    topology: &Arc<dyn Topology>,
-    rate: f64,
-    seed: u64,
-    core: SimCore,
-    replicates: usize,
-) -> ReplicateRun {
-    let routing = Arc::new(EnhancedNbc::for_topology(topology.as_ref(), 6));
-    let config = SimConfig::builder()
-        .message_length(16)
-        .traffic_rate(rate)
-        .warmup_cycles(1_000)
-        .measured_messages(1_000)
-        .max_cycles(200_000)
-        .seed(seed)
-        .core(core)
-        .build();
-    ReplicateRun::new(Arc::clone(topology), routing, config, TrafficPattern::Uniform, replicates)
-}
-
-/// Runs one quick operating point on one engine.
-fn equiv_run(topology: &Arc<dyn Topology>, rate: f64, seed: u64, core: SimCore) -> ReplicateReport {
-    equiv_fanout(topology, rate, seed, core, EQUIV_REPLICATES).run()
-}
-
-/// The CI equivalence smoke: byte-identical engines on every topology
-/// family, then one larger light-load point on the event-driven default
-/// cross-checked against the analytical model.
-fn equiv() -> Result<(), String> {
-    let started = Instant::now();
-    let cases: Vec<(&str, Arc<dyn Topology>, f64, u64)> = vec![
-        ("S4", Arc::new(StarGraph::new(4)), 0.010, 9101),
-        ("Q5", Arc::new(Hypercube::new(5)), 0.010, 9102),
-        ("T6", Arc::new(Torus::new(6)), 0.008, 9103),
-        ("R8", Arc::new(Ring::new(8)), 0.010, 9104),
-    ];
-    for (label, topology, rate, seed) in &cases {
-        let ticking = equiv_run(topology, *rate, *seed, SimCore::Ticking);
-        let event = equiv_run(topology, *rate, *seed, SimCore::EventDriven);
-        if ticking != event {
-            return Err(format!(
-                "{label}: engines diverged at rate {rate}, seed {seed}\n  ticking: \
-                 {ticking:?}\n  event:   {event:?}"
-            ));
-        }
-        if event.saturated || event.deadlock_detected {
-            return Err(format!("{label}: the smoke point must run below saturation"));
-        }
-        // At light load most cycles have work in *some* stage but not all of
-        // them, so the stage-skip counters must be present and counting;
-        // all-zero skips would mean the stage-activity accounting went dead.
-        for (i, run) in event.runs.iter().enumerate() {
-            if run.active_cycles == 0 {
-                return Err(format!("{label}: replicate {i} reports no active cycles"));
-            }
-            if run.stage_skips.total() == 0 {
-                return Err(format!(
-                    "{label}: replicate {i} reports zero stage skips at light load \
-                     (active cycles {}, skip accounting looks dead)",
-                    run.active_cycles
-                ));
-            }
-        }
-        println!(
-            "==> sim-equiv: {label} byte-identical across engines ({EQUIV_REPLICATES} replicates, \
-             {} stage skips over {} active cycles)",
-            event.runs[0].stage_skips.total(),
-            event.runs[0].active_cycles
-        );
-    }
-    // parallel replicate fan-out: R = 3 across two pool workers must fold to
-    // exactly the width-1 (inline) bytes
-    {
-        let topology: Arc<dyn Topology> = Arc::new(Ring::new(8));
-        let fanout = equiv_fanout(&topology, 0.010, 9105, SimCore::EventDriven, 3);
-        let serial = fanout.run_parallel(1);
-        let parallel = fanout.run_parallel(2);
-        if serial != parallel {
-            return Err(format!(
-                "R8: parallel replicate fan-out diverged from the serial fold\n  width 1: \
-                 {serial:?}\n  width 2: {parallel:?}"
-            ));
-        }
-        println!("==> sim-equiv: R8 parallel replicates (R=3, width 2) byte-identical to width 1");
-    }
-    // one size class above the historical validation ceiling, affordable in
-    // the CI budget only because the event-driven default skips idle channels
-    let scenario = Scenario::star(6)
-        .with_message_length(16)
-        .with_discipline(Discipline::EnhancedNbc)
-        .with_seed_base(601);
-    if scenario.core != SimCore::EventDriven {
-        return Err("the default simulator core must be event-driven".to_string());
-    }
-    let rate = rate_at_utilisation(scenario.topology().as_ref(), 0.03, 16);
-    let point = scenario.at(rate);
-    let m = ModelBackend::new().evaluate(&point);
-    let s = SimBackend::new(SimBudget::Quick).evaluate(&point);
-    if m.saturated || s.saturated {
-        return Err("the S6 light-load point must not saturate".to_string());
-    }
-    let err = (m.mean_latency - s.mean_latency).abs() / s.mean_latency;
-    if err >= 0.10 {
-        return Err(format!(
-            "S6 light load on the event-driven default: model {} vs sim {} ({:.1}%, band 10%)",
-            m.mean_latency,
-            s.mean_latency,
-            err * 100.0
-        ));
-    }
-    println!(
-        "==> sim-equiv: S6 event-driven vs model within the 10% band ({:.1}%), {:.1}s total",
-        err * 100.0,
-        started.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mode = match parse_args(&args) {
-        Ok(mode) => mode,
+    let (config, json) = match parse_args(&args) {
+        Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
             return ExitCode::FAILURE;
         }
     };
-    let outcome = match mode {
-        Mode::Bench(config, json) => bench(&config, json.as_ref()),
-        Mode::Equiv => equiv(),
-    };
-    match outcome {
+    match bench(&config, json.as_ref()) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("sim-bench: {e}");

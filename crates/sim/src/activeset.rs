@@ -1,14 +1,14 @@
 //! A dense-index active set: the hot-loop membership structure of the
-//! event-driven engine.
+//! simulator.
 //!
-//! [`ActiveSet`] replaces the `BTreeSet<u32>`s the engine used to walk for
-//! its queued-node / pending-header / active-channel sets.  The engine's
-//! determinism contract needs exactly three things from the structure:
+//! [`ActiveSet`] holds the network's queued-node / pending-header /
+//! active-channel sets.  The simulator's determinism needs exactly three
+//! things from the structure:
 //!
-//! * **Ascending iteration** over dense indices, so the walk order equals
-//!   the ticking engine's scan order (node-major, network ports before
-//!   injection slots, then VC) and the shared RNG streams are drawn in the
-//!   same order;
+//! * **Ascending iteration** over dense indices, so the walk order is the
+//!   order a full scan would visit (node-major, network ports before
+//!   injection slots, then VC) and the shared RNG streams are drawn in a
+//!   fixed order;
 //! * **Idempotent insert/remove**, because a node can receive several
 //!   messages in one cycle and a channel gains/loses owned VCs repeatedly;
 //! * **Cheap membership flips**, because the per-flit path flips them.
@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn iteration_is_ascending_and_matches_the_retired_btreeset() {
-        // The exact property the engine swap rests on: under any interleaving
+        // The exact property the bitset swap rests on: under any interleaving
         // of inserts and removes, ascending iteration equals what the retired
         // BTreeSet would have produced.
         for seed in 0..8u64 {

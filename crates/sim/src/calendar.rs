@@ -1,5 +1,4 @@
-//! A keyed event calendar: the scheduling core of the event-driven simulator
-//! engine.
+//! A keyed event calendar: the scheduling core of the simulator.
 //!
 //! The calendar is a binary min-heap of `(time, seq, key)` entries with two
 //! invariants the engine's determinism contract rests on:
@@ -114,7 +113,7 @@ impl EventCalendar {
     }
 
     /// Whether any live event is due at or before `now` — the one-branch
-    /// guard the event engine's generation stage tests before doing any
+    /// guard the generation stage tests before doing any
     /// work.  Discards stale entries encountered on the way, like
     /// [`Self::next_time`].
     #[must_use]

@@ -1,126 +1,24 @@
 //! Per-virtual-channel state of the router model.
 //!
 //! Every unidirectional physical channel carries `V` virtual channels.  The
-//! sending side of a channel is an [`OutputVc`] (ownership + credits), the
-//! receiving side is an [`InputVc`] (flit buffer + routing decision).  Flits
-//! are tracked as counters rather than individual objects: in wormhole
-//! switching a virtual channel is owned by exactly one message at a time, so
-//! a count of buffered flits plus the per-message totals fully determines the
-//! channel state.
-
-use crate::message::MessageId;
-use serde::{Deserialize, Serialize};
-
-/// Receiving side of a virtual channel: the flit buffer at the downstream
-/// router input (or an injection slot when the "upstream" is the local PE).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct InputVc {
-    /// Message currently occupying the channel.
-    pub owner: Option<MessageId>,
-    /// Flits currently waiting in the buffer (for injection slots: flits the
-    /// PE has not yet pushed into the network).
-    pub buffered: usize,
-    /// Flits of the current message received so far (for injection slots this
-    /// starts at the full message length).
-    pub received: usize,
-    /// Output `(port, virtual channel)` assigned by the routing stage; `None`
-    /// until the header has been routed.
-    pub route: Option<(usize, usize)>,
-}
-
-impl InputVc {
-    /// Whether the virtual channel is free.
-    #[must_use]
-    pub fn is_free(&self) -> bool {
-        self.owner.is_none()
-    }
-
-    /// Resets the channel to the free state.
-    pub fn release(&mut self) {
-        self.owner = None;
-        self.buffered = 0;
-        self.received = 0;
-        self.route = None;
-    }
-
-    /// Claims the channel for a message that will supply `supply` flits
-    /// locally (used for injection slots).
-    pub fn claim_for_injection(&mut self, message: MessageId, length: usize) {
-        debug_assert!(self.is_free());
-        self.owner = Some(message);
-        self.buffered = length;
-        self.received = length;
-        self.route = None;
-    }
-}
-
-/// Sending side of a virtual channel: ownership and credit state at the
-/// upstream router output.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct OutputVc {
-    /// Message currently owning the channel.
-    pub owner: Option<MessageId>,
-    /// Free buffer slots at the downstream input virtual channel.
-    pub credits: usize,
-    /// Flits of the current message already sent downstream.
-    pub flits_sent: usize,
-    /// Length in flits of the owning message (0 when free).
-    pub length: usize,
-    /// Input `(port, virtual channel)` at this router feeding the channel
-    /// (`port == degree` denotes an injection slot).
-    pub source: Option<(usize, usize)>,
-}
-
-impl OutputVc {
-    /// A fresh output virtual channel with the given downstream buffer depth.
-    #[must_use]
-    pub fn new(buffer_depth: usize) -> Self {
-        Self { owner: None, credits: buffer_depth, flits_sent: 0, length: 0, source: None }
-    }
-
-    /// Whether the channel is free for allocation.
-    #[must_use]
-    pub fn is_free(&self) -> bool {
-        self.owner.is_none()
-    }
-
-    /// Allocates the channel to a message of `length` flits fed from the given
-    /// input.
-    pub fn allocate(&mut self, message: MessageId, source: (usize, usize), length: usize) {
-        debug_assert!(self.is_free());
-        self.owner = Some(message);
-        self.flits_sent = 0;
-        self.length = length;
-        self.source = Some(source);
-    }
-
-    /// Whether the tail flit has been sent downstream.
-    #[must_use]
-    pub fn tail_sent(&self) -> bool {
-        self.owner.is_some() && self.flits_sent >= self.length
-    }
-
-    /// Releases the channel.  Called once the tail flit has been sent *and*
-    /// the downstream buffer has fully drained (all credits returned), which
-    /// is when a wormhole virtual channel returns to the idle state.
-    pub fn release(&mut self) {
-        self.owner = None;
-        self.flits_sent = 0;
-        self.length = 0;
-        self.source = None;
-    }
-}
+//! sending side of a channel is an output virtual channel (ownership +
+//! credits, [`OutputVcTable`]), the receiving side an input virtual channel
+//! (flit buffer + routing decision, [`InputVcTable`]).  Flits are tracked as
+//! counters rather than individual objects: in wormhole switching a virtual
+//! channel is owned by exactly one message at a time, so a count of buffered
+//! flits plus the per-message totals fully determines the channel state.
+//!
+//! Both tables are struct-of-arrays: each per-VC field is one dense vector
+//! indexed by the global VC index, so the hot loop touches contiguous memory.
 
 /// Sentinel for "no owning message slot" in the struct-of-arrays tables.
 const FREE: u32 = u32::MAX;
 /// Sentinel for "header not yet routed" in [`InputVcTable`].
 const NO_ROUTE: u16 = u16::MAX;
 
-/// Struct-of-arrays input virtual-channel state, used by the event-driven
-/// engine: the same per-VC fields as [`InputVc`], but each field is one dense
-/// vector indexed by the global input-VC index, so the hot loop touches
-/// contiguous memory instead of pointer-sized `Option`s scattered across an
-/// array of structs.
+/// Input virtual-channel state: the flit buffer at a router input (or an
+/// injection slot, whose "upstream" is the local processor), indexed by the
+/// global input-VC index.
 ///
 /// Owners are message *slots* in a
 /// [`MessageStore`](crate::message::MessageStore), not message ids.
@@ -184,8 +82,7 @@ impl InputVcTable {
     }
 
     /// Claims the channel for a locally injected message whose `length` flits
-    /// are all supplied by the source queue (mirrors
-    /// [`InputVc::claim_for_injection`]).
+    /// are all supplied by the source queue.
     #[inline]
     pub fn claim_for_injection(&mut self, idx: usize, slot: u32, length: u32) {
         debug_assert!(self.is_free(idx));
@@ -243,8 +140,8 @@ impl InputVcTable {
     }
 }
 
-/// Struct-of-arrays output virtual-channel state, the event-driven engine's
-/// counterpart of [`OutputVc`] (ownership + credits as dense vectors).
+/// Output virtual-channel state: ownership and credits at a router output,
+/// indexed by the global output-VC index.
 ///
 /// Owners are message slots, sources are the feeding input `(port, vc)` with
 /// `port == degree` denoting an injection slot.
@@ -303,8 +200,7 @@ impl OutputVcTable {
     }
 
     /// Whether the channel may forward a flit this cycle: allocated, credit
-    /// available and not all flits sent (mirrors the ticking engine's switch
-    /// guard).
+    /// available and not all flits sent.
     #[must_use]
     #[inline]
     pub fn ready_to_send(&self, idx: usize) -> bool {
@@ -312,7 +208,7 @@ impl OutputVcTable {
     }
 
     /// Allocates the channel to a message of `length` flits fed from the
-    /// given input (mirrors [`OutputVc::allocate`]).
+    /// given input.
     #[inline]
     pub fn allocate(&mut self, idx: usize, slot: u32, source: (usize, usize), length: u32) {
         debug_assert!(self.is_free(idx));
@@ -345,8 +241,10 @@ impl OutputVcTable {
         self.owner[idx] != FREE && self.flits_sent[idx] >= self.length[idx]
     }
 
-    /// Releases the channel (tail sent and downstream drained).  Credits are
-    /// preserved: they track downstream buffer space, not ownership.
+    /// Releases the channel.  Called once the tail flit has been sent *and*
+    /// the downstream buffer has fully drained (all credits returned), which
+    /// is when a wormhole virtual channel returns to the idle state.  Credits
+    /// are preserved: they track downstream buffer space, not ownership.
     #[inline]
     pub fn release(&mut self, idx: usize) {
         self.owner[idx] = FREE;
@@ -362,42 +260,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn input_vc_lifecycle() {
-        let mut vc = InputVc::default();
-        assert!(vc.is_free());
-        vc.claim_for_injection(7, 32);
-        assert!(!vc.is_free());
-        assert_eq!(vc.buffered, 32);
-        assert_eq!(vc.received, 32);
-        vc.release();
-        assert!(vc.is_free());
-        assert_eq!(vc.buffered, 0);
-        assert_eq!(vc.route, None);
-    }
-
-    #[test]
-    fn output_vc_lifecycle_preserves_credits() {
-        let mut vc = OutputVc::new(2);
-        assert!(vc.is_free());
-        assert_eq!(vc.credits, 2);
-        vc.allocate(3, (1, 0), 4);
-        assert!(!vc.tail_sent());
-        vc.credits -= 1;
-        vc.flits_sent += 1;
-        assert!(!vc.tail_sent());
-        vc.flits_sent = 4;
-        assert!(vc.tail_sent());
-        vc.release();
-        assert!(vc.is_free());
-        assert!(!vc.tail_sent());
-        // credits track downstream buffer space, not ownership
-        assert_eq!(vc.credits, 1);
-        assert_eq!(vc.flits_sent, 0);
-        assert_eq!(vc.source, None);
-    }
-
-    #[test]
-    fn input_table_mirrors_input_vc_lifecycle() {
+    fn input_table_lifecycle() {
         let mut table = InputVcTable::new(4);
         assert!(table.is_free(2));
         table.claim_for_injection(2, 9, 32);
@@ -422,7 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn output_table_mirrors_output_vc_lifecycle() {
+    fn output_table_lifecycle_preserves_credits() {
         let mut table = OutputVcTable::new(3, 2);
         assert!(table.is_free(1));
         assert_eq!(table.credits(1), 2);
@@ -448,7 +311,7 @@ mod tests {
         table.release(1);
         assert!(table.is_free(1));
         assert!(!table.tail_sent(1));
-        // credits survive release, exactly like OutputVc
+        // credits track downstream buffer space, not ownership
         assert_eq!(table.credits(1), 2);
         assert_eq!(table.source(1), None);
     }

@@ -18,43 +18,6 @@ pub enum SelectionPolicy {
     FirstFree,
 }
 
-/// Which simulator engine executes the run.
-///
-/// Both engines implement the identical per-cycle router semantics and are
-/// pinned byte-identical on every report field by `tests/sim_equivalence.rs`;
-/// they differ only in how they find the work of a cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum SimCore {
-    /// The legacy reference engine: every channel of every node is scanned
-    /// every cycle, so cost scales with network size.
-    Ticking,
-    /// The event-calendar engine: arrivals are scheduled on a calendar and
-    /// per-cycle stages iterate active-entity sets only, so cost scales with
-    /// traffic; idle stretches are skipped entirely.
-    #[default]
-    EventDriven,
-}
-
-impl SimCore {
-    /// Both engines, reference first.
-    pub const ALL: [SimCore; 2] = [SimCore::Ticking, SimCore::EventDriven];
-
-    /// The kebab-case name used by `--core` CLI flags.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SimCore::Ticking => "ticking",
-            SimCore::EventDriven => "event",
-        }
-    }
-
-    /// Parses the kebab-case CLI name.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.name() == name)
-    }
-}
-
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
@@ -82,9 +45,6 @@ pub struct SimConfig {
     pub seed: u64,
     /// Virtual-channel selection policy.
     pub selection: SelectionPolicy,
-    /// Which simulator engine executes the run (results are engine-invariant;
-    /// only wall-clock differs).
-    pub core: SimCore,
 }
 
 impl Default for SimConfig {
@@ -103,7 +63,6 @@ impl Default for SimConfig {
             saturation_queue_limit: 500,
             seed: 1,
             selection: SelectionPolicy::AdaptiveFirst,
-            core: SimCore::default(),
         }
     }
 }
@@ -206,13 +165,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the simulator engine.
-    #[must_use]
-    pub fn core(mut self, core: SimCore) -> Self {
-        self.config.core = core;
-        self
-    }
-
     /// Finishes the builder.
     ///
     /// # Panics
@@ -241,7 +193,6 @@ mod tests {
             .saturation_queue_limit(200)
             .seed(99)
             .selection(SelectionPolicy::Random)
-            .core(SimCore::Ticking)
             .build();
         assert_eq!(c.message_length, 64);
         assert_eq!(c.traffic_rate, 0.004);
@@ -253,21 +204,11 @@ mod tests {
         assert_eq!(c.saturation_queue_limit, 200);
         assert_eq!(c.seed, 99);
         assert_eq!(c.selection, SelectionPolicy::Random);
-        assert_eq!(c.core, SimCore::Ticking);
     }
 
     #[test]
     fn default_is_valid() {
         SimConfig::default().validate();
-    }
-
-    #[test]
-    fn event_core_is_the_default_and_names_round_trip() {
-        assert_eq!(SimConfig::default().core, SimCore::EventDriven);
-        for core in SimCore::ALL {
-            assert_eq!(SimCore::parse(core.name()), Some(core));
-        }
-        assert_eq!(SimCore::parse("hybrid"), None);
     }
 
     #[test]

@@ -1,48 +1,61 @@
-//! The event-driven simulator engine.
+//! The simulator's network state and its per-cycle update.
 //!
-//! [`EventNetwork`] implements the *identical* per-cycle router semantics as
-//! the ticking [`Network`](crate::network::Network) — same five stages, same
-//! RNG draw order, same counters — but finds the work of a cycle through
-//! active-entity sets instead of scanning every channel of every node:
+//! The router model follows the classic wormhole pipeline, evaluated once per
+//! cycle:
+//!
+//! 1. **Generation** — each node's Poisson source may append messages to the
+//!    local source queue.
+//! 2. **Injection** — queued messages claim free injection slots (up to `V`
+//!    per node by default), from which their flits are supplied.
+//! 3. **Routing & virtual-channel allocation** — every input virtual channel
+//!    holding an unrouted header asks the routing algorithm for its
+//!    admissible `(port, vc)` candidates and tries to allocate a free output
+//!    virtual channel.
+//! 4. **Switch allocation & flit transfer** — every output physical channel
+//!    forwards at most one flit per cycle, chosen round-robin among its
+//!    virtual channels that have a flit ready and a downstream credit.
+//! 5. **End of cycle** — staged flit arrivals, credit returns and message
+//!    deliveries are applied, so a flit moves at most one hop per cycle.
+//!
+//! Flits arriving at their destination are consumed immediately (the paper's
+//! ejection-channel assumption), and messages whose tail has been consumed are
+//! reported to the driving [`Simulation`](crate::sim::Simulation).
+//!
+//! [`EventNetwork`] finds the work of a cycle through active-entity sets
+//! instead of scanning every channel of every node:
 //!
 //! * **Generation** is event-scheduled: each node's next Poisson arrival
 //!   cycle sits on an [`EventCalendar`] (computed with
-//!   [`PoissonProcess::next_arrival_cycle`], which evaluates the same float
-//!   predicate as the per-cycle poll), so idle sources cost nothing.
+//!   [`PoissonProcess::next_arrival_cycle`]), so idle sources cost nothing.
 //! * **Injection** iterates only nodes with a non-empty source queue.
 //! * **Routing** iterates only input VCs holding an unrouted header.  Blocked
-//!   headers stay in the set and retry every cycle — exactly like the
-//!   ticking scan, which is what keeps the blocking counters and the shared
-//!   selection-RNG draw order identical.
+//!   headers stay in the set and retry every cycle.
 //! * **Switch allocation** iterates only physical channels with at least one
 //!   owned output VC.
 //! * When nothing at all is in flight, the driver can fast-forward straight
 //!   to the next scheduled arrival ([`EventNetwork::is_idle`] /
-//!   [`EventNetwork::next_scheduled_arrival`]) — cycles a ticking loop must
-//!   burn one by one.
+//!   [`EventNetwork::next_scheduled_arrival`]).
 //!
 //! Stages with an empty work set are **skipped outright** inside
 //! [`EventNetwork::step`]: no pending headers means `route_and_allocate`
 //! costs one branch, no active channels skips `switch_and_transfer`, no
 //! staged work skips `apply_staged`.  Each skip is counted per stage
-//! ([`StageSkips`](crate::network::StageSkips)) with definitions the ticking
-//! engine evaluates identically, so the counters ride inside the
-//! byte-identity contract rather than around it.
+//! ([`StageSkips`](crate::StageSkips)).
 //!
-//! # Determinism / equivalence invariants
+//! # Determinism invariants
 //!
-//! The engine is pinned **byte-identical** to the ticking engine (see
-//! `tests/sim_equivalence.rs`).  That rests on four ordering facts:
+//! Reports are pinned bit for bit by `tests/sim_golden.rs`.  That rests on
+//! four ordering facts:
 //!
-//! 1. The active sets are dense-index [`ActiveSet`] bitsets whose ascending
-//!    iteration order equals the ticking engine's scan order (node-major,
-//!    then network ports before injection slots, then VC), so the shared
-//!    `dest_rng`/`select_rng` streams are consumed in the same order.
-//! 2. Staged arrivals and credits are pushed in that same scan order, so
-//!    end-of-cycle application — and with it the float summation order of
-//!    the measurement statistics — is unchanged.
+//! 1. The active sets are dense-index [`ActiveSet`] bitsets iterated in
+//!    ascending order (node-major, then network ports before injection
+//!    slots, then VC), so the shared `dest_rng`/`select_rng` streams are
+//!    consumed in a fixed order.
+//! 2. Staged arrivals and credits are pushed in that same order, which fixes
+//!    the end-of-cycle application order and with it the float summation
+//!    order of the measurement statistics.
 //! 3. Busy-VC occupancy is maintained incrementally (`Σb` and `Σb²` updated
-//!    on allocate/release) and sampled on the same cycles; skipped idle
+//!    on allocate/release) and sampled every eighth cycle; skipped idle
 //!    cycles contribute zero to both sums, exactly as an all-free scan
 //!    would.
 //! 4. A message releases every virtual channel it owned in the very cycle
@@ -52,7 +65,9 @@
 //!
 //! Channel state lives in struct-of-arrays tables ([`InputVcTable`],
 //! [`OutputVcTable`]) and messages in a dense [`MessageStore`] slab, so the
-//! per-flit hot path is vector indexing only.
+//! per-flit hot path is vector indexing only.  Debug builds re-check the
+//! tables against the incremental bookkeeping every 1024 processed cycles
+//! ([`EventNetwork::check_invariants`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -68,7 +83,7 @@ use crate::calendar::EventCalendar;
 use crate::channel::{InputVcTable, OutputVcTable};
 use crate::config::{SelectionPolicy, SimConfig};
 use crate::message::{Message, MessageId, MessageStore};
-use crate::network::NetworkCounters;
+use crate::metrics::NetworkCounters;
 use crate::traffic::TrafficPattern;
 
 /// A staged flit arrival, applied at the end of the cycle.  `port` is the
@@ -81,7 +96,7 @@ struct StagedArrival {
     slot: u32,
 }
 
-/// The event-driven network state (see the module docs for the invariants).
+/// The network state (see the module docs for the invariants).
 pub struct EventNetwork {
     topology: Arc<dyn Topology>,
     routing: Arc<dyn RoutingAlgorithm>,
@@ -109,11 +124,10 @@ pub struct EventNetwork {
     counters: NetworkCounters,
     /// Nodes with a non-empty source queue, ascending.
     queued_nodes: ActiveSet,
-    /// Input VCs holding an unrouted header, by global input index ascending
-    /// (== the ticking engine's routing scan order).
+    /// Input VCs holding an unrouted header, by global input index ascending.
     pending_headers: ActiveSet,
     /// Physical channels (`node * degree + port`) with ≥ 1 owned output VC,
-    /// ascending (== the ticking engine's switch scan order).
+    /// ascending.
     active_channels: ActiveSet,
     /// Owned-VC count per physical channel (the busy count the occupancy
     /// sampler observes).
@@ -134,13 +148,13 @@ pub struct EventNetwork {
 }
 
 impl EventNetwork {
-    /// Builds the event-driven network state for a topology, routing
-    /// algorithm and configuration.
+    /// Builds the network state for a topology, routing algorithm and
+    /// configuration.
     ///
     /// # Panics
     /// Panics if the configuration is invalid or the topology's
     /// [`reverse_port`](Topology::reverse_port) mapping does not invert its
-    /// links (the same contract the ticking engine asserts).
+    /// links (all topologies in this workspace honour the contract).
     #[must_use]
     pub fn new(
         topology: Arc<dyn Topology>,
@@ -153,6 +167,8 @@ impl EventNetwork {
         let degree = topology.degree();
         let vcs = routing.virtual_channels();
         let inj_slots = if config.injection_slots == 0 { vcs } else { config.injection_slots };
+        // credits travel upstream through reverse_port, so the mapping must
+        // invert every link
         for node in 0..nodes as NodeId {
             for port in 0..degree {
                 let nb = topology.neighbor(node, port);
@@ -251,7 +267,7 @@ impl EventNetwork {
     /// Aggregate counters.  `busy_vc_samples` counts every (channel, sample)
     /// pair of *processed* cycles; on skipped idle cycles all channels are
     /// free, so `busy_vc_sum`/`busy_vc_sq_sum` (the quantities the reports
-    /// derive from) match the ticking engine exactly.
+    /// derive from) are what sampling every cycle would give.
     #[must_use]
     pub fn counters(&self) -> &NetworkCounters {
         &self.counters
@@ -263,7 +279,7 @@ impl EventNetwork {
         self.messages.len()
     }
 
-    /// Whether any source queue exceeds `limit` flits.  Only queued nodes
+    /// Whether any source queue holds more than `limit` messages.  Only queued nodes
     /// are scanned — a node outside the queued-node set has an empty
     /// queue — so the check costs activity, not network size.
     #[must_use]
@@ -306,13 +322,11 @@ impl EventNetwork {
         std::mem::take(&mut self.delivered)
     }
 
-    /// Advances the network by one cycle (same stage order as the ticking
-    /// engine), skipping every stage whose work set is empty.
+    /// Advances the network by one cycle, skipping every stage whose work set
+    /// is empty.
     ///
     /// Each skip costs one branch on the corresponding active set; the flags
-    /// also feed [`NetworkCounters::record_stage_activity`], sampled at the
-    /// same stage-entry points the ticking engine samples, so the skip
-    /// counters are byte-identical across engines.
+    /// also feed [`NetworkCounters::record_stage_activity`].
     pub fn step(&mut self, cycle: u64) {
         self.processed_cycles += 1;
         let generation_due = self.arrivals.has_due(cycle);
@@ -347,14 +361,18 @@ impl EventNetwork {
             self.counters.busy_vc_sq_sum += self.busy_sq_sum;
             self.counters.busy_vc_samples += (self.nodes * self.degree) as u64;
         }
+        #[cfg(debug_assertions)]
+        if self.processed_cycles % 1024 == 0 {
+            self.check_invariants();
+        }
     }
 
     fn generate_messages(&mut self, cycle: u64) {
         let mut due = std::mem::take(&mut self.scratch);
         due.clear();
         self.arrivals.pop_due_into(cycle, &mut due);
-        // ascending node order == the ticking engine's generation scan order,
-        // which fixes the draw order on the shared destination RNG
+        // ascending node order fixes the draw order on the shared destination
+        // RNG
         due.sort_unstable();
         for &node in &due {
             let count = self.sources[node as usize].arrivals_at(cycle);
@@ -408,8 +426,8 @@ impl EventNetwork {
     fn route_and_allocate(&mut self, cycle: u64) {
         let layout = self.routing.layout();
         let mut pending = std::mem::take(&mut self.scratch);
-        // ascending input-VC index == node-major, network ports before
-        // injection slots — the ticking engine's routing scan order
+        // ascending input-VC index: node-major, network ports before
+        // injection slots
         self.pending_headers.collect_into(&mut pending);
         let mut free = std::mem::take(&mut self.free_scratch);
         let mut subset = std::mem::take(&mut self.select_scratch);
@@ -442,9 +460,6 @@ impl EventNetwork {
                 self.counters.blocked_header_cycles += 1;
                 continue;
             }
-            // the filtered subsets feeding `choose` have the same contents
-            // (and so the same lengths) as the per-header Vecs they replace,
-            // which keeps the select_rng draw sequence unchanged
             let choice = match self.config.selection {
                 SelectionPolicy::FirstFree => free[0],
                 SelectionPolicy::Random => *free.choose(&mut self.select_rng).expect("non-empty"),
@@ -491,9 +506,8 @@ impl EventNetwork {
 
     fn switch_and_transfer(&mut self, cycle: u64) {
         let mut channels = std::mem::take(&mut self.scratch);
-        // ascending physical-channel index == node-major, port-major — the
-        // ticking engine's switch scan order, which fixes the order staged
-        // arrivals (and so delivered messages) are produced in
+        // ascending physical-channel index (node-major, port-major) fixes the
+        // order staged arrivals (and so delivered messages) are produced in
         self.active_channels.collect_into(&mut channels);
         for &chan in &channels {
             let node = (chan as usize / self.degree) as NodeId;
@@ -605,8 +619,9 @@ impl EventNetwork {
         }
     }
 
-    /// Observed average degree of virtual-channel multiplexing (same
-    /// definition as the ticking engine's).
+    /// Observed average degree of virtual-channel multiplexing
+    /// (`Σ v² / Σ v` over the sampled busy-VC counts), 1.0 when no channel was
+    /// ever busy.
     #[must_use]
     pub fn observed_multiplexing(&self) -> f64 {
         if self.counters.busy_vc_sum == 0 {
@@ -615,88 +630,179 @@ impl EventNetwork {
             self.counters.busy_vc_sq_sum as f64 / self.counters.busy_vc_sum as f64
         }
     }
+
+    /// Consistency check run by debug builds every 1024 processed cycles and
+    /// by tests: credits never exceed the buffer depth, buffered flits plus
+    /// credits on every link never exceed it either, every owned output VC
+    /// belongs to a live message, and a recount of the output table matches
+    /// the incremental `owned_vcs`, `Σb`, `Σb²` and active-channel set.
+    ///
+    /// # Panics
+    /// Panics when an invariant is violated.
+    pub fn check_invariants(&self) {
+        let depth = self.config.buffer_depth as u32;
+        let (mut busy_sum, mut busy_sq_sum) = (0u64, 0u64);
+        for node in 0..self.nodes as NodeId {
+            for port in 0..self.degree {
+                let downstream = self.topology.neighbor(node, port);
+                let down_port = self.topology.reverse_port(node, port);
+                let mut busy = 0u32;
+                for vc in 0..self.vcs {
+                    let out = self.out_idx(node, port, vc);
+                    let credits = self.outputs.credits(out);
+                    assert!(credits <= depth, "credit overflow");
+                    let buffered = self.inputs.buffered(self.in_idx(downstream, down_port, vc));
+                    assert!(
+                        buffered + credits <= depth,
+                        "buffered flits plus credits exceed the buffer depth"
+                    );
+                    if let Some(slot) = self.outputs.owner(out) {
+                        assert!(
+                            self.messages.contains(slot),
+                            "output VC owned by a vanished message"
+                        );
+                        busy += 1;
+                    }
+                }
+                let chan = node as usize * self.degree + port;
+                assert_eq!(self.owned_vcs[chan], busy, "owned-VC count of channel {chan}");
+                assert_eq!(
+                    self.active_channels.contains(chan as u32),
+                    busy > 0,
+                    "active channel {chan}"
+                );
+                busy_sum += u64::from(busy);
+                busy_sq_sum += u64::from(busy) * u64::from(busy);
+            }
+        }
+        assert_eq!((self.busy_sum, self.busy_sq_sum), (busy_sum, busy_sq_sum), "occupancy sums");
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::Network;
     use star_graph::StarGraph;
     use star_routing::EnhancedNbc;
 
-    fn config(rate: f64, seed: u64) -> SimConfig {
-        SimConfig::builder()
+    fn network(rate: f64, seed: u64) -> EventNetwork {
+        let topology = Arc::new(StarGraph::new(4));
+        let routing = Arc::new(EnhancedNbc::for_topology(topology.as_ref(), 5));
+        let config = SimConfig::builder()
             .message_length(8)
             .traffic_rate(rate)
+            .buffer_depth(2)
             .warmup_cycles(0)
             .measured_messages(100)
             .max_cycles(100_000)
             .seed(seed)
-            .build()
+            .build();
+        EventNetwork::new(topology, routing, config, TrafficPattern::Uniform)
     }
 
-    fn pair(rate: f64, seed: u64) -> (Network, EventNetwork) {
-        let topology = Arc::new(StarGraph::new(4));
-        let routing = Arc::new(EnhancedNbc::for_topology(topology.as_ref(), 5));
-        let ticking = Network::new(
-            topology.clone(),
-            routing.clone(),
-            config(rate, seed),
-            TrafficPattern::Uniform,
-        );
-        let event =
-            EventNetwork::new(topology, routing, config(rate, seed), TrafficPattern::Uniform);
-        (ticking, event)
+    /// `(id, latency)` of every delivery over `0..horizon`, stepping every
+    /// cycle.
+    fn step_every_cycle(net: &mut EventNetwork, horizon: u64) -> Vec<(MessageId, u64)> {
+        let mut delivered = Vec::new();
+        for cycle in 0..horizon {
+            net.step(cycle);
+            delivered.extend(
+                net.take_delivered().into_iter().map(|m| (m.id, m.total_latency().unwrap())),
+            );
+        }
+        delivered
     }
 
     #[test]
-    fn stepping_both_engines_every_cycle_is_byte_identical() {
-        // The strongest form of the equivalence contract at the network
-        // level: same deliveries in the same order with the same
-        // timestamps, same counters, same occupancy statistics.
-        for &(rate, seed) in &[(0.01, 7u64), (0.03, 11), (0.06, 3)] {
-            let (mut ticking, mut event) = pair(rate, seed);
-            let mut delivered_t = Vec::new();
-            let mut delivered_e = Vec::new();
-            for cycle in 0..12_000 {
-                ticking.step(cycle);
-                event.step(cycle);
-                delivered_t.extend(
-                    ticking.take_delivered().into_iter().map(|m| (m.id, m.total_latency())),
-                );
-                delivered_e
-                    .extend(event.take_delivered().into_iter().map(|m| (m.id, m.total_latency())));
+    fn single_message_zero_load_latency_is_length_plus_distance() {
+        // drive the network by hand with exactly one message, from node 0 to
+        // a diameter-distant node
+        let mut net = network(0.0, 1);
+        let dest = (0..24u32).max_by_key(|&v| net.topology().distance(0, v)).unwrap();
+        let hops = net.topology().distance(0, dest);
+        let slot = net.messages.insert(Message::new(0, 0, dest, 8, 0, true));
+        net.source_queues[0].push_back(slot);
+        net.queued_nodes.insert(0);
+        let mut delivered = Vec::new();
+        for cycle in 0..500 {
+            net.step(cycle);
+            delivered.extend(net.take_delivered());
+            if !delivered.is_empty() {
+                break;
             }
-            assert_eq!(delivered_t, delivered_e, "rate {rate} seed {seed}");
-            assert!(!delivered_t.is_empty());
-            let (ct, ce) = (ticking.counters(), event.counters());
-            assert_eq!(ct.generated, ce.generated);
-            assert_eq!(ct.flit_transfers, ce.flit_transfers);
-            assert_eq!(ct.blocked_header_cycles, ce.blocked_header_cycles);
-            assert_eq!(ct.header_allocation_attempts, ce.header_allocation_attempts);
-            assert_eq!(ct.busy_vc_sum, ce.busy_vc_sum);
-            assert_eq!(ct.busy_vc_sq_sum, ce.busy_vc_sq_sum);
-            assert_eq!(ct.last_transfer_cycle, ce.last_transfer_cycle);
-            assert_eq!(ticking.observed_multiplexing(), event.observed_multiplexing());
-            assert_eq!(ticking.outstanding_messages(), event.outstanding_messages());
         }
+        assert_eq!(delivered.len(), 1);
+        let latency = delivered[0].total_latency().unwrap();
+        // ideal wormhole latency M + h (Eq. 4 of the paper at zero blocking);
+        // injection happening in the generation cycle makes the simulator one
+        // cycle faster, so accept [ideal - 1, ideal + 2]
+        let ideal = (hops + 8) as u64;
+        assert!(
+            latency + 1 >= ideal && latency <= ideal + 2,
+            "zero-load latency {latency} should be within 2 cycles of ideal {ideal}"
+        );
+        assert_eq!(delivered[0].routing.hops_taken, hops);
+        assert!(net.is_idle());
+    }
+
+    #[test]
+    fn flit_conservation_and_invariants_under_load() {
+        let mut net = network(0.01, 7);
+        let mut delivered_flits = 0u64;
+        for cycle in 0..20_000 {
+            net.step(cycle);
+            for m in net.take_delivered() {
+                assert_eq!(m.flits_consumed, m.length);
+                delivered_flits += m.length as u64;
+            }
+            if cycle % 500 == 0 {
+                net.check_invariants();
+            }
+        }
+        assert!(delivered_flits > 0, "the network must deliver traffic");
+        // every delivered flit crossed at least one channel
+        assert!(net.counters().flit_transfers >= delivered_flits);
+    }
+
+    #[test]
+    fn no_transfer_happens_without_traffic() {
+        let mut net = network(0.0, 3);
+        assert!(step_every_cycle(&mut net, 1_000).is_empty());
+        assert_eq!(net.counters().flit_transfers, 0);
+        assert_eq!(net.counters().generated, 0);
+        assert_eq!(net.counters().active_cycles, 0);
+        assert_eq!(net.observed_multiplexing(), 1.0);
+    }
+
+    #[test]
+    fn deterministic_for_fixed_seed() {
+        let run = |seed| step_every_cycle(&mut network(0.02, seed), 15_000);
+        assert_eq!(run(11), run(11));
+        assert_ne!(run(11), run(12));
+    }
+
+    #[test]
+    fn messages_are_delivered_in_bounded_time_at_low_load() {
+        let mut net = network(0.005, 5);
+        let delivered = step_every_cycle(&mut net, 30_000);
+        assert!(delivered.len() > 100);
+        // at this load S4 latencies stay far below 10x the zero-load value
+        let max_latency = delivered.iter().map(|&(_, l)| l).max().unwrap();
+        assert!(max_latency < 300, "latency {max_latency} too large for low load");
+        // the network drains: outstanding messages stay bounded
+        assert!(net.outstanding_messages() < 50);
     }
 
     #[test]
     fn fast_forward_skips_idle_cycles_without_changing_results() {
-        // Sparse traffic leaves long idle gaps between messages.  The ticking
-        // engine must burn every one of those cycles; the event engine jumps
-        // straight to the next scheduled arrival — and still produces the
-        // same deliveries and counters.
+        // Sparse traffic leaves long idle gaps between messages.  Jumping
+        // straight to the next scheduled arrival must deliver exactly what
+        // stepping every cycle delivers; the pinned totals are those of a
+        // full per-cycle scan of every channel over the same horizon.
         let horizon = 200_000u64;
-        let (mut ticking, mut event) = pair(0.0001, 21);
-        let mut delivered_t = Vec::new();
-        for cycle in 0..horizon {
-            ticking.step(cycle);
-            delivered_t
-                .extend(ticking.take_delivered().into_iter().map(|m| (m.id, m.total_latency())));
-        }
-        let mut delivered_e = Vec::new();
+        let delivered_stepped = step_every_cycle(&mut network(0.0001, 21), horizon);
+        let mut event = network(0.0001, 21);
+        let mut delivered = Vec::new();
         let mut cycle = 0u64;
         while cycle < horizon {
             if event.is_idle() {
@@ -706,16 +812,24 @@ mod tests {
                 }
             }
             event.step(cycle);
-            delivered_e
-                .extend(event.take_delivered().into_iter().map(|m| (m.id, m.total_latency())));
+            delivered.extend(
+                event.take_delivered().into_iter().map(|m| (m.id, m.total_latency().unwrap())),
+            );
             cycle += 1;
         }
-        assert_eq!(delivered_t, delivered_e);
-        assert!(!delivered_t.is_empty());
-        assert_eq!(ticking.counters().generated, event.counters().generated);
-        assert_eq!(ticking.counters().flit_transfers, event.counters().flit_transfers);
-        assert_eq!(ticking.counters().busy_vc_sum, event.counters().busy_vc_sum);
-        assert_eq!(ticking.counters().busy_vc_sq_sum, event.counters().busy_vc_sq_sum);
+        assert_eq!(delivered, delivered_stepped);
+        let c = event.counters();
+        assert_eq!(
+            (
+                delivered.len(),
+                delivered.iter().map(|&(_, l)| l).sum::<u64>(),
+                c.generated,
+                c.flit_transfers,
+                c.busy_vc_sum,
+                c.busy_vc_sq_sum,
+            ),
+            (482, 4_675, 482, 10_328, 1_232, 1_234)
+        );
         assert!(
             event.processed_cycles() * 3 < horizon,
             "at this rate most cycles are idle and must be skipped ({} of {horizon} processed)",
@@ -725,7 +839,7 @@ mod tests {
 
     #[test]
     fn idle_network_is_reported_idle_and_reawakens_on_schedule() {
-        let (_, mut event) = pair(0.0005, 5);
+        let mut event = network(0.0005, 5);
         assert!(event.is_idle(), "no arrivals yet at cycle 0");
         let first = event.next_scheduled_arrival().expect("positive rate schedules arrivals");
         // stepping exactly at the scheduled cycle generates work
@@ -736,7 +850,7 @@ mod tests {
 
     #[test]
     fn zero_rate_schedules_nothing() {
-        let (_, mut event) = pair(0.0, 9);
+        let mut event = network(0.0, 9);
         assert!(event.is_idle());
         assert_eq!(event.next_scheduled_arrival(), None);
         event.step(0);

@@ -17,14 +17,11 @@
 //!   contention), and the mean message latency is measured from generation to
 //!   the arrival of the last data flit.
 //!
-//! Two engines execute these semantics, selected by
-//! [`SimCore`]: the legacy *ticking* engine scans every
-//! channel of every node each cycle, while the *event-driven* engine (the
-//! default) schedules source arrivals on an [`EventCalendar`] and walks
-//! active-entity sets only, fast-forwarding over idle stretches.  Both
-//! produce byte-identical reports for identical configurations — the
-//! equivalence suite (`tests/sim_equivalence.rs`) pins this replicate for
-//! replicate — so engine choice is purely a wall-clock decision.
+//! The engine ([`EventNetwork`]) schedules source arrivals on an
+//! [`EventCalendar`] and walks active-entity sets only, skipping empty
+//! pipeline stages and fast-forwarding over idle stretches, so its cost
+//! scales with traffic rather than network size.  Reports are pinned bit for
+//! bit by golden fixtures (`tests/sim_golden.rs`).
 //!
 //! The simulator is deterministic for a fixed seed, detects saturation
 //! (unbounded source queues), and reports message latency, network latency,
@@ -66,18 +63,16 @@ pub mod config;
 pub mod event;
 pub mod message;
 pub mod metrics;
-pub mod network;
 pub mod replicate;
 pub mod sim;
 pub mod traffic;
 
 pub use activeset::ActiveSet;
 pub use calendar::EventCalendar;
-pub use config::{SelectionPolicy, SimConfig, SimConfigBuilder, SimCore};
+pub use config::{SelectionPolicy, SimConfig, SimConfigBuilder};
 pub use event::EventNetwork;
 pub use message::{Message, MessageId};
-pub use metrics::{ReplicateReport, SimReport};
-pub use network::StageSkips;
+pub use metrics::{ReplicateReport, SimReport, StageSkips};
 pub use replicate::ReplicateRun;
 pub use sim::Simulation;
 pub use traffic::TrafficPattern;

@@ -80,9 +80,7 @@ impl Message {
     }
 }
 
-/// A dense, slot-indexed store of in-flight messages: the event-driven
-/// engine's replacement for the ticking engine's `HashMap<MessageId,
-/// Message>`.
+/// A dense, slot-indexed store of in-flight messages.
 ///
 /// Channel state references messages by `u32` slot, so every lookup on the
 /// hot path is one bounds-checked vector index instead of a hash probe.
@@ -127,6 +125,12 @@ impl MessageStore {
             self.slots.push(Some(message));
             slot
         }
+    }
+
+    /// Whether `slot` holds a live message.
+    #[must_use]
+    pub fn contains(&self, slot: u32) -> bool {
+        self.slots.get(slot as usize).is_some_and(Option::is_some)
     }
 
     /// The message in `slot`.
@@ -184,10 +188,12 @@ mod tests {
         assert_eq!((a, b), (0, 1));
         assert_eq!(store.len(), 2);
         assert_eq!(store.get(b).id, 1);
+        assert!(store.contains(b) && !store.contains(2));
         store.get_mut(a).flits_consumed = 3;
         assert_eq!(store.get(a).flits_consumed, 3);
         let removed = store.remove(a);
         assert_eq!(removed.id, 0);
+        assert!(!store.contains(a));
         assert_eq!(store.len(), 1);
         // freed slots are reused before the vector grows
         let c = store.insert(Message::new(2, 4, 5, 8, 0, true));

@@ -13,7 +13,86 @@ use serde::{Deserialize, Serialize};
 use star_queueing::{ReplicateStats, RunningStats};
 
 use crate::config::SimConfig;
-use crate::network::{NetworkCounters, StageSkips};
+
+/// Per-stage skip counters: how many *active* cycles found a given pipeline
+/// stage with an empty work set (and so skipped it).
+///
+/// Cycles where *every* stage is empty (a fully idle network) count nothing,
+/// so the counters do not depend on how much idle time the driver
+/// fast-forwards over.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StageSkips {
+    /// Active cycles with no source arrival due (`generate_messages` empty).
+    pub generation: u64,
+    /// Active cycles with every source queue empty (`fill_injection_slots`
+    /// empty).
+    pub injection: u64,
+    /// Active cycles with no unrouted header pending (`route_and_allocate`
+    /// empty).
+    pub routing: u64,
+    /// Active cycles with no owned output VC anywhere (`switch_and_transfer`
+    /// empty).
+    pub switching: u64,
+    /// Active cycles with no staged arrival or credit (`apply_staged` empty).
+    pub staged: u64,
+}
+
+impl StageSkips {
+    /// Total stage skips across all five stages.
+    #[must_use]
+    pub fn total(&self) -> u64 {
+        self.generation + self.injection + self.routing + self.switching + self.staged
+    }
+}
+
+/// Aggregate counters maintained by the network while it runs.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct NetworkCounters {
+    /// Messages generated so far.
+    pub generated: u64,
+    /// Flit transfers on network channels so far.
+    pub flit_transfers: u64,
+    /// Header allocation attempts that found no free admissible channel.
+    pub blocked_header_cycles: u64,
+    /// Header allocation attempts in total.
+    pub header_allocation_attempts: u64,
+    /// Sum of busy-VC counts over sampled physical channels.
+    pub busy_vc_sum: u64,
+    /// Sum of squared busy-VC counts over sampled physical channels.
+    pub busy_vc_sq_sum: u64,
+    /// Number of (channel, sample) observations taken.
+    pub busy_vc_samples: u64,
+    /// Cycle at which the last flit transfer happened (deadlock watchdog).
+    pub last_transfer_cycle: u64,
+    /// Cycles in which at least one pipeline stage had work.
+    pub active_cycles: u64,
+    /// Per-stage skip counts over the active cycles.
+    pub stage_skips: StageSkips,
+}
+
+impl NetworkCounters {
+    /// Folds one cycle's stage-activity facts into `active_cycles` and
+    /// `stage_skips`.  Each flag says whether the stage had any work when it
+    /// started; a cycle with no work anywhere is idle and counts nothing.
+    pub fn record_stage_activity(
+        &mut self,
+        generation: bool,
+        injection: bool,
+        routing: bool,
+        switching: bool,
+        staged: bool,
+    ) {
+        if !(generation || injection || routing || switching || staged) {
+            return;
+        }
+        self.active_cycles += 1;
+        self.stage_skips.generation += u64::from(!generation);
+        self.stage_skips.injection += u64::from(!injection);
+        self.stage_skips.routing += u64::from(!routing);
+        self.stage_skips.switching += u64::from(!switching);
+        self.stage_skips.staged += u64::from(!staged);
+    }
+}
 
 /// Result of one simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -55,8 +134,8 @@ pub struct SimReport {
     pub channel_utilization: f64,
     /// Total flit transfers on network channels over the whole run — the raw
     /// count behind [`Self::channel_utilization`], kept as its own field so
-    /// throughput benchmarks can report flits/sec and the equivalence suite
-    /// can pin engines flit for flit.
+    /// throughput benchmarks can report flits/sec and golden reports can pin
+    /// runs flit for flit.
     pub flit_transfers: u64,
     /// Observed average degree of virtual-channel multiplexing
     /// (`Σ v² / Σ v` over sampled busy-VC counts).
@@ -65,8 +144,7 @@ pub struct SimReport {
     /// virtual channel busy.
     pub blocking_probability: f64,
     /// Cycles in which at least one pipeline stage had work.  Fully idle
-    /// cycles (which the event engine fast-forwards over) are excluded, so
-    /// the field is engine-independent like everything else in the report.
+    /// cycles (which the driver fast-forwards over) are excluded.
     pub active_cycles: u64,
     /// Per-stage skip counts over the active cycles: how often each pipeline
     /// stage started with an empty work set.  `active_cycles − skips[stage]`

@@ -1,33 +1,21 @@
 //! The simulation driver: warm-up, steady-state measurement, saturation and
 //! deadlock detection.
 //!
-//! The driver is engine-agnostic: it runs the same loop over either the
-//! ticking [`Network`] or the event-driven [`EventNetwork`], selected by
-//! [`SimCore`] in the configuration.  The only engine-specific piece is the
-//! idle fast-forward at the top of the loop — when the event engine reports
-//! an idle network, the driver jumps straight to the next scheduled arrival
-//! instead of stepping empty cycles one at a time, which changes nothing
-//! observable (idle cycles touch no counter the report reads) but skips the
-//! work.
-//!
-//! Within a stepped cycle both engines additionally skip empty pipeline
-//! stages and account for the skips identically (see
-//! [`NetworkCounters::record_stage_activity`]): fully idle cycles — whether
-//! stepped by the ticking engine or fast-forwarded over here — contribute to
-//! neither `active_cycles` nor any [`StageSkips`](crate::StageSkips)
-//! counter, which is what keeps the skip statistics byte-identical across
-//! engines.
+//! The driver steps an [`EventNetwork`] cycle by cycle, except that when the
+//! network reports itself idle it jumps straight to the next scheduled
+//! arrival instead of stepping empty cycles one at a time.  That changes
+//! nothing observable — idle cycles touch no counter the report reads, and
+//! they count towards neither `active_cycles` nor any
+//! [`StageSkips`](crate::StageSkips) counter — but skips the work.
 
 use std::sync::Arc;
 
 use star_graph::Topology;
 use star_routing::RoutingAlgorithm;
 
-use crate::config::{SimConfig, SimCore};
+use crate::config::SimConfig;
 use crate::event::EventNetwork;
-use crate::message::Message;
 use crate::metrics::{MeasurementAccumulator, RunIdentity, RunOutcome, SimReport};
-use crate::network::{Network, NetworkCounters};
 use crate::traffic::TrafficPattern;
 
 /// Number of cycles with in-flight messages but no flit movement after which
@@ -36,71 +24,9 @@ use crate::traffic::TrafficPattern;
 /// bugs rather than protocol bugs.
 const DEADLOCK_WATCHDOG_CYCLES: u64 = 50_000;
 
-/// The engine executing the run (both implement identical semantics; see
-/// [`SimCore`]).
-enum Engine {
-    Ticking(Box<Network>),
-    Event(Box<EventNetwork>),
-}
-
-impl Engine {
-    fn step(&mut self, cycle: u64) {
-        match self {
-            Engine::Ticking(n) => n.step(cycle),
-            Engine::Event(n) => n.step(cycle),
-        }
-    }
-
-    fn take_delivered(&mut self) -> Vec<Message> {
-        match self {
-            Engine::Ticking(n) => n.take_delivered(),
-            Engine::Event(n) => n.take_delivered(),
-        }
-    }
-
-    fn queue_saturated(&self, limit: usize) -> bool {
-        match self {
-            Engine::Ticking(n) => n.max_source_queue() > limit,
-            Engine::Event(n) => n.queue_saturated(limit),
-        }
-    }
-
-    fn counters(&self) -> &NetworkCounters {
-        match self {
-            Engine::Ticking(n) => n.counters(),
-            Engine::Event(n) => n.counters(),
-        }
-    }
-
-    fn outstanding_messages(&self) -> usize {
-        match self {
-            Engine::Ticking(n) => n.outstanding_messages(),
-            Engine::Event(n) => n.outstanding_messages(),
-        }
-    }
-
-    fn observed_multiplexing(&self) -> f64 {
-        match self {
-            Engine::Ticking(n) => n.observed_multiplexing(),
-            Engine::Event(n) => n.observed_multiplexing(),
-        }
-    }
-
-    /// `Some(next arrival)` when the engine knows the network is idle and can
-    /// prove every cycle before the next scheduled arrival is a no-op;
-    /// `Some(None)` when idle with no arrival ever coming; `None` when the
-    /// engine cannot fast-forward (busy, or the ticking engine).
-    fn idle_until(&mut self) -> Option<Option<u64>> {
-        match self {
-            Engine::Ticking(_) => None,
-            Engine::Event(n) => n.is_idle().then(|| n.next_scheduled_arrival()),
-        }
-    }
-}
-
 /// A complete simulation experiment.
 pub struct Simulation {
-    engine: Engine,
+    network: EventNetwork,
     config: SimConfig,
     identity: RunIdentity,
 }
@@ -122,18 +48,8 @@ impl Simulation {
             node_count: topology.node_count(),
             channel_count: topology.channel_count(),
         };
-        let engine = match config.core {
-            SimCore::Ticking => {
-                Engine::Ticking(Box::new(Network::new(topology, routing, config.clone(), pattern)))
-            }
-            SimCore::EventDriven => Engine::Event(Box::new(EventNetwork::new(
-                topology,
-                routing,
-                config.clone(),
-                pattern,
-            ))),
-        };
-        Self { engine, config, identity }
+        let network = EventNetwork::new(topology, routing, config.clone(), pattern);
+        Self { network, config, identity }
     }
 
     /// Runs the experiment to completion and returns the report.
@@ -147,17 +63,16 @@ impl Simulation {
         let mut measurement_cycles: u64 = 0;
 
         while cycle < self.config.max_cycles {
-            // Idle fast-forward (event engine only).  While the network is
-            // empty no break condition below can change state — queues are
-            // empty, no message is outstanding, the accumulator is frozen —
-            // so jumping to the next arrival is exactly equivalent to
-            // stepping the intervening cycles, except for the zero-traffic
-            // exit, whose cycle accounting we mirror explicitly.
-            if let Some(next_arrival) = self.engine.idle_until() {
-                match next_arrival {
+            // Idle fast-forward.  While the network is empty no break
+            // condition below can change state — queues are empty, no
+            // message is outstanding, the accumulator is frozen — so jumping
+            // to the next arrival is exactly equivalent to stepping the
+            // intervening cycles.
+            if self.network.is_idle() {
+                match self.network.next_scheduled_arrival() {
                     // Zero traffic (or a source horizon exhausted): nothing
-                    // will ever happen.  The ticking loop exits this case at
-                    // warmup + 1; land on the same cycle count.
+                    // will ever happen.  The run ends at warmup + 1, the
+                    // first cycle past the warm-up.
                     None => {
                         cycle =
                             cycle.max(self.config.warmup_cycles + 1).min(self.config.max_cycles);
@@ -170,21 +85,21 @@ impl Simulation {
                     Some(next) => cycle = cycle.max(next),
                 }
             }
-            self.engine.step(cycle);
-            for message in self.engine.take_delivered() {
+            self.network.step(cycle);
+            for message in self.network.take_delivered() {
                 if message.measured {
                     acc.record(&message);
                 }
             }
             // saturation: the source queues grow without bound
-            if self.engine.queue_saturated(self.config.saturation_queue_limit) {
+            if self.network.queue_saturated(self.config.saturation_queue_limit) {
                 saturated = true;
                 cycle += 1;
                 break;
             }
             // deadlock watchdog
-            let counters = self.engine.counters();
-            if self.engine.outstanding_messages() > 0
+            let counters = self.network.counters();
+            if self.network.outstanding_messages() > 0
                 && counters.generated > 0
                 && cycle > counters.last_transfer_cycle + DEADLOCK_WATCHDOG_CYCLES
             {
@@ -197,10 +112,6 @@ impl Simulation {
                 measurement_start_cycle = cycle;
             }
             if acc.count() >= self.config.measured_messages && self.config.measured_messages > 0 {
-                break;
-            }
-            // nothing will ever happen with zero traffic
-            if self.config.traffic_rate == 0.0 && cycle > self.config.warmup_cycles {
                 break;
             }
         }
@@ -223,9 +134,9 @@ impl Simulation {
             deadlock_detected: deadlock,
             cycles: cycle,
             measurement_cycles,
-            observed_multiplexing: self.engine.observed_multiplexing(),
+            observed_multiplexing: self.network.observed_multiplexing(),
         };
-        acc.into_report(&self.identity, &self.config, self.engine.counters(), outcome)
+        acc.into_report(&self.identity, &self.config, self.network.counters(), outcome)
     }
 }
 

@@ -551,9 +551,8 @@ impl SimBackend {
         let scenario = &point.scenario;
         let topology = scenario.topology();
         let routing = scenario.discipline.routing(topology.as_ref(), scenario.virtual_channels);
-        let mut config =
+        let config =
             self.budget.apply(scenario.message_length, point.traffic_rate, scenario.seed_base);
-        config.core = scenario.core;
         ReplicateRun::new(topology, routing, config, scenario.pattern, scenario.replicates.max(1))
     }
 

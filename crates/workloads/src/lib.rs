@@ -114,7 +114,6 @@ pub use report::{ascii_plot, markdown_table, write_csv, ReportSink, RunReport, R
 pub use scenario::{Discipline, OperatingPoint, Scenario, TopologyKind};
 pub use star_exec::{ExecPool, ShardSpec};
 pub use star_queueing::ReplicateStats;
-pub use star_sim::SimCore;
 pub use sweep_runner::{
     rate_indices, retain_shard, shard_sweeps, SweepReport, SweepRunner, SweepSpec,
 };

@@ -23,7 +23,7 @@ use serde::{Deserialize, Serialize};
 use star_core::{ModelDiscipline, ModelParams, ModelParamsError};
 use star_graph::{Hypercube, Ring, StarGraph, Topology, Torus};
 use star_routing::{DeterministicMinimal, EnhancedNbc, NHop, Nbc, RoutingAlgorithm};
-use star_sim::{SimCore, TrafficPattern};
+use star_sim::TrafficPattern;
 
 /// The topology families with a CLI name — the `--topology` flag of the
 /// harness binaries parses into this.
@@ -220,11 +220,6 @@ pub struct Scenario {
     /// Base seed the per-replicate seeds are deterministically derived from
     /// (`star_queueing::replicate_seed(seed_base, replicate_index)`).
     pub seed_base: u64,
-    /// Simulator engine the simulation backend runs (the analytical backend
-    /// ignores this).  Results are engine-invariant — the equivalence suite
-    /// pins both engines byte-identical — so this is a wall-clock knob, not
-    /// an experimental one.
-    pub core: SimCore,
 }
 
 impl fmt::Debug for Scenario {
@@ -237,7 +232,6 @@ impl fmt::Debug for Scenario {
             .field("pattern", &self.pattern)
             .field("replicates", &self.replicates)
             .field("seed_base", &self.seed_base)
-            .field("core", &self.core)
             .finish()
     }
 }
@@ -254,7 +248,6 @@ impl PartialEq for Scenario {
             && self.pattern == other.pattern
             && self.replicates == other.replicates
             && self.seed_base == other.seed_base
-            && self.core == other.core
     }
 }
 
@@ -274,7 +267,6 @@ impl Scenario {
             pattern: TrafficPattern::Uniform,
             replicates: 1,
             seed_base: 0,
-            core: SimCore::default(),
         }
     }
 
@@ -361,13 +353,6 @@ impl Scenario {
         self
     }
 
-    /// Sets the simulator engine the simulation backend runs.
-    #[must_use]
-    pub fn with_core(mut self, core: SimCore) -> Self {
-        self.core = core;
-        self
-    }
-
     /// The conventional network name (`"S5"`, `"Q7"`, `"T8"`, `"R8"`, …) —
     /// the topology's own [`Topology::name`].
     #[must_use]
@@ -377,26 +362,18 @@ impl Scenario {
 
     /// A short identifier for reports:
     /// `"S5/enhanced-nbc/V6/M32"`, with an `"/R8"` suffix when more than
-    /// one replicate is requested and a `"/ticking"` suffix when the legacy
-    /// engine is selected (engine choice never changes results, so only the
-    /// non-default is called out).
+    /// one replicate is requested.
     #[must_use]
     pub fn label(&self) -> String {
         let replicate_suffix =
             if self.replicates > 1 { format!("/R{}", self.replicates) } else { String::new() };
-        let core_suffix = if self.core == SimCore::Ticking {
-            format!("/{}", self.core.name())
-        } else {
-            String::new()
-        };
         format!(
-            "{}/{}/V{}/M{}{}{}",
+            "{}/{}/V{}/M{}{}",
             self.network_label(),
             self.discipline.name(),
             self.virtual_channels,
             self.message_length,
-            replicate_suffix,
-            core_suffix
+            replicate_suffix
         )
     }
 
@@ -608,17 +585,6 @@ mod tests {
     #[should_panic(expected = "at least one replicate")]
     fn zero_replicates_rejected() {
         let _ = Scenario::star(5).with_replicates(0);
-    }
-
-    #[test]
-    fn core_defaults_to_event_driven_and_only_ticking_shows_in_the_label() {
-        let s = Scenario::star(5);
-        assert_eq!(s.core, SimCore::EventDriven);
-        assert_eq!(s.label(), "S5/enhanced-nbc/V6/M32");
-        let ticking = s.clone().with_core(SimCore::Ticking);
-        assert_eq!(ticking.label(), "S5/enhanced-nbc/V6/M32/ticking");
-        assert_ne!(s, ticking, "engine choice distinguishes scenarios");
-        assert_eq!(ticking.clone().with_replicates(4).label(), "S5/enhanced-nbc/V6/M32/R4/ticking");
     }
 
     #[test]

@@ -22,14 +22,7 @@
 //!   very first queries must hit `exact` with the same byte-identity, and
 //!   which must survive a `star-load --connections 4` replay with zero
 //!   errors — the serving contract plus the scale-out path, enforced on
-//!   every push), a **sim-equiv smoke** (`sim-bench --equiv`:
-//!   the ticking and event-driven simulator engines byte-compared on every
-//!   topology family with non-zero stage-skip counters asserted at light
-//!   load, a parallel replicate fan-out (`R = 3`, width 2) byte-compared
-//!   against the serial fold, plus one `S6` light-load point on the
-//!   event-driven default cross-checked against the analytical model — the
-//!   engine-equivalence contract, enforced on every push), and
-//!   `cargo doc --no-deps` with `RUSTDOCFLAGS="-D warnings"` so broken
+//!   every push), and `cargo doc --no-deps` with `RUSTDOCFLAGS="-D warnings"` so broken
 //!   intra-doc links fail the pipeline.
 //! * `cargo xtask figure1` — regenerates the paper's Figure 1 CSVs under
 //!   `target/experiments/` via the `figure1` harness binary (quick budget and
@@ -50,10 +43,9 @@
 //!   override the pinned knobs.
 //! * `cargo xtask sim-bench` — runs the pinned `sim-bench` flit-throughput
 //!   scenario (S5, Enhanced-NBC, 20 000 measured messages, seed 42) at the
-//!   light/moderate/heavy utilisation points on both simulator engines and
-//!   appends one measurement per point — flits/sec per engine, the speedup
-//!   and the stage-skip counters — to `BENCH_sim.json` at the repository
-//!   root; extra arguments are forwarded to `sim-bench` and override the
+//!   light/moderate/heavy utilisation points and appends one measurement per
+//!   point — flits/sec and the stage-skip counters — to `BENCH_sim.json` at
+//!   the repository root; extra arguments are forwarded to `sim-bench` and override the
 //!   pinned knobs.
 
 use std::env;
@@ -76,13 +68,6 @@ fn main() -> ExitCode {
         "merge-shards" => merge_shards(rest),
         "serve-bench" => serve_bench(rest),
         "sim-bench" => sim_bench(rest),
-        "sim-equiv-smoke" => match step("sim-equiv-smoke", SIM_EQUIV_SMOKE) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("\nsim-equiv-smoke FAILED at {e}");
-                ExitCode::FAILURE
-            }
-        },
         "serve-smoke" => match serve_smoke() {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -107,8 +92,7 @@ fn print_help() {
     eprintln!("commands:");
     eprintln!(
         "  ci            fmt-check, clippy -D warnings, build, test, doctest, bench smoke, \
-         replicate smoke, torus smoke, sim-equiv smoke, shard smoke, serve smoke, \
-         doc -D warnings"
+         replicate smoke, torus smoke, shard smoke, serve smoke, doc -D warnings"
     );
     eprintln!(
         "  figure1       regenerate the paper's Figure 1 CSVs (forwards extra args, \
@@ -128,18 +112,10 @@ fn print_help() {
     );
     eprintln!(
         "  sim-bench     run the pinned sim-bench scenario at the light/moderate/heavy \
-         utilisation points on both simulator engines and append flits/sec plus \
-         stage-skip counters per point to BENCH_sim.json (forwards extra args to sim-bench)"
+         utilisation points and append flits/sec plus stage-skip counters per point \
+         to BENCH_sim.json (forwards extra args to sim-bench)"
     );
-    eprintln!("  sim-equiv-smoke  just the ci engine-equivalence check (sim-bench --equiv)");
 }
-
-/// The ci engine-equivalence step: `sim-bench --equiv` byte-compares the
-/// ticking and event-driven engines on every topology family and
-/// cross-checks one `S6` point on the event-driven default against the
-/// analytical model.
-const SIM_EQUIV_SMOKE: &[&str] =
-    &["run", "--release", "-p", "star-bench", "--bin", "sim-bench", "--", "--equiv"];
 
 /// The cargo binary driving this xtask (set by cargo itself).
 fn cargo() -> String {
@@ -235,10 +211,6 @@ fn ci() -> ExitCode {
                 "25",
             ],
         ),
-        // the simulator engine-equivalence contract: ticking vs event-driven
-        // byte-compared on every topology family, plus one S6 light-load
-        // point on the event-driven default held to the model's 10% band
-        ("sim-equiv-smoke", SIM_EQUIV_SMOKE),
     ];
     let started = Instant::now();
     for (name, args) in pipeline {
@@ -667,8 +639,8 @@ fn serve_bench(rest: &[String]) -> ExitCode {
 }
 
 /// `cargo xtask sim-bench`: build, run the pinned flit-throughput scenario
-/// at every utilisation point (light/moderate/heavy) on both simulator
-/// engines and append one measurement per point to `BENCH_sim.json`.
+/// at every utilisation point (light/moderate/heavy) and append one
+/// measurement per point to `BENCH_sim.json`.
 fn sim_bench(rest: &[String]) -> ExitCode {
     if let Err(e) = step("build", &["build", "--release", "-p", "star-bench"]) {
         eprintln!("\nsim-bench FAILED at {e}");

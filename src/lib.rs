@@ -91,7 +91,7 @@ pub use star_queueing::{replicate_seed, ReplicateStats};
 pub use star_routing::{DeterministicMinimal, EnhancedNbc, NHop, Nbc, RoutingAlgorithm};
 pub use star_serve::{Daemon, ServeConfig};
 pub use star_sim::{
-    ReplicateReport, ReplicateRun, SimConfig, SimCore, SimReport, Simulation, TrafficPattern,
+    ReplicateReport, ReplicateRun, SimConfig, SimReport, Simulation, TrafficPattern,
 };
 pub use star_workloads::{
     default_config_pool, encode_estimate, load_rate_grid, scenario_fingerprint, shard_sweeps,

@@ -55,8 +55,8 @@ fn model_matches_simulation_at_light_load_q4_to_q6() {
 #[test]
 fn model_tracks_simulation_at_light_load_q8_on_the_event_engine() {
     // One size class above the historical Q4–Q6 ceiling, affordable in a
-    // debug run now that the event-driven engine (the default core) only
-    // pays for active channels.  The closed form's fixed per-hop overhead
+    // debug run now that the event-driven simulator only pays for active
+    // channels.  The closed form's fixed per-hop overhead
     // compounds with the dimension, so at d = 8 the model sits a systematic
     // ~12% above the simulator even as load → 0 (seed-independent); the band
     // is 15% to document that accuracy, not the 10% the small cubes hold.

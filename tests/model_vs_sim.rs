@@ -119,17 +119,16 @@ fn both_model_and_simulation_show_latency_growth_with_load() {
 #[test]
 fn model_matches_simulation_at_light_load_s6_on_the_event_engine() {
     // A full size class above the historical S4/S5 validation ceiling: S6 has
-    // 720 nodes and 3600 channels, which the event-driven engine (the
-    // default core) makes affordable inside a debug test run — only active
-    // channels cost work at ~3% utilisation.
+    // 720 nodes and 3600 channels, which the event-driven simulator makes
+    // affordable inside a debug test run — only active channels cost work at
+    // ~3% utilisation.
     use star_wormhole::{
-        Discipline, Evaluator as _, ModelBackend, Scenario, SimBackend, SimBudget, SimCore,
+        Discipline, Evaluator as _, ModelBackend, Scenario, SimBackend, SimBudget,
     };
     let scenario = Scenario::star(6)
         .with_message_length(16)
         .with_discipline(Discipline::EnhancedNbc)
         .with_seed_base(601);
-    assert_eq!(scenario.core, SimCore::EventDriven, "event-driven is the default engine");
     let topology = scenario.topology();
     let rate = 0.03 * topology.degree() as f64 / (topology.mean_distance() * 16.0);
     let point = scenario.at(rate);

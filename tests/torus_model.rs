@@ -36,7 +36,7 @@ fn relative_error(model: &PointEstimate, sim: &PointEstimate) -> f64 {
 fn model_matches_simulation_at_light_load_t4_to_t8() {
     // ~3% channel utilisation, the regime the star light-load validation
     // runs in, held to the same 10% band.  T8 (64 nodes) rides along now
-    // that the event-driven default engine only pays for active channels.
+    // that the event-driven simulator only pays for active channels.
     let model = ModelBackend::new();
     let sim = SimBackend::new(SimBudget::Quick);
     for side in [4usize, 6, 8] {

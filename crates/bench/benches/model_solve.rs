@@ -5,13 +5,16 @@
 //! quantifies that for the paper's configurations (`S5`, `V = 6/9/12`), for
 //! the larger networks the model is meant to reach (`S6`, `S7`, `Q10`,
 //! `Q13`) and for a BFS-census topology (`T12`), plus the spectrum builds a
-//! sweep amortises and the warm- vs cold-started `Q10` sweep.
+//! sweep amortises, the saturation bisection that takes most of a curve's
+//! time, and the warm- vs cold-started `Q10` sweep.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::sync::Arc;
 
-use star_core::{ModelDiscipline, ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum};
+use star_core::{
+    saturation_rate, ModelDiscipline, ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum,
+};
 use star_graph::Torus;
 use star_workloads::{ModelBackend, Scenario, SweepRunner, SweepSpec};
 
@@ -73,6 +76,23 @@ fn bench_spectrum_builds(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_saturation(c: &mut Criterion) {
+    // the knee search behind every rate grid: about 18 probes to the grid's
+    // 1e-5 tolerance, each a full solve, thousands of iterations near the knee
+    let mut group = c.benchmark_group("saturation_rate");
+    for (name, spectrum, v) in [
+        ("s5_v6", TraversalSpectrum::star(5), 6),
+        ("s7_v8", TraversalSpectrum::star(7), 8),
+        ("t12_v8", TraversalSpectrum::new(&Torus::new(12)), 8),
+    ] {
+        let spectrum = Arc::new(spectrum);
+        group.bench_function(format!("{name}_m32"), |b| {
+            b.iter(|| black_box(saturation_rate(params(v, 0.0), &spectrum, 1e-5)));
+        });
+    }
+    group.finish();
+}
+
 fn bench_backend_sweeps(c: &mut Criterion) {
     // warm- vs cold-started sweeps through the evaluator API at Q10, dense
     // enough to hug the knee (saturation ≈ 0.028 at V = 8, M = 32)
@@ -90,5 +110,11 @@ fn bench_backend_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_solves, bench_spectrum_builds, bench_backend_sweeps);
+criterion_group!(
+    benches,
+    bench_solves,
+    bench_spectrum_builds,
+    bench_saturation,
+    bench_backend_sweeps
+);
 criterion_main!(benches);

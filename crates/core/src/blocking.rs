@@ -29,8 +29,13 @@
 //! exact) — true of both the star graph and the binary hypercube — and all
 //! topology knowledge arrives pre-digested through the [`AdaptivityProfile`]
 //! (how many alternative ports each hop offers) and the [`VcSplit`] (how the
-//! discipline partitions the virtual channels).  [`crate::SpectrumModel`]
-//! calls these functions unchanged for every spectrum.
+//! discipline partitions the virtual channels).
+//!
+//! [`total_blocking_delay`] and [`hop_blocking_probability`] are the
+//! reference statement of Eqs. 6-11.  [`crate::SpectrumModel`] evaluates the
+//! same expressions, in the same order, from tables it flattens once per
+//! model (only [`selectable_vcs`] is called directly); its tests hold that
+//! step to these functions bit for bit.
 
 use star_graph::coloring::{negative_hops_after, negative_hops_remaining, Color};
 use star_graph::AdaptivityProfile;

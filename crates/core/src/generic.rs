@@ -16,7 +16,7 @@ use std::sync::Arc;
 use serde::{Deserialize, Serialize};
 use star_queueing::{FixedPointOutcome, FixedPointSolver};
 
-use crate::blocking::total_blocking_delay;
+use crate::kernel::{StepKernel, StepScratch};
 use crate::occupancy::ChannelOccupancy;
 use crate::params::ModelParams;
 use crate::spectrum::TraversalSpectrum;
@@ -105,10 +105,21 @@ fn latency_solver() -> FixedPointSolver {
 }
 
 /// The analytical model of mean message latency on a [`TraversalSpectrum`].
+///
+/// Building a model also flattens the rate-independent half of the
+/// fixed-point step: per class `M + distance` and population, per hop the
+/// admissible virtual-channel count of each source colour and its
+/// adaptivity distribution, and the binomial weights of
+/// `P(all a busy)`.  Each iteration of a solve then only fills the Eq. 18
+/// occupancy, `P(all a busy)` and the powers `P^f` it reads into buffers
+/// the solve owns, and walks those flat arrays without allocating.  The
+/// per-hop formula of [`crate::blocking::total_blocking_delay`] stays the
+/// documented reference the step reproduces bit for bit.
 #[derive(Debug, Clone)]
 pub struct SpectrumModel {
     params: ModelParams,
     spectrum: Arc<TraversalSpectrum>,
+    kernel: StepKernel,
 }
 
 impl SpectrumModel {
@@ -124,7 +135,8 @@ impl SpectrumModel {
         if let Err(e) = params.validate(spectrum.node_count(), spectrum.diameter()) {
             panic!("invalid parameters for {}: {e}", spectrum.topology_name());
         }
-        Self { params, spectrum }
+        let kernel = StepKernel::new(&params, &spectrum);
+        Self { params, spectrum, kernel }
     }
 
     /// Builds the model and the BFS spectrum in one go.
@@ -147,28 +159,6 @@ impl SpectrumModel {
     #[must_use]
     pub fn spectrum(&self) -> &TraversalSpectrum {
         &self.spectrum
-    }
-
-    /// Evaluates the mean network latency implied by a current estimate of
-    /// `S̄`: one application of Eqs. 4-15 over the spectrum's classes.
-    fn network_latency_step(&self, mean_service: f64, channel_rate: f64) -> f64 {
-        let params = &self.params;
-        let split = params.vc_split(self.spectrum.diameter());
-        let occupancy = ChannelOccupancy::new(channel_rate, mean_service, params.virtual_channels);
-        let mean_wait = channel_waiting_time(channel_rate, mean_service, params.message_length);
-        if !mean_wait.is_finite() {
-            return f64::INFINITY;
-        }
-        let adaptive = params.discipline.is_adaptive();
-        let mut weighted = 0.0;
-        for class in self.spectrum.classes() {
-            let profile =
-                if adaptive { &class.adaptive_profile } else { &class.deterministic_profile };
-            let blocking = total_blocking_delay(split, &occupancy, profile, mean_wait);
-            let latency = params.message_length as f64 + class.distance as f64 + blocking;
-            weighted += latency * class.count as f64;
-        }
-        weighted / self.spectrum.destination_count() as f64
     }
 
     /// Solves the model at the configured operating point from the cold
@@ -219,17 +209,21 @@ impl SpectrumModel {
             _ => zero_load,
         };
         let solver = latency_solver();
-        let outcome = solver
-            .solve(vec![initial], |state| vec![self.network_latency_step(state[0], channel_rate)]);
+        // one application of Eqs. 4-15 per iteration, through the kernel
+        // built with the model and scratch tables the closure owns
+        let mut scratch = StepScratch::default();
+        let outcome = solver.solve_scalar(initial, move |mean_service| {
+            self.kernel.network_latency_step(mean_service, channel_rate, &mut scratch)
+        });
         let (mean_network_latency, iterations, converged, residual) = match outcome {
             FixedPointOutcome::Converged { state, iterations, residual } => {
-                (state[0], iterations, true, residual)
+                (state, iterations, true, residual)
             }
             FixedPointOutcome::Diverged { iterations, .. } => {
                 return saturated(name, iterations, false, f64::INFINITY);
             }
             FixedPointOutcome::MaxIterations { state, residual } => {
-                (state[0], solver.max_iterations, false, residual)
+                (state, solver.max_iterations, false, residual)
             }
         };
 
@@ -271,6 +265,13 @@ impl SpectrumModel {
 /// unsaturated (the predicted saturation rate), found by bisection on the
 /// `saturated` flag to the given relative tolerance.
 ///
+/// Each probe warm-starts from the `S̄` of the highest rate known to solve
+/// ([`SpectrumModel::solve_from`]).  The latency map is monotone in `S̄` and
+/// in the rate, so that seed lies below the fixed point of any higher rate
+/// and the damped iteration climbs to the same answer a cold start reaches.
+/// Near the knee every probe still needs thousands of iterations wherever
+/// it starts, so this saves about a tenth of them.
+///
 /// # Panics
 /// Panics if the parameters are invalid for the spectrum's topology or
 /// `tolerance` is outside `(0, 1)`.
@@ -281,9 +282,11 @@ pub fn saturation_rate(
     tolerance: f64,
 ) -> f64 {
     assert!(tolerance > 0.0 && tolerance < 1.0, "tolerance must be in (0, 1)");
-    let solves = |rate: f64| {
-        !SpectrumModel::new(base.with_rate(rate), Arc::clone(spectrum)).solve().saturated
+    let probe = |rate: f64, seed: f64| {
+        SpectrumModel::new(base.with_rate(rate), Arc::clone(spectrum)).solve_from(&[seed])
     };
+    // NaN: no rate is known to solve yet, so the first probe starts cold
+    let mut seed = f64::NAN;
     let m = base.message_length as f64;
     let mut low = 0.0;
     // λ_c·M ≥ 1 (one message of M flits per channel at a time) is certainly
@@ -294,13 +297,15 @@ pub fn saturation_rate(
     } else {
         spectrum.degree() as f64 / (spectrum.mean_distance() * m)
     };
-    debug_assert!(!solves(high));
+    debug_assert!(probe(high, seed).saturated);
     while (high - low) / high.max(1e-12) > tolerance {
         let mid = 0.5 * (low + high);
-        if solves(mid) {
-            low = mid;
-        } else {
+        let result = probe(mid, seed);
+        if result.saturated {
             high = mid;
+        } else {
+            low = mid;
+            seed = result.mean_network_latency;
         }
     }
     low
@@ -519,6 +524,55 @@ mod tests {
             let cold = model.solve();
             for seed in [&[][..], &[f64::INFINITY][..], &[f64::NAN][..], &[1.0][..]] {
                 assert_eq!(model.solve_from(seed), cold);
+            }
+        }
+    }
+
+    /// [`saturation_rate`] with every probe started cold, as the bisection
+    /// ran before its probes were warm-started.
+    fn cold_saturation_rate(
+        base: ModelParams,
+        spectrum: &Arc<TraversalSpectrum>,
+        tolerance: f64,
+    ) -> f64 {
+        let solves = |rate: f64| !solve(spectrum, base.with_rate(rate)).saturated;
+        let m = base.message_length as f64;
+        let (mut low, mut high) = if spectrum.is_closed_form_star() {
+            (0.0, 1.0 / m)
+        } else {
+            (0.0, spectrum.degree() as f64 / (spectrum.mean_distance() * m))
+        };
+        while (high - low) / high.max(1e-12) > tolerance {
+            let mid = 0.5 * (low + high);
+            if solves(mid) {
+                low = mid;
+            } else {
+                high = mid;
+            }
+        }
+        low
+    }
+
+    #[test]
+    fn warm_started_bisection_finds_the_cold_knee_bit_for_bit() {
+        for spectrum in spectra() {
+            for discipline in [
+                ModelDiscipline::EnhancedNbc,
+                ModelDiscipline::Nbc,
+                ModelDiscipline::NHop,
+                ModelDiscipline::Deterministic,
+            ] {
+                let floor = ModelParams::min_virtual_channels(discipline, spectrum.diameter());
+                let base = ModelParams { discipline, ..params(floor, 32, 0.0) };
+                // the tolerance the rate grids are bisected to
+                let warm = saturation_rate(base, &spectrum, 1e-5);
+                let cold = cold_saturation_rate(base, &spectrum, 1e-5);
+                assert_eq!(
+                    warm.to_bits(),
+                    cold.to_bits(),
+                    "{} {discipline:?}: warm {warm} vs cold {cold}",
+                    spectrum.topology_name()
+                );
             }
         }
     }

@@ -64,6 +64,7 @@
 
 pub mod blocking;
 pub mod generic;
+mod kernel;
 pub mod occupancy;
 pub mod params;
 pub mod spectrum;

@@ -3,11 +3,11 @@
 //! The paper's model variables are mutually dependent (the mean network
 //! latency `S̄` depends on the channel waiting time `w̄`, which depends on
 //! `S̄` again through the M/G/1 formula), so the model is solved iteratively.
-//! This module provides a small, reusable solver with:
+//! This module provides a small scalar solver with:
 //!
 //! * damping (`x_{k+1} = (1-α)·x_k + α·F(x_k)`) to keep the iteration stable
 //!   close to saturation,
-//! * convergence detection on the relative change of the state vector,
+//! * convergence detection on the relative change of the state,
 //! * divergence / saturation detection (non-finite values or exceeding a
 //!   configurable ceiling), which the model reports as "saturated" rather
 //!   than looping forever.
@@ -19,8 +19,8 @@ use serde::{Deserialize, Serialize};
 pub enum FixedPointOutcome {
     /// Converged to the contained state within tolerance.
     Converged {
-        /// Final state vector.
-        state: Vec<f64>,
+        /// Final state.
+        state: f64,
         /// Number of iterations performed.
         iterations: usize,
         /// Relative change at the final iteration (below the tolerance).
@@ -29,25 +29,25 @@ pub enum FixedPointOutcome {
     /// The iteration diverged (non-finite values or state above the ceiling),
     /// which the latency model interprets as operating beyond saturation.
     Diverged {
-        /// Last finite state observed (clamped), for diagnostics.
-        last_state: Vec<f64>,
+        /// Last finite state observed, for diagnostics.
+        last_state: f64,
         /// Number of iterations performed before divergence was declared.
         iterations: usize,
     },
     /// The iteration count limit was reached without meeting the tolerance.
     MaxIterations {
         /// State at the final iteration.
-        state: Vec<f64>,
+        state: f64,
         /// Relative change at the final iteration.
         residual: f64,
     },
 }
 
 impl FixedPointOutcome {
-    /// The state vector if the solve converged.
+    /// The state if the solve converged.
     #[must_use]
-    pub fn converged_state(&self) -> Option<&[f64]> {
-        match self {
+    pub fn converged_state(&self) -> Option<f64> {
+        match *self {
             FixedPointOutcome::Converged { state, .. } => Some(state),
             _ => None,
         }
@@ -76,7 +76,7 @@ pub struct FixedPointSolver {
     pub tolerance: f64,
     /// Maximum number of iterations.
     pub max_iterations: usize,
-    /// Any state component exceeding this value is treated as divergence.
+    /// A state exceeding this value is treated as divergence.
     pub divergence_ceiling: f64,
 }
 
@@ -98,42 +98,31 @@ impl FixedPointSolver {
     }
 
     /// Runs the damped iteration `x ← (1-α)x + α·F(x)` from `initial` until
-    /// convergence, divergence or the iteration limit.
-    pub fn solve<F>(&self, initial: Vec<f64>, mut step: F) -> FixedPointOutcome
+    /// the relative change `|Δx| / max(|x|, 1e-12)` drops below the
+    /// tolerance, `F(x)` diverges (non-finite or above the ceiling), or the
+    /// iteration limit.  Nothing is allocated, so `step` decides what an
+    /// iteration costs.
+    pub fn solve_scalar<F>(&self, initial: f64, mut step: F) -> FixedPointOutcome
     where
-        F: FnMut(&[f64]) -> Vec<f64>,
+        F: FnMut(f64) -> f64,
     {
         assert!(self.damping > 0.0 && self.damping <= 1.0, "damping must be in (0, 1]");
         let mut state = initial;
         let mut residual = f64::INFINITY;
         for iteration in 1..=self.max_iterations {
-            let next_raw = step(&state);
-            assert_eq!(next_raw.len(), state.len(), "step must preserve the state dimension");
-            if next_raw.iter().any(|x| !x.is_finite() || *x > self.divergence_ceiling) {
+            let next_raw = step(state);
+            if !next_raw.is_finite() || next_raw > self.divergence_ceiling {
                 return FixedPointOutcome::Diverged { last_state: state, iterations: iteration };
             }
-            let mut next = vec![0.0; state.len()];
-            let mut max_rel = 0.0f64;
-            for i in 0..state.len() {
-                next[i] = (1.0 - self.damping) * state[i] + self.damping * next_raw[i];
-                let denom = next[i].abs().max(1e-12);
-                max_rel = max_rel.max((next[i] - state[i]).abs() / denom);
-            }
+            let next = (1.0 - self.damping) * state + self.damping * next_raw;
+            let denom = next.abs().max(1e-12);
+            residual = 0.0f64.max((next - state).abs() / denom);
             state = next;
-            residual = max_rel;
-            if max_rel < self.tolerance {
+            if residual < self.tolerance {
                 return FixedPointOutcome::Converged { state, iterations: iteration, residual };
             }
         }
         FixedPointOutcome::MaxIterations { state, residual }
-    }
-
-    /// Convenience wrapper for a scalar fixed point.
-    pub fn solve_scalar<F>(&self, initial: f64, mut step: F) -> FixedPointOutcome
-    where
-        F: FnMut(f64) -> f64,
-    {
-        self.solve(vec![initial], move |state| vec![step(state[0])])
     }
 }
 
@@ -147,25 +136,14 @@ mod tests {
         let solver = FixedPointSolver::with_damping(1.0);
         let out = solver.solve_scalar(0.0, f64::cos);
         let state = out.converged_state().expect("must converge");
-        assert!((state[0] - 0.739_085_133_2).abs() < 1e-6);
+        assert!((state - 0.739_085_133_2).abs() < 1e-6);
     }
 
     #[test]
     fn damping_still_converges() {
         let solver = FixedPointSolver::with_damping(0.3);
         let out = solver.solve_scalar(0.5, |x| 0.5 * x + 1.0);
-        assert!((out.converged_state().unwrap()[0] - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn vector_fixed_point() {
-        // Linear contraction toward (1, 2).
-        let solver = FixedPointSolver::default();
-        let out = solver
-            .solve(vec![10.0, -3.0], |x| vec![0.5 * (x[0] - 1.0) + 1.0, 0.25 * (x[1] - 2.0) + 2.0]);
-        let s = out.converged_state().unwrap();
-        assert!((s[0] - 1.0).abs() < 1e-6);
-        assert!((s[1] - 2.0).abs() < 1e-6);
+        assert!((out.converged_state().unwrap() - 2.0).abs() < 1e-6);
     }
 
     #[test]
@@ -191,7 +169,7 @@ mod tests {
         assert!(matches!(out, FixedPointOutcome::MaxIterations { .. }));
         // With damping the same map converges to 0.5.
         let damped = FixedPointSolver::with_damping(0.5).solve_scalar(0.0, |x| 1.0 - x);
-        assert!((damped.converged_state().unwrap()[0] - 0.5).abs() < 1e-6);
+        assert!((damped.converged_state().unwrap() - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -199,13 +177,6 @@ mod tests {
         let solver = FixedPointSolver { divergence_ceiling: 10.0, ..Default::default() };
         let out = solver.solve_scalar(1.0, |x| x * 2.0);
         assert!(out.converged_state().is_none());
-    }
-
-    #[test]
-    #[should_panic(expected = "state dimension")]
-    fn dimension_mismatch_is_rejected() {
-        let solver = FixedPointSolver::default();
-        let _ = solver.solve(vec![1.0, 2.0], |_| vec![1.0]);
     }
 
     mod prop {
@@ -224,10 +195,9 @@ mod tests {
                             .converged_state()
                             .unwrap_or_else(|| panic!("contraction slope={slope} must converge"));
                         assert!(
-                            (s[0] - expected).abs() < 1e-5 * (1.0 + expected.abs()),
+                            (s - expected).abs() < 1e-5 * (1.0 + expected.abs()),
                             "slope={slope}, intercept={intercept}, start={start}: \
-                             got {}, want {expected}",
-                            s[0]
+                             got {s}, want {expected}"
                         );
                     }
                 }

@@ -27,7 +27,9 @@ pub mod sampling;
 pub mod stats;
 
 pub use fixed_point::{FixedPointOutcome, FixedPointSolver};
-pub use markov::{multiplexing_degree, vc_occupancy_distribution, BirthDeathChain};
+pub use markov::{
+    multiplexing_degree, vc_occupancy_distribution, vc_occupancy_distribution_into, BirthDeathChain,
+};
 pub use mg1::{mg1_waiting_time, mg1_waiting_time_min_service, utilization};
 pub use sampling::{replicate_seed, PoissonProcess};
 pub use stats::{student_t_975, BatchMeans, Histogram, ReplicateStats, RunningStats};

@@ -26,19 +26,31 @@ use serde::{Deserialize, Serialize};
 /// Panics if `v_max == 0` or the inputs are negative.
 #[must_use]
 pub fn vc_occupancy_distribution(arrival_rate: f64, mean_service: f64, v_max: usize) -> Vec<f64> {
-    assert!(v_max >= 1, "need at least one virtual channel");
-    assert!(arrival_rate >= 0.0 && mean_service >= 0.0, "inputs must be non-negative");
-    let rho = arrival_rate * mean_service;
     let mut p = vec![0.0; v_max + 1];
+    vc_occupancy_distribution_into(arrival_rate, mean_service, &mut p);
+    p
+}
+
+/// [`vc_occupancy_distribution`] written into `out`, whose length `V + 1`
+/// sets the number of virtual channels: the allocation-free form for a
+/// fixed-point loop that evaluates Eq. 18 once per iteration.
+///
+/// # Panics
+/// Panics if `out.len() < 2` or the inputs are negative.
+pub fn vc_occupancy_distribution_into(arrival_rate: f64, mean_service: f64, out: &mut [f64]) {
+    assert!(out.len() >= 2, "need at least one virtual channel");
+    assert!(arrival_rate >= 0.0 && mean_service >= 0.0, "inputs must be non-negative");
+    let v_max = out.len() - 1;
+    let rho = arrival_rate * mean_service;
     if rho >= 1.0 {
-        p[v_max] = 1.0;
-        return p;
+        out.fill(0.0);
+        out[v_max] = 1.0;
+        return;
     }
-    for (v, slot) in p.iter_mut().enumerate().take(v_max) {
+    for (v, slot) in out.iter_mut().enumerate().take(v_max) {
         *slot = rho.powi(v as i32) * (1.0 - rho);
     }
-    p[v_max] = rho.powi(v_max as i32);
-    p
+    out[v_max] = rho.powi(v_max as i32);
 }
 
 /// Dally's average degree of virtual-channel multiplexing (Eq. 19):
@@ -166,6 +178,15 @@ mod tests {
         let p = vc_occupancy_distribution(0.1, 20.0, 5);
         assert_eq!(p[5], 1.0);
         assert!(p[..5].iter().all(|&x| x == 0.0));
+    }
+
+    #[test]
+    fn the_in_place_form_overwrites_a_reused_buffer() {
+        let mut buffer = vec![0.0; 7];
+        for &(lambda, s) in &[(0.01, 50.0), (0.1, 20.0), (0.0, 40.0), (0.004, 60.0)] {
+            vc_occupancy_distribution_into(lambda, s, &mut buffer);
+            assert_eq!(buffer, vc_occupancy_distribution(lambda, s, 6));
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@
 //! misses on the same key become *followers* that wait on the leader's
 //! [`Flight`] instead of racing redundant solves through the shard lock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use serde_json::Value;
 use star_workloads::{Scenario, ScenarioSpectrum, WireScenario};
@@ -168,7 +168,9 @@ struct SolveEntry {
     stamp: u64,
 }
 
-type SolveKey = (String, u64);
+/// (interned fingerprint, rate bits): every key of one configuration
+/// shares the fingerprint's one allocation.
+type SolveKey = (Arc<str>, u64);
 
 /// Level 2: the LRU-budgeted answer cache with the per-configuration
 /// warm-seed chain.  See the [module docs](self).
@@ -181,7 +183,10 @@ pub struct SolveCache {
     lru: BTreeMap<u64, SolveKey>,
     /// Per-fingerprint chain of converged warm seeds, rate-ordered via the
     /// positive-float/bits isomorphism.
-    seeds: HashMap<String, BTreeMap<u64, f64>>,
+    seeds: HashMap<Arc<str>, BTreeMap<u64, f64>>,
+    /// Every fingerprint seen, shared by the keys above.  Bounded by the
+    /// configuration space, like the config cache.
+    fingerprints: HashSet<Arc<str>>,
     next_stamp: u64,
     hits: u64,
     misses: u64,
@@ -189,10 +194,10 @@ pub struct SolveCache {
     evictions: u64,
 }
 
-/// Approximate heap cost of one cached solve, for the byte budget: the two
-/// key strings, the payload, the seed-chain slot and map overheads.
-fn entry_cost(key: &SolveKey, payload: &str) -> usize {
-    2 * key.0.len() + payload.len() + 96
+/// Approximate heap cost of one cached solve, for the byte budget: two
+/// fingerprint lengths, the payload, the seed-chain slot and map overheads.
+fn entry_cost(fingerprint: &str, payload: &str) -> usize {
+    2 * fingerprint.len() + payload.len() + 96
 }
 
 impl SolveCache {
@@ -207,12 +212,27 @@ impl SolveCache {
             entries: HashMap::new(),
             lru: BTreeMap::new(),
             seeds: HashMap::new(),
+            fingerprints: HashSet::new(),
             next_stamp: 0,
             hits: 0,
             misses: 0,
             seeded: 0,
             evictions: 0,
         }
+    }
+
+    /// The key of (`fingerprint`, `rate`), holding the fingerprint's
+    /// interned copy (allocated on first sight).
+    fn key(&mut self, fingerprint: &str, rate: f64) -> SolveKey {
+        let shared = match self.fingerprints.get(fingerprint) {
+            Some(shared) => Arc::clone(shared),
+            None => {
+                let shared: Arc<str> = Arc::from(fingerprint);
+                self.fingerprints.insert(Arc::clone(&shared));
+                shared
+            }
+        };
+        (shared, rate.to_bits())
     }
 
     fn stamp(&mut self) -> u64 {
@@ -223,7 +243,7 @@ impl SolveCache {
     /// Looks up (configuration, rate) for the given mode, counting the
     /// outcome and refreshing recency on hits.
     pub fn lookup(&mut self, fingerprint: &str, rate: f64, mode: SolveMode) -> Lookup {
-        let key: SolveKey = (fingerprint.to_string(), rate.to_bits());
+        let key = self.key(fingerprint, rate);
         let fresh = self.stamp();
         if let Some(entry) = self.entries.get_mut(&key) {
             // warm-solved answers sit within solver tolerance of the exact
@@ -283,14 +303,14 @@ impl SolveCache {
         exact: bool,
         warm_seed: f64,
     ) {
-        let key: SolveKey = (fingerprint.to_string(), rate.to_bits());
-        let cost = entry_cost(&key, &payload);
+        let key = self.key(fingerprint, rate);
+        let cost = entry_cost(fingerprint, &payload);
         if let Some(old) = self.entries.remove(&key) {
             self.lru.remove(&old.stamp);
-            self.used_bytes -= entry_cost(&key, &old.payload);
+            self.used_bytes -= entry_cost(fingerprint, &old.payload);
         }
         if warm_seed.is_finite() {
-            self.seeds.entry(key.0.clone()).or_default().insert(key.1, warm_seed);
+            self.seeds.entry(Arc::clone(&key.0)).or_default().insert(key.1, warm_seed);
         }
         let stamp = self.stamp();
         self.entries.insert(key.clone(), SolveEntry { payload, exact, hits: 0, stamp });
@@ -304,7 +324,7 @@ impl SolveCache {
             let (&stamp, _) = self.lru.iter().next().expect("lru tracks every entry");
             let key = self.lru.remove(&stamp).expect("stamp just observed");
             let entry = self.entries.remove(&key).expect("entries track every lru stamp");
-            self.used_bytes -= entry_cost(&key, &entry.payload);
+            self.used_bytes -= entry_cost(&key.0, &entry.payload);
             if let Some(chain) = self.seeds.get_mut(&key.0) {
                 chain.remove(&key.1);
                 if chain.is_empty() {
@@ -772,6 +792,29 @@ mod tests {
     }
 
     #[test]
+    fn every_key_of_a_configuration_shares_one_fingerprint_allocation() {
+        let mut cache = SolveCache::new(1 << 20);
+        for rate in [0.001, 0.002, 0.003] {
+            cache.insert("f", rate, "x".to_string(), true, rate * 1e4);
+        }
+        let _ = cache.lookup("f", 0.004, SolveMode::Exact);
+        cache.insert("g", 0.001, "x".to_string(), true, 10.0);
+        assert_eq!(cache.fingerprints.len(), 2);
+        let shared = cache.fingerprints.get("f").unwrap();
+        let of_f: Vec<&Arc<str>> = cache
+            .entries
+            .keys()
+            .map(|(f, _)| f)
+            .chain(cache.lru.values().map(|(f, _)| f))
+            .chain(cache.seeds.keys())
+            .filter(|f| &***f == "f")
+            .collect();
+        // three entries, their three recency slots and one seed chain
+        assert_eq!(of_f.len(), 3 + 3 + 1);
+        assert!(of_f.iter().all(|f| Arc::ptr_eq(f, shared)));
+    }
+
+    #[test]
     fn warm_misses_seed_from_the_nearest_cached_rate() {
         let mut cache = SolveCache::new(1 << 20);
         assert_eq!(cache.lookup("f", 0.004, SolveMode::Warm), Lookup::Miss { warm_seed: None });
@@ -808,7 +851,7 @@ mod tests {
 
     #[test]
     fn lru_budget_evicts_cold_entries_first_and_keeps_the_newest() {
-        let one = entry_cost(&("ffffffffffffffff".to_string(), 0), "x");
+        let one = entry_cost("ffffffffffffffff", "x");
         let mut cache = SolveCache::new(3 * one + one / 2);
         cache.insert("ffffffffffffffff", 0.001, "x".to_string(), true, 1.0);
         cache.insert("ffffffffffffffff", 0.002, "x".to_string(), true, 2.0);
@@ -867,7 +910,7 @@ mod tests {
 
     #[test]
     fn sharded_budget_is_per_shard_and_stats_aggregate_losslessly() {
-        let one = entry_cost(&("ffffffffffffffff".to_string(), 0), "x");
+        let one = entry_cost("ffffffffffffffff", "x");
         // 4 shards, 2-entries-ish each: the whole cache could hold ~8, but
         // one configuration's shard alone holds only ~2
         let cache = ShardedSolveCache::new(4 * (2 * one + one / 2), 4);

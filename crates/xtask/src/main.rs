@@ -22,7 +22,10 @@
 //!   very first queries must hit `exact` with the same byte-identity, and
 //!   which must survive a `star-load --connections 4` replay with zero
 //!   errors — the serving contract plus the scale-out path, enforced on
-//!   every push), and `cargo doc --no-deps` with `RUSTDOCFLAGS="-D warnings"` so broken
+//!   every push), a **perfbench self-test** (`bash perfbench/run.sh
+//!   --self-test`: every benchmark workload briefly on both seeds, each
+//!   output checked against its pinned reference, so `failed_ops` stays 0),
+//!   and `cargo doc --no-deps` with `RUSTDOCFLAGS="-D warnings"` so broken
 //!   intra-doc links fail the pipeline.
 //! * `cargo xtask figure1` — regenerates the paper's Figure 1 CSVs under
 //!   `target/experiments/` via the `figure1` harness binary (quick budget and
@@ -92,7 +95,8 @@ fn print_help() {
     eprintln!("commands:");
     eprintln!(
         "  ci            fmt-check, clippy -D warnings, build, test, doctest, bench smoke, \
-         replicate smoke, torus smoke, shard smoke, serve smoke, doc -D warnings"
+         replicate smoke, torus smoke, shard smoke, serve smoke, perfbench self-test, \
+         doc -D warnings"
     );
     eprintln!(
         "  figure1       regenerate the paper's Figure 1 CSVs (forwards extra args, \
@@ -130,18 +134,22 @@ fn step(name: &str, args: &[&str]) -> Result<(), String> {
 /// [`step`] with extra environment variables (e.g. `RUSTDOCFLAGS` for the
 /// doc step).
 fn step_env(name: &str, args: &[&str], envs: &[(&str, &str)]) -> Result<(), String> {
-    println!("\n==> {name}: cargo {}", args.join(" "));
+    let mut command = Command::new(cargo());
+    command.args(args).envs(envs.iter().copied());
+    run_step(name, &format!("cargo {}", args.join(" ")), command)
+}
+
+/// Runs one pipeline step's command (echoed as `shown`), failing fast on
+/// error.
+fn run_step(name: &str, shown: &str, mut command: Command) -> Result<(), String> {
+    println!("\n==> {name}: {shown}");
     let started = Instant::now();
-    let status = Command::new(cargo())
-        .args(args)
-        .envs(envs.iter().copied())
-        .status()
-        .map_err(|e| format!("{name}: failed to spawn cargo: {e}"))?;
+    let status = command.status().map_err(|e| format!("{name}: failed to spawn {shown}: {e}"))?;
     if status.success() {
         println!("==> {name}: ok ({:.1}s)", started.elapsed().as_secs_f64());
         Ok(())
     } else {
-        Err(format!("{name}: cargo {} exited with {status}", args.join(" ")))
+        Err(format!("{name}: {shown} exited with {status}"))
     }
 }
 
@@ -230,6 +238,16 @@ fn ci() -> ExitCode {
     // second pass from its cache, and drain on the `shutdown` op
     if let Err(e) = serve_smoke() {
         eprintln!("\nci FAILED at serve-smoke: {e}");
+        return ExitCode::FAILURE;
+    }
+    // the repository benchmark, briefly: every workload on both seeds must
+    // reproduce its pinned references (`failed_ops` 0) and print every
+    // metric BENCHMARK.json declares
+    let mut self_test = Command::new("bash");
+    self_test.args(["perfbench/run.sh", "--self-test"]);
+    if let Err(e) = run_step("perfbench-self-test", "bash perfbench/run.sh --self-test", self_test)
+    {
+        eprintln!("\nci FAILED at {e}");
         return ExitCode::FAILURE;
     }
     // rustdoc warnings (broken intra-doc links, missing docs) fail the

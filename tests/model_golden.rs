@@ -3,11 +3,12 @@
 //!
 //! Each line of that file is `<scenario label> <rates> <latencies>`, with
 //! comma-separated `f64`s in Rust's shortest round-trip spelling and `sat`
-//! for a point without a latency.  This test recomputes a subset that fits a
-//! debug build — every pinned discipline of S5, S6, Q7–Q9, T8 and R8–R12 —
-//! through the same calls the benchmark makes (`load_rate_grid` for the
-//! grid, a warm-started `ModelBackend` sweep for the latencies) and compares
-//! the bits of every number.
+//! for a point without a latency.  This test recomputes every pinned curve —
+//! all disciplines of S5–S7, Q7–Q13, T8–T12 and R8–R16, the benchmark's
+//! whole design — through the same calls the benchmark makes
+//! (`load_rate_grid` for the grid, a warm-started `ModelBackend` sweep for
+//! the latencies) and compares the bits of every number.  The networks are
+//! split over several tests so the harness can run them in parallel.
 
 use star_wormhole::{
     load_rate_grid, Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario, TopologyKind,
@@ -76,17 +77,68 @@ fn check(networks: &[&str]) -> usize {
 // every pinned discipline of every listed network: three on the star graph
 // (it has no deterministic model), four elsewhere
 
+const STARS: [&str; 2] = ["S5", "S6"];
+const LARGE_STARS: [&str; 1] = ["S7"];
+const HYPERCUBES: [&str; 3] = ["Q7", "Q8", "Q9"];
+const LARGE_HYPERCUBES: [&str; 4] = ["Q10", "Q11", "Q12", "Q13"];
+const TORI_AND_RINGS: [&str; 4] = ["T8", "R8", "R10", "R12"];
+const LARGE_TORI: [&str; 2] = ["T10", "T12"];
+const LARGE_RINGS: [&str; 2] = ["R14", "R16"];
+
+#[test]
+fn the_tests_cover_every_pinned_curve() {
+    let networks: Vec<&str> = [
+        &STARS[..],
+        &LARGE_STARS,
+        &HYPERCUBES,
+        &LARGE_HYPERCUBES,
+        &TORI_AND_RINGS,
+        &LARGE_TORI,
+        &LARGE_RINGS,
+    ]
+    .concat();
+    let labels: Vec<&str> = PINNED
+        .lines()
+        .filter(|l| !l.trim().is_empty() && !l.starts_with('#'))
+        .map(|l| l.split_whitespace().next().unwrap())
+        .collect();
+    assert_eq!(labels.len(), 69);
+    for label in labels {
+        assert!(networks.contains(&label.split('/').next().unwrap()), "{label} is not checked");
+    }
+}
+
 #[test]
 fn pinned_star_curves_are_reproduced_bit_for_bit() {
-    assert_eq!(check(&["S5", "S6"]), 2 * 3);
+    assert_eq!(check(&STARS), 2 * 3);
+}
+
+#[test]
+fn pinned_s7_curves_are_reproduced_bit_for_bit() {
+    assert_eq!(check(&LARGE_STARS), 3);
 }
 
 #[test]
 fn pinned_hypercube_curves_are_reproduced_bit_for_bit() {
-    assert_eq!(check(&["Q7", "Q8", "Q9"]), 3 * 4);
+    assert_eq!(check(&HYPERCUBES), 3 * 4);
+}
+
+#[test]
+fn pinned_large_hypercube_curves_are_reproduced_bit_for_bit() {
+    assert_eq!(check(&LARGE_HYPERCUBES), 4 * 4);
 }
 
 #[test]
 fn pinned_torus_and_ring_curves_are_reproduced_bit_for_bit() {
-    assert_eq!(check(&["T8", "R8", "R10", "R12"]), 4 * 4);
+    assert_eq!(check(&TORI_AND_RINGS), 4 * 4);
+}
+
+#[test]
+fn pinned_large_torus_curves_are_reproduced_bit_for_bit() {
+    assert_eq!(check(&LARGE_TORI), 2 * 4);
+}
+
+#[test]
+fn pinned_large_ring_curves_are_reproduced_bit_for_bit() {
+    assert_eq!(check(&LARGE_RINGS), 2 * 4);
 }

@@ -9,7 +9,7 @@
 //! constructors:
 //!
 //! * [`TraversalSpectrum::new`] asks any [`Topology`] three questions —
-//!   `symmetry_classes()`, `min_route_ports()` and `neighbor()` — and
+//!   `symmetry_classes()`, `for_each_min_route_port()` and `neighbor()` — and
 //!   rebuilds each class's profile by breadth-first search over the
 //!   minimal-path DAG of its representative, with the same prefix/suffix
 //!   path-counting DP `star_graph::path` uses;
@@ -28,7 +28,7 @@
 //! computed in.  The contract a topology must satisfy for the BFS census to
 //! be meaningful is documented on [`Topology`] ("The spectrum contract").
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use star_graph::topology::NodeId;
 use star_graph::{AdaptivityProfile, CycleType, Hypercube, MinimalPathDag, Topology};
@@ -69,59 +69,80 @@ pub struct TraversalSpectrum {
     star: bool,
 }
 
+/// Node-indexed work arrays of [`profile_to`], allocated once per spectrum
+/// build; each call leaves them all-clear again.
+struct CensusScratch {
+    discovered: Vec<bool>,
+    /// Minimal paths from a node to the destination.
+    suffix_counts: Vec<u128>,
+    /// Minimal paths from the source to a node.
+    prefix_counts: Vec<u128>,
+}
+
+impl CensusScratch {
+    fn new(node_count: usize) -> Self {
+        Self {
+            discovered: vec![false; node_count],
+            suffix_counts: vec![0; node_count],
+            prefix_counts: vec![0; node_count],
+        }
+    }
+}
+
 /// Builds the adaptivity profile for routing node 0 → `dest` by BFS over the
-/// minimal-path DAG: levels are discovered through [`Topology::min_route_ports`]
-/// (profitable successors only), path counts by the prefix/suffix DP, and the
-/// per-hop histograms by exact `u128` accumulation — the node-id mirror of
+/// minimal-path DAG: levels are discovered through
+/// [`Topology::for_each_min_route_port`] (profitable successors only), path
+/// counts by the prefix/suffix DP, and the per-hop histograms by exact
+/// `u128` accumulation — the node-id mirror of
 /// [`star_graph::path::MinimalPathDag`].
-fn profile_to(topology: &dyn Topology, dest: NodeId) -> AdaptivityProfile {
+fn profile_to(
+    topology: &dyn Topology,
+    dest: NodeId,
+    scratch: &mut CensusScratch,
+) -> AdaptivityProfile {
+    let CensusScratch { discovered, suffix_counts, prefix_counts } = scratch;
     let source: NodeId = 0;
     let distance = topology.distance(source, dest);
     let mut levels: Vec<Vec<NodeId>> = vec![Vec::new(); distance + 1];
     levels[0].push(source);
-    let mut discovered: HashMap<NodeId, usize> = HashMap::new();
-    discovered.insert(source, 0);
+    discovered[source as usize] = true;
     for level in 0..distance {
-        let current = levels[level].clone();
-        for node in current {
-            for port in topology.min_route_ports(node, dest) {
+        let (done, rest) = levels.split_at_mut(level + 1);
+        for &node in &done[level] {
+            topology.for_each_min_route_port(node, dest, &mut |port| {
                 let next = topology.neighbor(node, port);
-                if let std::collections::hash_map::Entry::Vacant(e) = discovered.entry(next) {
-                    e.insert(level + 1);
-                    levels[level + 1].push(next);
+                if !std::mem::replace(&mut discovered[next as usize], true) {
+                    rest[0].push(next);
                 }
-            }
+            });
         }
     }
     debug_assert_eq!(levels[distance], vec![dest]);
 
     // suffix counts: minimal paths from node to dest, bottom-up
-    let mut suffix_counts: HashMap<NodeId, u128> = HashMap::new();
-    suffix_counts.insert(dest, 1);
+    suffix_counts[dest as usize] = 1;
     for level in (0..distance).rev() {
         for &node in &levels[level] {
-            let total: u128 = topology
-                .min_route_ports(node, dest)
-                .into_iter()
-                .map(|port| suffix_counts[&topology.neighbor(node, port)])
-                .sum();
-            suffix_counts.insert(node, total);
+            let mut total = 0u128;
+            topology.for_each_min_route_port(node, dest, &mut |port| {
+                total += suffix_counts[topology.neighbor(node, port) as usize];
+            });
+            suffix_counts[node as usize] = total;
         }
     }
 
     // prefix counts: minimal paths from the source to node, top-down
-    let mut prefix_counts: HashMap<NodeId, u128> = HashMap::new();
-    prefix_counts.insert(source, 1);
+    prefix_counts[source as usize] = 1;
     for level_nodes in levels.iter().take(distance) {
         for &node in level_nodes {
-            let from = prefix_counts[&node];
-            for port in topology.min_route_ports(node, dest) {
-                *prefix_counts.entry(topology.neighbor(node, port)).or_insert(0) += from;
-            }
+            let from = prefix_counts[node as usize];
+            topology.for_each_min_route_port(node, dest, &mut |port| {
+                prefix_counts[topology.neighbor(node, port) as usize] += from;
+            });
         }
     }
 
-    let path_count = suffix_counts[&source];
+    let path_count = suffix_counts[source as usize];
     let mut hop_adaptivity = Vec::with_capacity(distance);
     for level_nodes in levels.iter().take(distance) {
         // exact u128 sums per adaptivity value, divided once — the same
@@ -129,11 +150,19 @@ fn profile_to(topology: &dyn Topology, dest: NodeId) -> AdaptivityProfile {
         // so identical integers produce identical floats
         let mut sums: BTreeMap<usize, u128> = BTreeMap::new();
         for &node in level_nodes {
-            *sums.entry(topology.min_route_ports(node, dest).len()).or_insert(0) +=
-                prefix_counts[&node] * suffix_counts[&node];
+            let mut ports = 0;
+            topology.for_each_min_route_port(node, dest, &mut |_| ports += 1);
+            *sums.entry(ports).or_insert(0) +=
+                prefix_counts[node as usize] * suffix_counts[node as usize];
         }
         hop_adaptivity
             .push(sums.into_iter().map(|(f, s)| (f, s as f64 / path_count as f64)).collect());
+    }
+    // leave the scratch all-clear for the next class
+    for &node in levels.iter().flatten() {
+        discovered[node as usize] = false;
+        suffix_counts[node as usize] = 0;
+        prefix_counts[node as usize] = 0;
     }
     AdaptivityProfile { distance, path_count, hop_adaptivity }
 }
@@ -175,10 +204,12 @@ impl TraversalSpectrum {
             "symmetry classes of {} must cover every destination",
             topology.name()
         );
+        let mut scratch = CensusScratch::new(topology.node_count());
         let mut classes: Vec<TraversalClass> = reps
             .iter()
             .map(|&(representative, count)| {
-                TraversalClass::new(representative, count, profile_to(topology, representative))
+                let profile = profile_to(topology, representative, &mut scratch);
+                TraversalClass::new(representative, count, profile)
             })
             .collect();
         classes.sort_by_key(|c| (c.distance, c.representative));
@@ -316,6 +347,7 @@ impl TraversalSpectrum {
 mod tests {
     use super::*;
     use star_graph::{factorial, Hypercube, Ring, StarGraph, Torus};
+    use std::collections::HashMap;
 
     /// A class as comparable data: (distance, representative, count, path
     /// count, per-hop adaptivity).
@@ -471,8 +503,13 @@ mod tests {
             fn distance(&self, a: NodeId, b: NodeId) -> usize {
                 self.0.distance(a, b)
             }
-            fn min_route_ports(&self, current: NodeId, dest: NodeId) -> Vec<usize> {
-                self.0.min_route_ports(current, dest)
+            fn for_each_min_route_port(
+                &self,
+                current: NodeId,
+                dest: NodeId,
+                visit: &mut dyn FnMut(usize),
+            ) {
+                self.0.for_each_min_route_port(current, dest, visit);
             }
             fn color(&self, node: NodeId) -> star_graph::Color {
                 self.0.color(node)

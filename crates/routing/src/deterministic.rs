@@ -58,24 +58,27 @@ impl RoutingAlgorithm for DeterministicMinimal {
         self.layout
     }
 
-    fn candidates(
+    fn candidates_into(
         &self,
         topology: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         state: &MessageRoutingState,
-    ) -> Vec<CandidateVc> {
+        out: &mut Vec<CandidateVc>,
+    ) {
         debug_assert_ne!(current, dest);
-        let ports = topology.min_route_ports(current, dest);
-        let Some(&port) = ports.first() else { return Vec::new() };
+        out.clear();
+        let mut first = None;
+        topology.for_each_min_route_port(current, dest, &mut |port| {
+            first.get_or_insert(port);
+        });
+        let Some(port) = first else { return };
         let next = topology.neighbor(current, port);
         let negative = star_graph::HopSign::classify(topology.color(current), topology.color(next))
             .is_negative();
         let level = state.negative_hops_taken + usize::from(negative);
         if level < self.layout.escape_levels {
-            vec![CandidateVc { port, vc: self.layout.escape_vc(level) }]
-        } else {
-            Vec::new()
+            out.push(CandidateVc { port, vc: self.layout.escape_vc(level) });
         }
     }
 }
@@ -113,23 +116,29 @@ impl RoutingAlgorithm for DimensionOrder {
         self.vcs
     }
 
-    fn candidates(
+    fn candidates_into(
         &self,
         topology: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         _state: &MessageRoutingState,
-    ) -> Vec<CandidateVc> {
+        out: &mut Vec<CandidateVc>,
+    ) {
         debug_assert_ne!(current, dest);
-        let ports = topology.min_route_ports(current, dest);
-        let Some(&port) = ports.iter().min() else { return Vec::new() };
-        (0..self.vcs).map(|vc| CandidateVc { port, vc }).collect()
+        out.clear();
+        let mut lowest: Option<usize> = None;
+        topology.for_each_min_route_port(current, dest, &mut |port| {
+            lowest = Some(lowest.map_or(port, |p| p.min(port)));
+        });
+        let Some(port) = lowest else { return };
+        out.extend((0..self.vcs).map(|vc| CandidateVc { port, vc }));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::candidates;
     use star_graph::{Hypercube, StarGraph};
 
     #[test]
@@ -138,7 +147,7 @@ mod tests {
         let det = DeterministicMinimal::for_topology(&s5, 4);
         let state = MessageRoutingState::at_source();
         for dest in 1..s5.node_count() as u32 {
-            let cands = det.candidates(&s5, 0, dest, &state);
+            let cands = candidates(&det, &s5, 0, dest, &state);
             assert_eq!(cands.len(), 1);
             let d = s5.distance(0, dest);
             assert_eq!(s5.distance(s5.neighbor(0, cands[0].port), dest), d - 1);
@@ -154,7 +163,7 @@ mod tests {
             let mut state = MessageRoutingState::at_source();
             let mut hops = 0;
             while cur != dest {
-                let c = det.candidates(&s5, cur, dest, &state)[0];
+                let c = candidates(&det, &s5, cur, dest, &state)[0];
                 let next = s5.neighbor(cur, c.port);
                 state = state.after_hop(&s5, cur, next, Some(c.vc));
                 cur = next;
@@ -170,7 +179,7 @@ mod tests {
         let q = Hypercube::new(6);
         let ecube = DimensionOrder::new(2);
         let state = MessageRoutingState::at_source();
-        let cands = ecube.candidates(&q, 0b000000, 0b101010, &state);
+        let cands = candidates(&ecube, &q, 0b000000, 0b101010, &state);
         assert_eq!(cands.len(), 2);
         assert!(cands.iter().all(|c| c.port == 1), "lowest differing dimension is 1");
     }
@@ -184,7 +193,7 @@ mod tests {
         let mut hops = 0;
         let state = MessageRoutingState::at_source();
         while cur != dest {
-            let c = ecube.candidates(&q, cur, dest, &state)[0];
+            let c = candidates(&ecube, &q, cur, dest, &state)[0];
             cur = q.neighbor(cur, c.port);
             hops += 1;
         }

@@ -83,37 +83,43 @@ impl RoutingAlgorithm for EnhancedNbc {
         self.layout
     }
 
-    fn candidates(
+    fn candidates_into(
         &self,
         topology: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         state: &MessageRoutingState,
-    ) -> Vec<CandidateVc> {
+        out: &mut Vec<CandidateVc>,
+    ) {
         debug_assert_ne!(current, dest);
-        let mut out = Vec::new();
-        for port in topology.min_route_ports(current, dest) {
+        out.clear();
+        // every profitable port leads into the other colour class, one hop
+        // closer to `dest` (the bipartite and minimality contracts of
+        // `Topology`), so the bonus-card window is the same for all of them:
+        // it is computed at the first port and reused
+        let mut window = None;
+        topology.for_each_min_route_port(current, dest, &mut |port| {
             // class-a: every adaptive channel of every profitable port
-            for vc in self.layout.adaptive_vcs() {
-                out.push(CandidateVc { port, vc });
-            }
+            out.extend(self.layout.adaptive_vcs().map(|vc| CandidateVc { port, vc }));
             // class-b: the bonus-card window
-            let next = topology.neighbor(current, port);
-            if let Some((low, high)) =
+            let levels = *window.get_or_insert_with(|| {
+                let next = topology.neighbor(current, port);
                 self.policy.admissible_levels(topology, current, next, dest, state)
-            {
-                for level in low..=high {
-                    out.push(CandidateVc { port, vc: self.layout.escape_vc(level) });
-                }
+            });
+            if let Some((low, high)) = levels {
+                out.extend(
+                    (low..=high)
+                        .map(|level| CandidateVc { port, vc: self.layout.escape_vc(level) }),
+                );
             }
-        }
-        out
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::candidates;
     use star_graph::{Hypercube, StarGraph};
 
     #[test]
@@ -135,7 +141,7 @@ mod tests {
         let state = MessageRoutingState::at_source();
         for dest in (1..s5.node_count() as u32).step_by(5) {
             let ports = s5.min_route_ports(0, dest);
-            let cands = algo.candidates(&s5, 0, dest, &state);
+            let cands = candidates(&algo, &s5, 0, dest, &state);
             for &port in &ports {
                 for vc in 0..algo.adaptive_channels() {
                     assert!(cands.contains(&CandidateVc { port, vc }));
@@ -161,7 +167,7 @@ mod tests {
                 if src == dest {
                     continue;
                 }
-                for c in algo.candidates(&s5, src, dest, &state) {
+                for c in candidates(&algo, &s5, src, dest, &state) {
                     if c.vc >= algo.adaptive_channels() {
                         let level = c.vc - algo.adaptive_channels();
                         assert!(level >= 2, "escape level below the floor offered");
@@ -180,7 +186,7 @@ mod tests {
             let mut cur = 0u32;
             let mut state = MessageRoutingState::at_source();
             while cur != dest {
-                let cands = algo.candidates(&s5, cur, dest, &state);
+                let cands = candidates(&algo, &s5, cur, dest, &state);
                 assert!(!cands.is_empty());
                 // take the worst case: always climb to the highest escape level offered
                 let pick = *cands.iter().max_by_key(|c| c.vc).unwrap();
@@ -204,7 +210,7 @@ mod tests {
         let algo = EnhancedNbc::for_topology(&q7, 6);
         assert_eq!(algo.escape_levels(), 4); // diameter 7 → ⌊7/2⌋ + 1
         let state = MessageRoutingState::at_source();
-        let cands = algo.candidates(&q7, 0, 0b1111111, &state);
+        let cands = candidates(&algo, &q7, 0, 0b1111111, &state);
         assert!(!cands.is_empty());
         assert!(cands.iter().all(|c| c.vc < algo.virtual_channels()));
     }

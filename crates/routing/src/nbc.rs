@@ -57,32 +57,40 @@ impl RoutingAlgorithm for Nbc {
         self.layout
     }
 
-    fn candidates(
+    fn candidates_into(
         &self,
         topology: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         state: &MessageRoutingState,
-    ) -> Vec<CandidateVc> {
+        out: &mut Vec<CandidateVc>,
+    ) {
         debug_assert_ne!(current, dest);
-        let mut out = Vec::new();
-        for port in topology.min_route_ports(current, dest) {
-            let next = topology.neighbor(current, port);
-            if let Some((low, high)) =
+        out.clear();
+        // every profitable port leads into the other colour class, one hop
+        // closer to `dest` (the bipartite and minimality contracts of
+        // `Topology`), so the bonus-card window is the same for all of them:
+        // it is computed at the first port and reused
+        let mut window = None;
+        topology.for_each_min_route_port(current, dest, &mut |port| {
+            let levels = *window.get_or_insert_with(|| {
+                let next = topology.neighbor(current, port);
                 self.policy.admissible_levels(topology, current, next, dest, state)
-            {
-                for level in low..=high {
-                    out.push(CandidateVc { port, vc: self.layout.escape_vc(level) });
-                }
+            });
+            if let Some((low, high)) = levels {
+                out.extend(
+                    (low..=high)
+                        .map(|level| CandidateVc { port, vc: self.layout.escape_vc(level) }),
+                );
             }
-        }
-        out
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::candidates;
     use star_graph::StarGraph;
 
     #[test]
@@ -94,8 +102,8 @@ mod tests {
         let state = MessageRoutingState::at_source();
         let mut strictly_more = 0;
         for dest in 1..s5.node_count() as u32 {
-            let a = nbc.candidates(&s5, 0, dest, &state).len();
-            let b = nhop.candidates(&s5, 0, dest, &state).len();
+            let a = candidates(&nbc, &s5, 0, dest, &state).len();
+            let b = candidates(&nhop, &s5, 0, dest, &state).len();
             assert!(a >= b);
             if a > b {
                 strictly_more += 1;
@@ -118,7 +126,7 @@ mod tests {
                 let mut cur = src;
                 let mut state = MessageRoutingState::at_source();
                 while cur != dest {
-                    let cands = nbc.candidates(&s5, cur, dest, &state);
+                    let cands = candidates(&nbc, &s5, cur, dest, &state);
                     assert!(!cands.is_empty(), "Nbc must always offer a candidate");
                     // pick the *highest* level offered (worst case for the future)
                     let pick = *cands.iter().max_by_key(|c| c.vc).unwrap();
@@ -141,7 +149,7 @@ mod tests {
                     continue;
                 }
                 let ports = s5.min_route_ports(src, dest);
-                for c in nbc.candidates(&s5, src, dest, &state) {
+                for c in candidates(&nbc, &s5, src, dest, &state) {
                     assert!(ports.contains(&c.port));
                     assert!(c.vc < nbc.virtual_channels());
                     assert!(c.vc >= state.escape_level, "never descend below the level floor");

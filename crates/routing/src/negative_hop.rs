@@ -56,16 +56,17 @@ impl RoutingAlgorithm for NHop {
         self.layout
     }
 
-    fn candidates(
+    fn candidates_into(
         &self,
         topology: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         state: &MessageRoutingState,
-    ) -> Vec<CandidateVc> {
+        out: &mut Vec<CandidateVc>,
+    ) {
         debug_assert_ne!(current, dest, "routing is only queried before the destination");
-        let mut out = Vec::new();
-        for port in topology.min_route_ports(current, dest) {
+        out.clear();
+        topology.for_each_min_route_port(current, dest, &mut |port| {
             let next = topology.neighbor(current, port);
             let negative =
                 star_graph::HopSign::classify(topology.color(current), topology.color(next))
@@ -74,14 +75,14 @@ impl RoutingAlgorithm for NHop {
             if level < self.layout.escape_levels {
                 out.push(CandidateVc { port, vc: self.layout.escape_vc(level) });
             }
-        }
-        out
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traits::candidates;
     use star_graph::StarGraph;
 
     #[test]
@@ -92,7 +93,7 @@ mod tests {
         let state = MessageRoutingState::at_source();
         for dest in 1..40u32 {
             let ports = s5.min_route_ports(0, dest);
-            let cands = algo.candidates(&s5, 0, dest, &state);
+            let cands = candidates(&algo, &s5, 0, dest, &state);
             assert_eq!(cands.len(), ports.len());
             for c in &cands {
                 assert!(ports.contains(&c.port));
@@ -110,7 +111,7 @@ mod tests {
         let mut cur = 0u32;
         let mut state = MessageRoutingState::at_source();
         while cur != dest {
-            let cands = algo.candidates(&s5, cur, dest, &state);
+            let cands = candidates(&algo, &s5, cur, dest, &state);
             assert!(!cands.is_empty(), "NHop must always offer a candidate");
             let pick = cands[0];
             let next = s5.neighbor(cur, pick.port);
@@ -131,7 +132,7 @@ mod tests {
         let algo = NHop::for_topology(&s5, 6);
         let state = MessageRoutingState::at_source();
         for dest in 1..s5.node_count() as u32 {
-            for c in algo.candidates(&s5, 0, dest, &state) {
+            for c in candidates(&algo, &s5, 0, dest, &state) {
                 assert!(c.vc <= 1, "first hop can use at most level 1");
             }
         }

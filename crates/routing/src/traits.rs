@@ -76,19 +76,43 @@ pub trait RoutingAlgorithm: Send + Sync {
         self.layout().total()
     }
 
-    /// Admissible `(port, vc)` pairs for a message currently at `current`
-    /// (which must differ from `dest`) with routing state `state`.
+    /// Clears `out` and fills it with the admissible `(port, vc)` pairs for
+    /// a message currently at `current` (which must differ from `dest`) with
+    /// routing state `state`.
+    ///
+    /// The order is part of the contract: ports come in
+    /// [`Topology::for_each_min_route_port`] order and, within a port,
+    /// virtual channels ascend.  The simulator's selection policies index
+    /// into this list, so its order fixes the simulated results.  Callers
+    /// keep one buffer across calls, which makes routing a header
+    /// allocation-free once the buffer has grown.
     ///
     /// Implementations must only return ports on minimal paths and must never
     /// return an empty set for `current != dest` (the schemes in this crate
     /// always keep at least the mandatory escape level admissible).
-    fn candidates(
+    fn candidates_into(
         &self,
         topology: &dyn Topology,
         current: NodeId,
         dest: NodeId,
         state: &MessageRoutingState,
-    ) -> Vec<CandidateVc>;
+        out: &mut Vec<CandidateVc>,
+    );
+}
+
+/// The candidate list of one routing query as a fresh `Vec`, for tests that
+/// inspect single queries.
+#[cfg(test)]
+pub(crate) fn candidates(
+    algo: &dyn RoutingAlgorithm,
+    topology: &dyn Topology,
+    current: NodeId,
+    dest: NodeId,
+    state: &MessageRoutingState,
+) -> Vec<CandidateVc> {
+    let mut out = Vec::new();
+    algo.candidates_into(topology, current, dest, state, &mut out);
+    out
 }
 
 #[cfg(test)]

@@ -1,20 +1,26 @@
 //! Per-virtual-channel state of the router model.
 //!
 //! Every unidirectional physical channel carries `V` virtual channels.  The
-//! sending side of a channel is an output virtual channel (ownership +
-//! credits, [`OutputVcTable`]), the receiving side an input virtual channel
-//! (flit buffer + routing decision, [`InputVcTable`]).  Flits are tracked as
-//! counters rather than individual objects: in wormhole switching a virtual
-//! channel is owned by exactly one message at a time, so a count of buffered
-//! flits plus the per-message totals fully determines the channel state.
+//! sending side of a channel is an output virtual channel (ownership,
+//! credits and the feed fixed at allocation, [`OutputVcTable`]), the
+//! receiving side an input virtual channel (flit buffer, [`InputVcTable`]).
+//! Flits are tracked as counters rather than individual objects: in wormhole
+//! switching a virtual channel is owned by exactly one message at a time, so
+//! a count of buffered flits plus the per-message totals fully determines
+//! the channel state.
 //!
-//! Both tables are struct-of-arrays: each per-VC field is one dense vector
-//! indexed by the global VC index, so the hot loop touches contiguous memory.
+//! Both tables hold one small record per virtual channel, indexed by the
+//! global VC index.  The switch stage reads every field of the records it
+//! visits, so one record is one cache line touch instead of one per field.
 
-/// Sentinel for "no owning message slot" in the struct-of-arrays tables.
+/// Sentinel for "no owning message slot" (and "no upstream channel").
 const FREE: u32 = u32::MAX;
-/// Sentinel for "header not yet routed" in [`InputVcTable`].
-const NO_ROUTE: u16 = u16::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct InputVc {
+    owner: u32,
+    buffered: u32,
+}
 
 /// Input virtual-channel state: the flit buffer at a router input (or an
 /// injection slot, whose "upstream" is the local processor), indexed by the
@@ -24,61 +30,36 @@ const NO_ROUTE: u16 = u16::MAX;
 /// [`MessageStore`](crate::message::MessageStore), not message ids.
 #[derive(Debug, Clone)]
 pub struct InputVcTable {
-    owner: Vec<u32>,
-    buffered: Vec<u32>,
-    received: Vec<u32>,
-    route_port: Vec<u16>,
-    route_vc: Vec<u16>,
+    vcs: Vec<InputVc>,
 }
 
 impl InputVcTable {
     /// A table of `count` free input virtual channels.
     #[must_use]
     pub fn new(count: usize) -> Self {
-        Self {
-            owner: vec![FREE; count],
-            buffered: vec![0; count],
-            received: vec![0; count],
-            route_port: vec![NO_ROUTE; count],
-            route_vc: vec![NO_ROUTE; count],
-        }
+        Self { vcs: vec![InputVc { owner: FREE, buffered: 0 }; count] }
     }
 
     /// Whether the virtual channel is free.
     #[must_use]
     #[inline]
     pub fn is_free(&self, idx: usize) -> bool {
-        self.owner[idx] == FREE
+        self.vcs[idx].owner == FREE
     }
 
     /// The owning message slot, if any.
     #[must_use]
     #[inline]
     pub fn owner(&self, idx: usize) -> Option<u32> {
-        (self.owner[idx] != FREE).then_some(self.owner[idx])
+        let owner = self.vcs[idx].owner;
+        (owner != FREE).then_some(owner)
     }
 
     /// Flits currently buffered.
     #[must_use]
     #[inline]
     pub fn buffered(&self, idx: usize) -> u32 {
-        self.buffered[idx]
-    }
-
-    /// Flits of the current message received so far.
-    #[must_use]
-    #[inline]
-    pub fn received(&self, idx: usize) -> u32 {
-        self.received[idx]
-    }
-
-    /// The output `(port, vc)` assigned by the routing stage, `None` until
-    /// the header has been routed.
-    #[must_use]
-    #[inline]
-    pub fn route(&self, idx: usize) -> Option<(usize, usize)> {
-        (self.route_port[idx] != NO_ROUTE)
-            .then(|| (self.route_port[idx] as usize, self.route_vc[idx] as usize))
+        self.vcs[idx].buffered
     }
 
     /// Claims the channel for a locally injected message whose `length` flits
@@ -87,72 +68,72 @@ impl InputVcTable {
     pub fn claim_for_injection(&mut self, idx: usize, slot: u32, length: u32) {
         debug_assert!(self.is_free(idx));
         debug_assert_ne!(slot, FREE);
-        self.owner[idx] = slot;
-        self.buffered[idx] = length;
-        self.received[idx] = length;
-        self.route_port[idx] = NO_ROUTE;
-        self.route_vc[idx] = NO_ROUTE;
+        self.vcs[idx] = InputVc { owner: slot, buffered: length };
     }
 
     /// Claims the channel for a message whose header flit is arriving from
-    /// the network (buffered/received start at zero and count up via
+    /// the network (the buffer starts empty and fills via
     /// [`Self::push_flit`]).
     #[inline]
     pub fn claim_for_arrival(&mut self, idx: usize, slot: u32) {
         debug_assert!(self.is_free(idx));
         debug_assert_ne!(slot, FREE);
-        self.owner[idx] = slot;
-        self.buffered[idx] = 0;
-        self.received[idx] = 0;
-        self.route_port[idx] = NO_ROUTE;
-        self.route_vc[idx] = NO_ROUTE;
+        self.vcs[idx] = InputVc { owner: slot, buffered: 0 };
     }
 
     /// Records one flit arriving into the buffer.
     #[inline]
     pub fn push_flit(&mut self, idx: usize) {
-        self.buffered[idx] += 1;
-        self.received[idx] += 1;
+        self.vcs[idx].buffered += 1;
     }
 
     /// Records one flit leaving the buffer.
     #[inline]
     pub fn pop_flit(&mut self, idx: usize) {
-        debug_assert!(self.buffered[idx] > 0);
-        self.buffered[idx] -= 1;
-    }
-
-    /// Sets the routing decision for the buffered header.
-    #[inline]
-    pub fn set_route(&mut self, idx: usize, port: usize, vc: usize) {
-        self.route_port[idx] = port as u16;
-        self.route_vc[idx] = vc as u16;
+        debug_assert!(self.vcs[idx].buffered > 0);
+        self.vcs[idx].buffered -= 1;
     }
 
     /// Resets the channel to the free state.
     #[inline]
     pub fn release(&mut self, idx: usize) {
-        self.owner[idx] = FREE;
-        self.buffered[idx] = 0;
-        self.received[idx] = 0;
-        self.route_port[idx] = NO_ROUTE;
-        self.route_vc[idx] = NO_ROUTE;
+        self.vcs[idx] = InputVc { owner: FREE, buffered: 0 };
     }
 }
 
-/// Output virtual-channel state: ownership and credits at a router output,
-/// indexed by the global output-VC index.
+/// Where an allocated output virtual channel takes its flits from and what
+/// happens to them downstream, fixed when the header is routed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VcFeed {
+    /// The input VC (global index) whose buffered flits the channel forwards.
+    pub source: u32,
+    /// The output VC upstream of `source`, which every forwarded flit
+    /// returns a credit to; `None` for an injection slot, whose flits come
+    /// from the local processor.
+    pub upstream: Option<u32>,
+    /// Whether the channel leads into the message's destination, whose
+    /// processor consumes every arriving flit at once.
+    pub ejects: bool,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct OutputVc {
+    owner: u32,
+    credits: u32,
+    flits_sent: u32,
+    length: u32,
+    source: u32,
+    upstream: u32,
+    ejects: bool,
+}
+
+/// Output virtual-channel state: ownership, credits and feed at a router
+/// output, indexed by the global output-VC index.
 ///
-/// Owners are message slots, sources are the feeding input `(port, vc)` with
-/// `port == degree` denoting an injection slot.
+/// Owners are message slots.
 #[derive(Debug, Clone)]
 pub struct OutputVcTable {
-    owner: Vec<u32>,
-    credits: Vec<u32>,
-    flits_sent: Vec<u32>,
-    length: Vec<u32>,
-    source_port: Vec<u16>,
-    source_vc: Vec<u16>,
+    vcs: Vec<OutputVc>,
 }
 
 impl OutputVcTable {
@@ -160,43 +141,50 @@ impl OutputVcTable {
     /// `buffer_depth` credits.
     #[must_use]
     pub fn new(count: usize, buffer_depth: u32) -> Self {
-        Self {
-            owner: vec![FREE; count],
-            credits: vec![buffer_depth; count],
-            flits_sent: vec![0; count],
-            length: vec![0; count],
-            source_port: vec![NO_ROUTE; count],
-            source_vc: vec![NO_ROUTE; count],
-        }
+        let free = OutputVc {
+            owner: FREE,
+            credits: buffer_depth,
+            flits_sent: 0,
+            length: 0,
+            source: FREE,
+            upstream: FREE,
+            ejects: false,
+        };
+        Self { vcs: vec![free; count] }
     }
 
     /// Whether the channel is free for allocation.
     #[must_use]
     #[inline]
     pub fn is_free(&self, idx: usize) -> bool {
-        self.owner[idx] == FREE
+        self.vcs[idx].owner == FREE
     }
 
     /// The owning message slot, if any.
     #[must_use]
     #[inline]
     pub fn owner(&self, idx: usize) -> Option<u32> {
-        (self.owner[idx] != FREE).then_some(self.owner[idx])
+        let owner = self.vcs[idx].owner;
+        (owner != FREE).then_some(owner)
     }
 
     /// Free buffer slots at the downstream input virtual channel.
     #[must_use]
     #[inline]
     pub fn credits(&self, idx: usize) -> u32 {
-        self.credits[idx]
+        self.vcs[idx].credits
     }
 
-    /// The input `(port, vc)` feeding this channel, if allocated.
+    /// The feed of the channel, if allocated.
     #[must_use]
     #[inline]
-    pub fn source(&self, idx: usize) -> Option<(usize, usize)> {
-        (self.source_port[idx] != NO_ROUTE)
-            .then(|| (self.source_port[idx] as usize, self.source_vc[idx] as usize))
+    pub fn feed(&self, idx: usize) -> Option<VcFeed> {
+        let vc = &self.vcs[idx];
+        (vc.owner != FREE).then(|| VcFeed {
+            source: vc.source,
+            upstream: (vc.upstream != FREE).then_some(vc.upstream),
+            ejects: vc.ejects,
+        })
     }
 
     /// Whether the channel may forward a flit this cycle: allocated, credit
@@ -204,41 +192,46 @@ impl OutputVcTable {
     #[must_use]
     #[inline]
     pub fn ready_to_send(&self, idx: usize) -> bool {
-        self.owner[idx] != FREE && self.credits[idx] > 0 && self.flits_sent[idx] < self.length[idx]
+        let vc = &self.vcs[idx];
+        vc.owner != FREE && vc.credits > 0 && vc.flits_sent < vc.length
     }
 
-    /// Allocates the channel to a message of `length` flits fed from the
-    /// given input.
+    /// Allocates the channel to a message of `length` flits with the given
+    /// feed.
     #[inline]
-    pub fn allocate(&mut self, idx: usize, slot: u32, source: (usize, usize), length: u32) {
+    pub fn allocate(&mut self, idx: usize, slot: u32, length: u32, feed: VcFeed) {
         debug_assert!(self.is_free(idx));
         debug_assert_ne!(slot, FREE);
-        self.owner[idx] = slot;
-        self.flits_sent[idx] = 0;
-        self.length[idx] = length;
-        self.source_port[idx] = source.0 as u16;
-        self.source_vc[idx] = source.1 as u16;
+        let vc = &mut self.vcs[idx];
+        vc.owner = slot;
+        vc.flits_sent = 0;
+        vc.length = length;
+        vc.source = feed.source;
+        vc.upstream = feed.upstream.unwrap_or(FREE);
+        vc.ejects = feed.ejects;
     }
 
     /// Records one flit sent downstream (consumes a credit).
     #[inline]
     pub fn send_flit(&mut self, idx: usize) {
-        debug_assert!(self.credits[idx] > 0);
-        self.credits[idx] -= 1;
-        self.flits_sent[idx] += 1;
+        let vc = &mut self.vcs[idx];
+        debug_assert!(vc.credits > 0);
+        vc.credits -= 1;
+        vc.flits_sent += 1;
     }
 
     /// Returns one credit from downstream.
     #[inline]
     pub fn return_credit(&mut self, idx: usize) {
-        self.credits[idx] += 1;
+        self.vcs[idx].credits += 1;
     }
 
     /// Whether the tail flit has been sent downstream.
     #[must_use]
     #[inline]
     pub fn tail_sent(&self, idx: usize) -> bool {
-        self.owner[idx] != FREE && self.flits_sent[idx] >= self.length[idx]
+        let vc = &self.vcs[idx];
+        vc.owner != FREE && vc.flits_sent >= vc.length
     }
 
     /// Releases the channel.  Called once the tail flit has been sent *and*
@@ -247,11 +240,13 @@ impl OutputVcTable {
     /// are preserved: they track downstream buffer space, not ownership.
     #[inline]
     pub fn release(&mut self, idx: usize) {
-        self.owner[idx] = FREE;
-        self.flits_sent[idx] = 0;
-        self.length[idx] = 0;
-        self.source_port[idx] = NO_ROUTE;
-        self.source_vc[idx] = NO_ROUTE;
+        let vc = &mut self.vcs[idx];
+        vc.owner = FREE;
+        vc.flits_sent = 0;
+        vc.length = 0;
+        vc.source = FREE;
+        vc.upstream = FREE;
+        vc.ejects = false;
     }
 }
 
@@ -266,21 +261,17 @@ mod tests {
         table.claim_for_injection(2, 9, 32);
         assert_eq!(table.owner(2), Some(9));
         assert_eq!(table.buffered(2), 32);
-        assert_eq!(table.received(2), 32);
-        assert_eq!(table.route(2), None);
-        table.set_route(2, 3, 1);
-        assert_eq!(table.route(2), Some((3, 1)));
         table.pop_flit(2);
         assert_eq!(table.buffered(2), 31);
         table.release(2);
         assert!(table.is_free(2));
-        assert_eq!(table.route(2), None);
+        assert_eq!(table.buffered(2), 0);
         // network-arrival claims count flits up from zero
         table.claim_for_arrival(0, 5);
         assert_eq!(table.buffered(0), 0);
         table.push_flit(0);
         table.push_flit(0);
-        assert_eq!((table.buffered(0), table.received(0)), (2, 2));
+        assert_eq!(table.buffered(0), 2);
         assert!(!table.is_free(0) && table.is_free(1));
     }
 
@@ -290,9 +281,10 @@ mod tests {
         assert!(table.is_free(1));
         assert_eq!(table.credits(1), 2);
         assert!(!table.ready_to_send(1), "a free channel never sends");
-        table.allocate(1, 3, (4, 0), 4);
+        let feed = VcFeed { source: 4, upstream: Some(7), ejects: true };
+        table.allocate(1, 3, 4, feed);
         assert_eq!(table.owner(1), Some(3));
-        assert_eq!(table.source(1), Some((4, 0)));
+        assert_eq!(table.feed(1), Some(feed));
         assert!(table.ready_to_send(1));
         assert!(!table.tail_sent(1));
         table.send_flit(1);
@@ -313,6 +305,9 @@ mod tests {
         assert!(!table.tail_sent(1));
         // credits track downstream buffer space, not ownership
         assert_eq!(table.credits(1), 2);
-        assert_eq!(table.source(1), None);
+        assert_eq!(table.feed(1), None);
+        // an injection feed has no upstream channel
+        table.allocate(0, 8, 1, VcFeed { source: 2, upstream: None, ejects: false });
+        assert_eq!(table.feed(0).unwrap().upstream, None);
     }
 }

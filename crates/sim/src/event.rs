@@ -31,7 +31,8 @@
 //! * **Routing** iterates only input VCs holding an unrouted header.  Blocked
 //!   headers stay in the set and retry every cycle.
 //! * **Switch allocation** iterates only physical channels with at least one
-//!   owned output VC.
+//!   owned output VC, and within a channel only the owned VCs: a per-channel
+//!   bitmask is walked from the round-robin pointer.
 //! * When nothing at all is in flight, the driver can fast-forward straight
 //!   to the next scheduled arrival ([`EventNetwork::is_idle`] /
 //!   [`EventNetwork::next_scheduled_arrival`]).
@@ -50,7 +51,12 @@
 //! 1. The active sets are dense-index [`ActiveSet`] bitsets iterated in
 //!    ascending order (node-major, then network ports before injection
 //!    slots, then VC), so the shared `dest_rng`/`select_rng` streams are
-//!    consumed in a fixed order.
+//!    consumed in a fixed order.  Within that order the choices are fixed
+//!    too: a header's candidates come in the router's documented order
+//!    ([`RoutingAlgorithm::candidates_into`]), which the selection policies
+//!    index into, and a channel's owned-VC bitmask is walked in the rotated
+//!    order `rr, rr + 1, …, V − 1, 0, …, rr − 1` of a scan over every VC
+//!    (a VC that is not owned never has a flit to send).
 //! 2. Staged arrivals and credits are pushed in that same order, which fixes
 //!    the end-of-cycle application order and with it the float summation
 //!    order of the measurement statistics.
@@ -63,11 +69,26 @@
 //!    drain), so "no messages outstanding" really means "no channel state
 //!    anywhere" and fast-forwarding cannot skip latent work.
 //!
-//! Channel state lives in struct-of-arrays tables ([`InputVcTable`],
-//! [`OutputVcTable`]) and messages in a dense [`MessageStore`] slab, so the
-//! per-flit hot path is vector indexing only.  Debug builds re-check the
-//! tables against the incremental bookkeeping every 1024 processed cycles
-//! ([`EventNetwork::check_invariants`]).
+//! # The hot path
+//!
+//! At heavy load routing and switching run on every cycle, so their cost per
+//! header and per flit is the simulator's cost:
+//!
+//! * Channel state lives in per-VC record tables ([`InputVcTable`],
+//!   [`OutputVcTable`]) and messages in a dense [`MessageStore`] slab.  An
+//!   output VC records at allocation where its flits come from, which
+//!   output VC upstream gets each credit and whether it ejects into the
+//!   destination, so forwarding a flit reads no message.
+//! * A link table, built once, maps every channel `node · degree + port` to
+//!   its far end `(neighbour, reverse port)`, so no per-flit step calls the
+//!   topology.
+//! * Routing a header is allocation-free: the router fills one reused
+//!   candidate buffer, which is filtered to the free VCs in place.
+//! * Staging buffers, the stage snapshots and the driver's delivery buffer
+//!   keep their capacity from cycle to cycle.
+//!
+//! Debug builds re-check the tables against the incremental bookkeeping
+//! every 1024 processed cycles ([`EventNetwork::check_invariants`]).
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -80,20 +101,77 @@ use star_routing::{CandidateVc, RoutingAlgorithm};
 
 use crate::activeset::ActiveSet;
 use crate::calendar::EventCalendar;
-use crate::channel::{InputVcTable, OutputVcTable};
+use crate::channel::{InputVcTable, OutputVcTable, VcFeed};
 use crate::config::{SelectionPolicy, SimConfig};
 use crate::message::{Message, MessageId, MessageStore};
 use crate::metrics::NetworkCounters;
 use crate::traffic::TrafficPattern;
 
-/// A staged flit arrival, applied at the end of the cycle.  `port` is the
-/// *input* port at the arriving node.
+/// A staged flit arrival, applied at the end of the cycle.
 #[derive(Debug, Clone, Copy)]
 struct StagedArrival {
-    node: NodeId,
-    port: usize,
-    vc: usize,
+    /// The input VC the flit lands in at the downstream node.
+    input: u32,
+    /// The output VC that sent it, which a consumed flit's credit returns to.
+    sender: u32,
     slot: u32,
+    /// Whether the downstream node is the destination, which consumes the
+    /// flit instead of buffering it.
+    ejects: bool,
+}
+
+/// The far end of a physical channel: the neighbour it leads to and the port
+/// at that neighbour whose link leads back (`Topology::reverse_port`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Link {
+    node: NodeId,
+    port: u32,
+}
+
+/// The set bits of `mask` in round-robin order from bit `start`: `start..`
+/// ascending, then `..start` ascending.
+#[inline]
+fn rotated_bits(mask: u64, start: usize) -> impl Iterator<Item = usize> {
+    let high = mask & (u64::MAX << start);
+    let (mut bits, mut wrapped) = (high, mask & !high);
+    std::iter::from_fn(move || {
+        if bits == 0 {
+            if wrapped == 0 {
+                return None;
+            }
+            bits = std::mem::take(&mut wrapped);
+        }
+        let bit = bits.trailing_zeros() as usize;
+        bits &= bits - 1;
+        Some(bit)
+    })
+}
+
+/// The far end of every physical channel `node * degree + port`.
+///
+/// # Panics
+/// Panics unless every channel's far end leads straight back to it
+/// (`reverse_port` inverts every link): credits travel upstream through the
+/// table.
+fn link_table(topology: &dyn Topology) -> Vec<Link> {
+    let degree = topology.degree();
+    let links: Vec<Link> = (0..topology.node_count() as NodeId)
+        .flat_map(|node| {
+            (0..degree).map(move |port| Link {
+                node: topology.neighbor(node, port),
+                port: topology.reverse_port(node, port) as u32,
+            })
+        })
+        .collect();
+    for (chan, link) in links.iter().enumerate() {
+        let back = links[link.node as usize * degree + link.port as usize];
+        assert_eq!(
+            back.node as usize * degree + back.port as usize,
+            chan,
+            "reverse_port must lead back across the link"
+        );
+    }
+    links
 }
 
 /// The network state (see the module docs for the invariants).
@@ -109,6 +187,9 @@ pub struct EventNetwork {
     input_stride: usize,
     inputs: InputVcTable,
     outputs: OutputVcTable,
+    /// The far end of every physical channel `node * degree + port`, so the
+    /// per-flit path makes no topology call.
+    links: Vec<Link>,
     rr_pointers: Vec<usize>,
     source_queues: Vec<VecDeque<u32>>,
     messages: MessageStore,
@@ -129,9 +210,9 @@ pub struct EventNetwork {
     /// Physical channels (`node * degree + port`) with ≥ 1 owned output VC,
     /// ascending.
     active_channels: ActiveSet,
-    /// Owned-VC count per physical channel (the busy count the occupancy
-    /// sampler observes).
-    owned_vcs: Vec<u32>,
+    /// Owned output VCs per physical channel as a bitmask (bit `vc`); its
+    /// popcount is the busy count the occupancy sampler observes.
+    owned_vcs: Vec<u64>,
     /// Current `Σ busy` over all physical channels.
     busy_sum: u64,
     /// Current `Σ busy²` over all physical channels.
@@ -140,8 +221,8 @@ pub struct EventNetwork {
     /// idle cycles).
     processed_cycles: u64,
     scratch: Vec<u32>,
-    /// Reused buffer for the free admissible candidates of one header —
-    /// avoids a heap allocation per routed header on the hot path.
+    /// Reused buffer for the admissible candidates of one header, filtered
+    /// down to the free ones in place — routing a header allocates nothing.
     free_scratch: Vec<CandidateVc>,
     /// Reused buffer for the selection policy's filtered candidate subset.
     select_scratch: Vec<CandidateVc>,
@@ -152,7 +233,8 @@ impl EventNetwork {
     /// configuration.
     ///
     /// # Panics
-    /// Panics if the configuration is invalid or the topology's
+    /// Panics if the configuration is invalid, the routing algorithm uses
+    /// more than 64 virtual channels, or the topology's
     /// [`reverse_port`](Topology::reverse_port) mapping does not invert its
     /// links (all topologies in this workspace honour the contract).
     #[must_use]
@@ -166,19 +248,9 @@ impl EventNetwork {
         let nodes = topology.node_count();
         let degree = topology.degree();
         let vcs = routing.virtual_channels();
+        assert!(vcs <= 64, "the owned-VC bitmasks hold at most 64 virtual channels");
         let inj_slots = if config.injection_slots == 0 { vcs } else { config.injection_slots };
-        // credits travel upstream through reverse_port, so the mapping must
-        // invert every link
-        for node in 0..nodes as NodeId {
-            for port in 0..degree {
-                let nb = topology.neighbor(node, port);
-                assert_eq!(
-                    topology.neighbor(nb, topology.reverse_port(node, port)),
-                    node,
-                    "reverse_port must lead back across the link"
-                );
-            }
-        }
+        let links = link_table(topology.as_ref());
         let input_stride = degree * vcs + inj_slots;
         let sources: Vec<PoissonProcess> = (0..nodes)
             .map(|node| PoissonProcess::new(config.traffic_rate, config.seed, node as u64))
@@ -195,6 +267,7 @@ impl EventNetwork {
         Self {
             inputs: InputVcTable::new(nodes * input_stride),
             outputs: OutputVcTable::new(nodes * degree * vcs, buffer_depth),
+            links,
             rr_pointers: vec![0; nodes * degree],
             source_queues: vec![VecDeque::new(); nodes],
             messages: MessageStore::new(),
@@ -245,17 +318,6 @@ impl EventNetwork {
     fn out_idx(&self, node: NodeId, port: usize, vc: usize) -> usize {
         debug_assert!(port < self.degree && vc < self.vcs);
         (node as usize * self.degree + port) * self.vcs + vc
-    }
-
-    /// Index of the input VC that `(node, in_port, in_vc)` denotes, where
-    /// `in_port == degree` means an injection slot.
-    #[inline]
-    fn source_input_idx(&self, node: NodeId, in_port: usize, in_vc: usize) -> usize {
-        if in_port == self.degree {
-            self.inj_idx(node, in_vc)
-        } else {
-            self.in_idx(node, in_port, in_vc)
-        }
     }
 
     /// The topology being simulated.
@@ -317,9 +379,11 @@ impl EventNetwork {
         self.arrivals.next_time()
     }
 
-    /// Drains the messages delivered during the last call to [`Self::step`].
-    pub fn take_delivered(&mut self) -> Vec<Message> {
-        std::mem::take(&mut self.delivered)
+    /// Moves the messages delivered during the last call to [`Self::step`]
+    /// to the end of `out`.  A caller that keeps `out` across cycles makes
+    /// delivery allocation-free.
+    pub fn drain_delivered(&mut self, out: &mut Vec<Message>) {
+        out.append(&mut self.delivered);
     }
 
     /// Advances the network by one cycle, skipping every stage whose work set
@@ -434,12 +498,6 @@ impl EventNetwork {
         for &idx32 in &pending {
             let idx = idx32 as usize;
             let node = (idx / self.input_stride) as NodeId;
-            let rem = idx % self.input_stride;
-            let (in_port, in_vc) = if rem < self.degree * self.vcs {
-                (rem / self.vcs, rem % self.vcs)
-            } else {
-                (self.degree, rem - self.degree * self.vcs)
-            };
             debug_assert!(self.inputs.buffered(idx) > 0, "pending headers are buffered");
             let slot = self.inputs.owner(idx).expect("pending input VC has an owner");
             let (dest, state, length) = {
@@ -448,14 +506,12 @@ impl EventNetwork {
             };
             debug_assert_ne!(node, dest, "flits at the destination are consumed, not routed");
             self.counters.header_allocation_attempts += 1;
-            let candidates = self.routing.candidates(self.topology.as_ref(), node, dest, &state);
-            free.clear();
-            free.extend(
-                candidates
-                    .iter()
-                    .copied()
-                    .filter(|c| self.outputs.is_free(self.out_idx(node, c.port, c.vc))),
-            );
+            self.routing.candidates_into(self.topology.as_ref(), node, dest, &state, &mut free);
+            // in place, keeping the candidate order the selection policy
+            // indexes into
+            let outputs = &self.outputs;
+            let node_base = node as usize * self.degree;
+            free.retain(|c| outputs.is_free((node_base + c.port) * self.vcs + c.vc));
             if free.is_empty() {
                 self.counters.blocked_header_cycles += 1;
                 continue;
@@ -473,21 +529,28 @@ impl EventNetwork {
                     *subset.choose(&mut self.select_rng).expect("non-empty")
                 }
             };
-            let out = self.out_idx(node, choice.port, choice.vc);
-            self.outputs.allocate(out, slot, (in_port, in_vc), length as u32);
-            self.inputs.set_route(idx, choice.port, choice.vc);
+            let chan = node_base + choice.port;
+            let next = self.links[chan].node;
+            // a network input's flits each free a slot of the upstream
+            // output VC that sent them
+            let rem = idx % self.input_stride;
+            let (in_port, in_vc) = (rem / self.vcs, rem % self.vcs);
+            let upstream = (in_port < self.degree).then(|| {
+                let up = self.links[node_base + in_port];
+                ((up.node as usize * self.degree + up.port as usize) * self.vcs + in_vc) as u32
+            });
+            let feed = VcFeed { source: idx32, upstream, ejects: next == dest };
+            self.outputs.allocate(chan * self.vcs + choice.vc, slot, length as u32, feed);
             self.pending_headers.remove(idx32);
             // the channel gained an owned VC: update the active set and the
             // incremental occupancy sums (b → b + 1 adds 2b + 1 to Σb²)
-            let chan = node as usize * self.degree + choice.port;
-            let busy = self.owned_vcs[chan];
-            if busy == 0 {
+            let owned = self.owned_vcs[chan];
+            if owned == 0 {
                 self.active_channels.insert(chan as u32);
             }
-            self.owned_vcs[chan] = busy + 1;
+            self.owned_vcs[chan] = owned | 1 << choice.vc;
             self.busy_sum += 1;
-            self.busy_sq_sum += 2 * u64::from(busy) + 1;
-            let next = self.topology.neighbor(node, choice.port);
+            self.busy_sq_sum += 2 * u64::from(owned.count_ones()) + 1;
             let escape_level = if layout.is_adaptive(choice.vc) {
                 None
             } else {
@@ -509,51 +572,47 @@ impl EventNetwork {
         // ascending physical-channel index (node-major, port-major) fixes the
         // order staged arrivals (and so delivered messages) are produced in
         self.active_channels.collect_into(&mut channels);
-        for &chan in &channels {
-            let node = (chan as usize / self.degree) as NodeId;
-            let port = chan as usize % self.degree;
-            let rr_idx = chan as usize;
-            let start = self.rr_pointers[rr_idx];
-            for offset in 0..self.vcs {
-                let vc = (start + offset) % self.vcs;
-                let out = self.out_idx(node, port, vc);
+        for &chan32 in &channels {
+            let chan = chan32 as usize;
+            // round-robin over the owned VCs only, from the pointer on; a
+            // VC that is not owned is never ready, so the first ready owned
+            // VC is the one a scan of every VC would pick
+            for vc in rotated_bits(self.owned_vcs[chan], self.rr_pointers[chan]) {
+                let out = chan * self.vcs + vc;
                 // a VC whose tail has been sent keeps its allocation until
                 // the downstream buffer drains, but never pulls more flits
                 if !self.outputs.ready_to_send(out) {
                     continue;
                 }
-                let source = self.outputs.source(out).expect("allocated output VC has a source");
-                let src_idx = self.source_input_idx(node, source.0, source.1);
-                if self.inputs.buffered(src_idx) == 0 {
+                let feed = self.outputs.feed(out).expect("allocated output VC has a feed");
+                let source = feed.source as usize;
+                if self.inputs.buffered(source) == 0 {
                     continue;
                 }
                 // --- transfer one flit ---
-                self.inputs.pop_flit(src_idx);
-                if source.0 < self.degree {
-                    // return a credit to the upstream output VC feeding this
-                    // input
-                    let upstream_node = self.topology.neighbor(node, source.0);
-                    let upstream_port = self.topology.reverse_port(node, source.0);
-                    let upstream = self.out_idx(upstream_node, upstream_port, source.1);
-                    self.staged_credits.push(upstream);
+                self.inputs.pop_flit(source);
+                if let Some(upstream) = feed.upstream {
+                    self.staged_credits.push(upstream as usize);
                 }
                 let slot = self.outputs.owner(out).expect("ready output VC has an owner");
-                let length = self.messages.get(slot).length as u32;
                 self.outputs.send_flit(out);
-                // release the input VC once its tail has moved on
-                if self.inputs.received(src_idx) == length && self.inputs.buffered(src_idx) == 0 {
-                    self.inputs.release(src_idx);
+                // every flit of the input VC's message leaves through this
+                // channel, so the input is drained once the tail is sent
+                if self.outputs.tail_sent(out) {
+                    debug_assert_eq!(self.inputs.buffered(source), 0);
+                    self.inputs.release(source);
                 }
-                let downstream = self.topology.neighbor(node, port);
+                let down = self.links[chan];
+                let input = down.node as usize * self.input_stride + down.port as usize * self.vcs;
                 self.staged_arrivals.push(StagedArrival {
-                    node: downstream,
-                    port: self.topology.reverse_port(node, port),
-                    vc,
+                    input: (input + vc) as u32,
+                    sender: out as u32,
                     slot,
+                    ejects: feed.ejects,
                 });
                 self.counters.flit_transfers += 1;
                 self.counters.last_transfer_cycle = cycle;
-                self.rr_pointers[rr_idx] = (vc + 1) % self.vcs;
+                self.rr_pointers[chan] = if vc + 1 == self.vcs { 0 } else { vc + 1 };
                 break;
             }
         }
@@ -561,16 +620,12 @@ impl EventNetwork {
     }
 
     fn apply_staged(&mut self, cycle: u64) {
-        let arrivals = std::mem::take(&mut self.staged_arrivals);
-        for arrival in arrivals {
-            let dest = self.messages.get(arrival.slot).dest;
-            if arrival.node == dest {
+        let mut arrivals = std::mem::take(&mut self.staged_arrivals);
+        for arrival in arrivals.drain(..) {
+            if arrival.ejects {
                 // consumed by the local processor immediately; the buffer
                 // slot is never occupied, so the credit flows straight back
-                let upstream_node = self.topology.neighbor(arrival.node, arrival.port);
-                let upstream_port = self.topology.reverse_port(arrival.node, arrival.port);
-                let upstream = self.out_idx(upstream_node, upstream_port, arrival.vc);
-                self.staged_credits.push(upstream);
+                self.staged_credits.push(arrival.sender as usize);
                 let finished = {
                     let msg = self.messages.get_mut(arrival.slot);
                     msg.flits_consumed += 1;
@@ -582,7 +637,7 @@ impl EventNetwork {
                     self.delivered.push(msg);
                 }
             } else {
-                let idx = self.in_idx(arrival.node, arrival.port, arrival.vc);
+                let idx = arrival.input as usize;
                 if self.inputs.is_free(idx) {
                     self.inputs.claim_for_arrival(idx, arrival.slot);
                     // an unrouted header is now buffered here; it competes
@@ -597,9 +652,10 @@ impl EventNetwork {
                 self.inputs.push_flit(idx);
             }
         }
-        let credits = std::mem::take(&mut self.staged_credits);
+        self.staged_arrivals = arrivals;
+        let mut credits = std::mem::take(&mut self.staged_credits);
         let buffer_depth = self.config.buffer_depth as u32;
-        for out in credits {
+        for out in credits.drain(..) {
             self.outputs.return_credit(out);
             debug_assert!(self.outputs.credits(out) <= buffer_depth);
             // a VC returns to the idle pool once its tail has been sent and
@@ -607,16 +663,18 @@ impl EventNetwork {
             if self.outputs.tail_sent(out) && self.outputs.credits(out) == buffer_depth {
                 self.outputs.release(out);
                 let chan = out / self.vcs;
-                let busy = self.owned_vcs[chan];
-                debug_assert!(busy > 0);
-                self.owned_vcs[chan] = busy - 1;
+                let bit = 1u64 << (out % self.vcs);
+                let owned = self.owned_vcs[chan];
+                debug_assert!(owned & bit != 0);
+                self.owned_vcs[chan] = owned & !bit;
                 self.busy_sum -= 1;
-                self.busy_sq_sum -= 2 * u64::from(busy) - 1;
-                if busy == 1 {
+                self.busy_sq_sum -= 2 * u64::from(owned.count_ones()) - 1;
+                if owned == bit {
                     self.active_channels.remove(chan as u32);
                 }
             }
         }
+        self.staged_credits = credits;
     }
 
     /// Observed average degree of virtual-channel multiplexing
@@ -632,10 +690,12 @@ impl EventNetwork {
     }
 
     /// Consistency check run by debug builds every 1024 processed cycles and
-    /// by tests: credits never exceed the buffer depth, buffered flits plus
-    /// credits on every link never exceed it either, every owned output VC
-    /// belongs to a live message, and a recount of the output table matches
-    /// the incremental `owned_vcs`, `Σb`, `Σb²` and active-channel set.
+    /// by tests: the link table matches [`Topology::neighbor`] and
+    /// [`Topology::reverse_port`]; credits never exceed the buffer depth,
+    /// buffered flits plus credits on every link never exceed it either;
+    /// every owned output VC belongs to a live message; and a recount of the
+    /// output table matches the incremental owned-VC bitmasks, `Σb`, `Σb²`
+    /// and active-channel set.
     ///
     /// # Panics
     /// Panics when an invariant is violated.
@@ -644,9 +704,15 @@ impl EventNetwork {
         let (mut busy_sum, mut busy_sq_sum) = (0u64, 0u64);
         for node in 0..self.nodes as NodeId {
             for port in 0..self.degree {
+                let chan = node as usize * self.degree + port;
                 let downstream = self.topology.neighbor(node, port);
                 let down_port = self.topology.reverse_port(node, port);
-                let mut busy = 0u32;
+                assert_eq!(
+                    self.links[chan],
+                    Link { node: downstream, port: down_port as u32 },
+                    "link table entry of channel {chan}"
+                );
+                let mut owned = 0u64;
                 for vc in 0..self.vcs {
                     let out = self.out_idx(node, port, vc);
                     let credits = self.outputs.credits(out);
@@ -661,18 +727,18 @@ impl EventNetwork {
                             self.messages.contains(slot),
                             "output VC owned by a vanished message"
                         );
-                        busy += 1;
+                        owned |= 1 << vc;
                     }
                 }
-                let chan = node as usize * self.degree + port;
-                assert_eq!(self.owned_vcs[chan], busy, "owned-VC count of channel {chan}");
+                assert_eq!(self.owned_vcs[chan], owned, "owned-VC bitmask of channel {chan}");
                 assert_eq!(
                     self.active_channels.contains(chan as u32),
-                    busy > 0,
+                    owned != 0,
                     "active channel {chan}"
                 );
-                busy_sum += u64::from(busy);
-                busy_sq_sum += u64::from(busy) * u64::from(busy);
+                let busy = u64::from(owned.count_ones());
+                busy_sum += busy;
+                busy_sq_sum += busy * busy;
             }
         }
         assert_eq!((self.busy_sum, self.busy_sq_sum), (busy_sum, busy_sq_sum), "occupancy sums");
@@ -682,7 +748,7 @@ impl EventNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use star_graph::StarGraph;
+    use star_graph::{Hypercube, Ring, StarGraph, Torus};
     use star_routing::EnhancedNbc;
 
     fn network(rate: f64, seed: u64) -> EventNetwork {
@@ -703,12 +769,11 @@ mod tests {
     /// `(id, latency)` of every delivery over `0..horizon`, stepping every
     /// cycle.
     fn step_every_cycle(net: &mut EventNetwork, horizon: u64) -> Vec<(MessageId, u64)> {
-        let mut delivered = Vec::new();
+        let (mut delivered, mut buffer) = (Vec::new(), Vec::new());
         for cycle in 0..horizon {
             net.step(cycle);
-            delivered.extend(
-                net.take_delivered().into_iter().map(|m| (m.id, m.total_latency().unwrap())),
-            );
+            net.drain_delivered(&mut buffer);
+            delivered.extend(buffer.drain(..).map(|m| (m.id, m.total_latency().unwrap())));
         }
         delivered
     }
@@ -726,7 +791,7 @@ mod tests {
         let mut delivered = Vec::new();
         for cycle in 0..500 {
             net.step(cycle);
-            delivered.extend(net.take_delivered());
+            net.drain_delivered(&mut delivered);
             if !delivered.is_empty() {
                 break;
             }
@@ -749,9 +814,11 @@ mod tests {
     fn flit_conservation_and_invariants_under_load() {
         let mut net = network(0.01, 7);
         let mut delivered_flits = 0u64;
+        let mut buffer = Vec::new();
         for cycle in 0..20_000 {
             net.step(cycle);
-            for m in net.take_delivered() {
+            net.drain_delivered(&mut buffer);
+            for m in buffer.drain(..) {
                 assert_eq!(m.flits_consumed, m.length);
                 delivered_flits += m.length as u64;
             }
@@ -802,7 +869,7 @@ mod tests {
         let horizon = 200_000u64;
         let delivered_stepped = step_every_cycle(&mut network(0.0001, 21), horizon);
         let mut event = network(0.0001, 21);
-        let mut delivered = Vec::new();
+        let (mut delivered, mut buffer) = (Vec::new(), Vec::new());
         let mut cycle = 0u64;
         while cycle < horizon {
             if event.is_idle() {
@@ -812,9 +879,8 @@ mod tests {
                 }
             }
             event.step(cycle);
-            delivered.extend(
-                event.take_delivered().into_iter().map(|m| (m.id, m.total_latency().unwrap())),
-            );
+            event.drain_delivered(&mut buffer);
+            delivered.extend(buffer.drain(..).map(|m| (m.id, m.total_latency().unwrap())));
             cycle += 1;
         }
         assert_eq!(delivered, delivered_stepped);
@@ -856,5 +922,38 @@ mod tests {
         event.step(0);
         assert_eq!(event.counters().generated, 0);
         assert_eq!(event.counters().flit_transfers, 0);
+    }
+
+    #[test]
+    fn link_table_inverts_every_link() {
+        // the torus and ring swap their ± ports, so their far ends are not
+        // the same port numbers: the table must follow reverse_port
+        let topologies: Vec<Arc<dyn Topology>> = vec![
+            Arc::new(StarGraph::new(4)),
+            Arc::new(Hypercube::new(4)),
+            Arc::new(Torus::new(6)),
+            Arc::new(Ring::new(8)),
+        ];
+        for topology in topologies {
+            let degree = topology.degree();
+            let links = link_table(topology.as_ref());
+            assert_eq!(links.len(), topology.channel_count());
+            for (chan, link) in links.iter().enumerate() {
+                let (node, port) = ((chan / degree) as NodeId, chan % degree);
+                assert_eq!(link.node, topology.neighbor(node, port), "{}", topology.name());
+                assert_eq!(link.port as usize, topology.reverse_port(node, port));
+                let back = links[link.node as usize * degree + link.port as usize];
+                assert_eq!(
+                    back,
+                    Link { node, port: port as u32 },
+                    "{} channel {chan}",
+                    topology.name()
+                );
+            }
+            let routing = Arc::new(EnhancedNbc::for_topology(topology.as_ref(), 5));
+            let config = SimConfig::builder().traffic_rate(0.0).build();
+            EventNetwork::new(topology, routing, config, TrafficPattern::Uniform)
+                .check_invariants();
+        }
     }
 }

@@ -61,6 +61,8 @@ impl Simulation {
         let mut deadlock = false;
         let mut measurement_start_cycle = self.config.warmup_cycles;
         let mut measurement_cycles: u64 = 0;
+        // reused every cycle, so a delivery cycle allocates nothing
+        let mut delivered = Vec::new();
 
         while cycle < self.config.max_cycles {
             // Idle fast-forward.  While the network is empty no break
@@ -86,7 +88,8 @@ impl Simulation {
                 }
             }
             self.network.step(cycle);
-            for message in self.network.take_delivered() {
+            self.network.drain_delivered(&mut delivered);
+            for message in delivered.drain(..) {
                 if message.measured {
                     acc.record(&message);
                 }

@@ -79,9 +79,12 @@ impl Topology for Hypercube {
         (a ^ b).count_ones() as usize
     }
 
-    fn min_route_ports(&self, current: NodeId, dest: NodeId) -> Vec<usize> {
-        let diff = current ^ dest;
-        (0..self.dims).filter(|&p| diff & (1 << p) != 0).collect()
+    fn for_each_min_route_port(&self, current: NodeId, dest: NodeId, visit: &mut dyn FnMut(usize)) {
+        let mut diff = current ^ dest;
+        while diff != 0 {
+            visit(diff.trailing_zeros() as usize);
+            diff &= diff - 1;
+        }
     }
 
     fn color(&self, node: NodeId) -> Color {

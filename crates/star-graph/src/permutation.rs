@@ -184,7 +184,19 @@ impl Permutation {
     /// generator `g`.
     #[must_use]
     pub fn relative_to(&self, target: &Self) -> Self {
-        target.inverse().compose(self)
+        // `target.inverse().compose(self)` in one pass over each label: the
+        // routing hot path calls this for every query
+        assert_eq!(self.n, target.n, "size mismatch in relative_to");
+        let n = self.len();
+        let mut position_of = [0u8; MAX_SYMBOLS];
+        for (pos, &symbol) in (1..).zip(&target.symbols[..n]) {
+            position_of[symbol as usize - 1] = pos;
+        }
+        let mut symbols = [0u8; MAX_SYMBOLS];
+        for (out, &symbol) in symbols.iter_mut().zip(&self.symbols[..n]) {
+            *out = position_of[symbol as usize - 1];
+        }
+        Self { n: self.n, symbols }
     }
 
     /// Parity of the permutation: `true` for even (product of an even number
@@ -269,14 +281,27 @@ impl Permutation {
     /// non-trivial cycles (and `d = 0` for the identity).
     #[must_use]
     pub fn distance_to_identity(&self) -> usize {
-        if self.is_identity() {
-            return 0;
+        // one counting walk over the cycles: no cycle-length list is built,
+        // so the routing hot path stays allocation-free
+        let n = self.len();
+        let mut visited = [false; MAX_SYMBOLS];
+        let (mut displaced, mut nontrivial_cycles) = (0usize, 0usize);
+        for start in 1..=n {
+            if visited[start - 1] || self.symbols[start - 1] as usize == start {
+                continue;
+            }
+            nontrivial_cycles += 1;
+            let mut pos = start;
+            while !visited[pos - 1] {
+                visited[pos - 1] = true;
+                displaced += 1;
+                pos = self.symbols[pos - 1] as usize;
+            }
         }
-        let cs = self.cycle_structure();
-        if cs.first_symbol_home {
-            cs.displaced + cs.nontrivial_cycles
-        } else {
-            cs.displaced + cs.nontrivial_cycles - 2
+        match (displaced, self.symbols[0] == 1) {
+            (0, _) => 0,
+            (_, true) => displaced + nontrivial_cycles,
+            (_, false) => displaced + nontrivial_cycles - 2,
         }
     }
 
@@ -295,34 +320,26 @@ impl Permutation {
     /// adaptive minimal router can offer).
     #[must_use]
     pub fn profitable_dimensions(&self) -> Vec<usize> {
-        let n = self.len();
         let mut dims = Vec::new();
-        if self.is_identity() {
-            return dims;
-        }
-        let first = self.symbol_at(1);
-        if first == 1 {
-            for pos in 2..=n {
-                if self.symbol_at(pos) as usize != pos {
-                    dims.push(pos);
-                }
-            }
-            return dims;
-        }
-        // Home position of the first symbol is always profitable.
-        dims.push(first as usize);
-        // Positions displaced and outside the cycle through position 1.
-        let in_first_cycle = self.positions_in_cycle_of_one();
-        for pos in 2..=n {
-            if pos == first as usize {
-                continue;
-            }
-            if self.symbol_at(pos) as usize != pos && !in_first_cycle[pos - 1] {
-                dims.push(pos);
-            }
-        }
-        dims.sort_unstable();
+        self.for_each_profitable_dimension(|dim| dims.push(dim));
         dims
+    }
+
+    /// Calls `visit` with every profitable dimension in ascending order: the
+    /// allocation-free form of [`Self::profitable_dimensions`].
+    pub fn for_each_profitable_dimension(&self, mut visit: impl FnMut(usize)) {
+        let first = self.symbols[0] as usize;
+        // with symbol 1 at home every displaced position is profitable;
+        // otherwise the home of the first symbol (which lies on the cycle
+        // through position 1) and the displaced positions off that cycle
+        let in_first_cycle =
+            if first == 1 { [false; MAX_SYMBOLS] } else { self.positions_in_cycle_of_one() };
+        for pos in 2..=self.len() {
+            let displaced = self.symbols[pos - 1] as usize != pos;
+            if pos == first || (displaced && !in_first_cycle[pos - 1]) {
+                visit(pos);
+            }
+        }
     }
 
     /// Number of profitable dimensions (the adaptivity `f`).
@@ -347,7 +364,7 @@ impl Permutation {
         let mut pos = 1usize;
         loop {
             mark[pos - 1] = true;
-            pos = self.symbol_at(pos) as usize;
+            pos = self.symbols[pos - 1] as usize;
             if pos == 1 {
                 break;
             }

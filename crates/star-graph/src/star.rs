@@ -21,8 +21,9 @@ pub struct StarGraph {
     n: usize,
     /// Permutation label of every linear address.
     perms: Vec<Permutation>,
-    /// `neighbors[node][port]` = node reached through dimension `port + 2`.
-    neighbors: Vec<Vec<NodeId>>,
+    /// `neighbors[node * (n - 1) + port]` = node reached through dimension
+    /// `port + 2`.
+    neighbors: Vec<NodeId>,
     /// Colour (parity) of every node.
     colors: Vec<Color>,
     diameter: usize,
@@ -55,13 +56,11 @@ impl StarGraph {
             colors.push(Color::of(&p));
             perms.push(p);
         }
-        let mut neighbors = Vec::with_capacity(count);
+        let mut neighbors = Vec::with_capacity(count * (n - 1));
         for p in &perms {
-            let mut row = Vec::with_capacity(n - 1);
             for dim in 2..=n {
-                row.push(rank(&p.apply_generator(dim)) as NodeId);
+                neighbors.push(rank(&p.apply_generator(dim)) as NodeId);
             }
-            neighbors.push(row);
         }
         let diameter = 3 * (n - 1) / 2;
         let mean_distance = distance::star_mean_distance(n);
@@ -131,16 +130,18 @@ impl Topology for StarGraph {
     }
 
     fn neighbor(&self, node: NodeId, port: usize) -> NodeId {
-        self.neighbors[node as usize][port]
+        debug_assert!(port < self.n - 1);
+        self.neighbors[node as usize * (self.n - 1) + port]
     }
 
     fn distance(&self, a: NodeId, b: NodeId) -> usize {
         self.perms[a as usize].relative_to(&self.perms[b as usize]).distance_to_identity()
     }
 
-    fn min_route_ports(&self, current: NodeId, dest: NodeId) -> Vec<usize> {
+    fn for_each_min_route_port(&self, current: NodeId, dest: NodeId, visit: &mut dyn FnMut(usize)) {
         let rel = self.perms[current as usize].relative_to(&self.perms[dest as usize]);
-        rel.profitable_dimensions().into_iter().map(|dim| self.dimension_to_port(dim)).collect()
+        // port p is dimension p + 2
+        rel.for_each_profitable_dimension(|dim| visit(dim - 2));
     }
 
     fn color(&self, node: NodeId) -> Color {

@@ -19,13 +19,13 @@ pub type NodeId = u32;
 ///
 /// The analytical model derives every queueing quantity from a *traversal
 /// spectrum* built through this trait (a BFS distance census plus per-hop
-/// adaptivity profiles from [`Topology::min_route_ports`]).  For the model to
+/// adaptivity profiles from [`Topology::for_each_min_route_port`]).  For the model to
 /// be valid on a new topology, the implementation must guarantee:
 ///
-/// * **Minimality.**  `min_route_ports(u, dest)` returns exactly the ports
+/// * **Minimality.**  `for_each_min_route_port(u, dest, ·)` visits exactly the ports
 ///   whose neighbour is one hop closer to `dest` (strictly distance
 ///   decreasing, and *every* such port — the census counts minimal paths by
-///   multiplying per-node branch counts).  It is empty iff `u == dest`.
+///   multiplying per-node branch counts).  It visits nothing iff `u == dest`.
 /// * **Bipartiteness.**  [`Topology::color`] is a proper 2-colouring (every
 ///   link joins the two colour classes).  The negative-hop escape levels —
 ///   and hence the model's `⌊diameter/2⌋ + 1` virtual-channel minimum — rely
@@ -72,10 +72,22 @@ pub trait Topology: Send + Sync {
     /// Minimal distance (in hops) between two nodes.
     fn distance(&self, a: NodeId, b: NodeId) -> usize;
 
-    /// Ports that lie on *some* minimal path from `current` to `dest`
-    /// (the profitable output channels of a fully adaptive minimal router).
+    /// Calls `visit` with every port that lies on *some* minimal path from
+    /// `current` to `dest` (the profitable output channels of a fully
+    /// adaptive minimal router), in the topology's fixed port order.  Visits
+    /// nothing iff `current == dest`.
+    ///
+    /// This is the allocation-free form the routing hot path uses;
+    /// [`Self::min_route_ports`] collects it into a `Vec`.
+    fn for_each_min_route_port(&self, current: NodeId, dest: NodeId, visit: &mut dyn FnMut(usize));
+
+    /// The ports [`Self::for_each_min_route_port`] visits, in its order.
     /// Empty iff `current == dest`.
-    fn min_route_ports(&self, current: NodeId, dest: NodeId) -> Vec<usize>;
+    fn min_route_ports(&self, current: NodeId, dest: NodeId) -> Vec<usize> {
+        let mut ports = Vec::new();
+        self.for_each_min_route_port(current, dest, &mut |port| ports.push(port));
+        ports
+    }
 
     /// Colour of a node in a 2-colouring (all topologies in this workspace are
     /// bipartite); used by the negative-hop virtual-channel discipline.

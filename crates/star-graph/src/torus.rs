@@ -42,15 +42,15 @@ pub struct Ring {
 /// Ports on a minimal path along one axis of a cycle of length `k`, given the
 /// forward displacement `d = (dest - current) mod k` and the (plus, minus)
 /// port numbers for that axis.  Both directions are minimal when `d == k/2`.
-fn axis_ports(d: usize, k: usize, plus: usize, minus: usize, out: &mut Vec<usize>) {
+fn axis_ports(d: usize, k: usize, plus: usize, minus: usize, visit: &mut dyn FnMut(usize)) {
     if d == 0 {
         return;
     }
     if 2 * d <= k {
-        out.push(plus);
+        visit(plus);
     }
     if 2 * d >= k {
-        out.push(minus);
+        visit(minus);
     }
 }
 
@@ -139,14 +139,12 @@ impl Topology for Torus {
         axis_distance((bx + k - ax) % k, k) + axis_distance((by + k - ay) % k, k)
     }
 
-    fn min_route_ports(&self, current: NodeId, dest: NodeId) -> Vec<usize> {
+    fn for_each_min_route_port(&self, current: NodeId, dest: NodeId, visit: &mut dyn FnMut(usize)) {
         let (ax, ay) = self.coords(current);
         let (bx, by) = self.coords(dest);
         let k = self.k;
-        let mut ports = Vec::with_capacity(4);
-        axis_ports((bx + k - ax) % k, k, 0, 1, &mut ports);
-        axis_ports((by + k - ay) % k, k, 2, 3, &mut ports);
-        ports
+        axis_ports((bx + k - ax) % k, k, 0, 1, visit);
+        axis_ports((by + k - ay) % k, k, 2, 3, visit);
     }
 
     fn color(&self, node: NodeId) -> Color {
@@ -242,11 +240,9 @@ impl Topology for Ring {
         axis_distance((b as usize + k - a as usize) % k, k)
     }
 
-    fn min_route_ports(&self, current: NodeId, dest: NodeId) -> Vec<usize> {
+    fn for_each_min_route_port(&self, current: NodeId, dest: NodeId, visit: &mut dyn FnMut(usize)) {
         let k = self.k;
-        let mut ports = Vec::with_capacity(2);
-        axis_ports((dest as usize + k - current as usize) % k, k, 0, 1, &mut ports);
-        ports
+        axis_ports((dest as usize + k - current as usize) % k, k, 0, 1, visit);
     }
 
     fn color(&self, node: NodeId) -> Color {

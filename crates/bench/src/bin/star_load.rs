@@ -3,9 +3,8 @@
 //! cache hit rate.
 //!
 //! ```text
-//! star-load --addr HOST:PORT [--queries N] [--seed N] [--warm-fraction F]
-//!           [--pipeline N] [--connections K] [--rates N] [--json PATH]
-//!           [--shutdown]
+//! star-load --addr HOST:PORT [--queries N] [--seed N] [--pipeline N]
+//!           [--connections K] [--rates N] [--json PATH] [--shutdown]
 //! ```
 //!
 //! With `--json PATH` the measurement is appended to the JSON trajectory
@@ -18,13 +17,12 @@ use std::process::ExitCode;
 use star_bench::loadgen::{append_trajectory, run_load, LoadConfig};
 
 fn usage() -> &'static str {
-    "usage: star-load --addr HOST:PORT [--queries N] [--seed N] [--warm-fraction F]\n\
-     \x20                [--pipeline N] [--connections K] [--rates N] [--json PATH] [--shutdown]\n\
+    "usage: star-load --addr HOST:PORT [--queries N] [--seed N] [--pipeline N]\n\
+     \x20                [--connections K] [--rates N] [--json PATH] [--shutdown]\n\
      \n\
      --addr HOST:PORT   the running star-serve daemon (required)\n\
      --queries N        total queries to issue (default 2000)\n\
      --seed N           stream seed (default 7)\n\
-     --warm-fraction F  fraction of warm-mode queries in [0,1] (default 0.5)\n\
      --pipeline N       requests in flight per batch per connection (default 8)\n\
      --connections K    concurrent connections sharing the stream (default 1)\n\
      --rates N          distinct rates per configuration (default 24)\n\
@@ -48,14 +46,6 @@ fn parse_args(args: &[String]) -> Result<(LoadConfig, Option<PathBuf>), String> 
             }
             "--seed" => {
                 config.seed = value("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--warm-fraction" => {
-                config.warm_fraction = value("--warm-fraction")?
-                    .parse()
-                    .map_err(|e| format!("--warm-fraction: {e}"))?;
-                if !(0.0..=1.0).contains(&config.warm_fraction) {
-                    return Err("--warm-fraction must be in [0, 1]".to_string());
-                }
             }
             "--pipeline" => {
                 config.pipeline =

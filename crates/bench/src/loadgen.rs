@@ -7,8 +7,8 @@
 //! disciplines, with per-configuration rate grids placed between 20% and
 //! 85% of each configuration's model-predicted saturation rate.  Configs
 //! are drawn with a min-of-two-draws bias (earlier pool entries are hotter)
-//! so the stream has the skew that makes a cache interesting; rates and
-//! the exact/warm mode split are uniform draws.
+//! so the stream has the skew that makes a cache interesting; rates are
+//! uniform draws.
 //!
 //! Requests are pipelined in fixed-size batches across
 //! [`LoadConfig::connections`] concurrent connections (batches dealt
@@ -47,8 +47,6 @@ pub struct LoadConfig {
     pub queries: usize,
     /// Stream seed — same seed, same stream, byte for byte.
     pub seed: u64,
-    /// Fraction of queries issued in `warm` mode (the rest are `exact`).
-    pub warm_fraction: f64,
     /// Requests in flight per batch per connection.
     pub pipeline: usize,
     /// Concurrent connections replaying the stream (batches dealt
@@ -68,7 +66,6 @@ impl Default for LoadConfig {
             addr: String::new(),
             queries: 2000,
             seed: 7,
-            warm_fraction: 0.5,
             pipeline: 8,
             connections: 1,
             rates: 24,
@@ -105,12 +102,7 @@ pub fn query_stream(config: &LoadConfig) -> Vec<Query> {
             let second = rng.random_range(0..pool.len());
             let pick = first.min(second);
             let rate = grids[pick][rng.random_range(0..grids[pick].len())];
-            let mode = if rng.random::<f64>() < config.warm_fraction {
-                SolveMode::Warm
-            } else {
-                SolveMode::Exact
-            };
-            Query { id, wire: pool[pick], rate, mode }
+            Query { id, wire: pool[pick], rate, mode: SolveMode::Exact }
         })
         .collect()
 }
@@ -122,7 +114,7 @@ pub struct LoadReport {
     pub queries: u64,
     /// Responses with `"status":"error"`.
     pub errors: u64,
-    /// Response counts by `cached` outcome (`cold`/`exact`/`warm`).
+    /// Response counts by `cached` outcome (`cold`/`exact`).
     pub outcomes: BTreeMap<String, u64>,
     /// Fraction of queries answered verbatim from the solve cache.
     pub hit_rate: f64,
@@ -151,7 +143,6 @@ impl LoadReport {
                 Value::Object(vec![
                     ("queries".to_string(), Value::from(config.queries)),
                     ("seed".to_string(), Value::from(config.seed)),
-                    ("warm_fraction".to_string(), Value::from(config.warm_fraction)),
                     ("pipeline".to_string(), Value::from(config.pipeline)),
                     ("connections".to_string(), Value::from(config.connections)),
                     ("rates".to_string(), Value::from(config.rates)),
@@ -377,9 +368,7 @@ mod tests {
         assert_eq!(a, b, "same seed must replay the same stream");
         assert_eq!(a.len(), 400);
         assert!(a.iter().enumerate().all(|(i, q)| q.id == i as u64));
-        // the stream really mixes: both modes, several configurations
-        assert!(a.iter().any(|q| q.mode == SolveMode::Warm));
-        assert!(a.iter().any(|q| q.mode == SolveMode::Exact));
+        // the stream really mixes several configurations
         let distinct: std::collections::BTreeSet<String> =
             a.iter().map(|q| q.wire.network_label()).collect();
         assert!(distinct.len() >= 4, "stream covers the pool: {distinct:?}");

@@ -7,12 +7,6 @@
 //! `V̄ = Σ v²·P_v / Σ v·P_v`, which scales the final latency to account for
 //! the physical bandwidth being time-multiplexed between the virtual channels
 //! sharing it.
-//!
-//! A generic finite [`BirthDeathChain`] solver is also provided (and used by
-//! tests to confirm that the closed form of Eq. 18 is indeed the steady state
-//! of the chain described in the paper).
-
-use serde::{Deserialize, Serialize};
 
 /// Steady-state distribution of the number of busy virtual channels at a
 /// physical channel with `v_max` virtual channels (Eq. 18):
@@ -68,79 +62,6 @@ pub fn multiplexing_degree(occupancy: &[f64]) -> f64 {
         1.0
     } else {
         num / den
-    }
-}
-
-/// A finite birth–death Markov chain with state-dependent birth rates
-/// `λ_v` (state `v → v+1`) and death rates `μ_v` (state `v → v-1`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BirthDeathChain {
-    /// Birth rate out of each state `0..states-1` (last state has none).
-    birth_rates: Vec<f64>,
-    /// Death rate out of each state `1..states` (`death_rates[v-1]` leaves state `v`).
-    death_rates: Vec<f64>,
-}
-
-impl BirthDeathChain {
-    /// Builds a chain with `birth_rates.len() + 1` states.
-    ///
-    /// # Panics
-    /// Panics if the lengths differ, are empty, or any rate is negative.
-    #[must_use]
-    pub fn new(birth_rates: Vec<f64>, death_rates: Vec<f64>) -> Self {
-        assert_eq!(birth_rates.len(), death_rates.len(), "need one death rate per birth rate");
-        assert!(!birth_rates.is_empty(), "chain needs at least two states");
-        assert!(
-            birth_rates.iter().chain(death_rates.iter()).all(|&r| r >= 0.0),
-            "rates must be non-negative"
-        );
-        Self { birth_rates, death_rates }
-    }
-
-    /// A chain with the same birth rate `lambda` out of every state and the
-    /// same death rate `mu` into every state — the structure the paper uses
-    /// for virtual-channel occupancy (birth = message arrival at rate `λ_c`,
-    /// death = service completion at rate `1/S̄`).
-    #[must_use]
-    pub fn homogeneous(lambda: f64, mu: f64, states: usize) -> Self {
-        assert!(states >= 2, "chain needs at least two states");
-        Self::new(vec![lambda; states - 1], vec![mu; states - 1])
-    }
-
-    /// Number of states.
-    #[must_use]
-    pub fn states(&self) -> usize {
-        self.birth_rates.len() + 1
-    }
-
-    /// Exact steady-state distribution via the detailed-balance product form
-    /// `π_v ∝ Π_{i<v} λ_i/μ_{i+1}`.
-    ///
-    /// States with an unreachable prefix (a zero birth rate upstream) simply
-    /// receive zero probability.
-    #[must_use]
-    pub fn steady_state(&self) -> Vec<f64> {
-        let n = self.states();
-        let mut weights = vec![0.0; n];
-        weights[0] = 1.0;
-        for v in 1..n {
-            let lambda = self.birth_rates[v - 1];
-            let mu = self.death_rates[v - 1];
-            weights[v] = if mu > 0.0 { weights[v - 1] * lambda / mu } else { 0.0 };
-        }
-        let total: f64 = weights.iter().sum();
-        if total > 0.0 {
-            for w in &mut weights {
-                *w /= total;
-            }
-        }
-        weights
-    }
-
-    /// Mean state value under the steady-state distribution.
-    #[must_use]
-    pub fn mean_state(&self) -> f64 {
-        self.steady_state().iter().enumerate().map(|(v, &p)| v as f64 * p).sum()
     }
 }
 
@@ -216,45 +137,6 @@ mod tests {
             assert!(m > last);
             last = m;
         }
-    }
-
-    #[test]
-    fn birth_death_homogeneous_matches_truncated_geometric_shape() {
-        // The paper's chain: arrivals at λ_c, service at 1/S̄.  Its exact
-        // steady state is the normalised geometric; Eq. (18) uses an
-        // un-normalised variant (the transition rates out of each state are
-        // "reduced by λ_c"), so we only compare shapes (ratios of successive
-        // probabilities).
-        let lambda = 0.004;
-        let s = 55.0;
-        let v = 6;
-        let chain = BirthDeathChain::homogeneous(lambda, 1.0 / s, v + 1);
-        let pi = chain.steady_state();
-        assert_distribution(&pi);
-        let rho = lambda * s;
-        for i in 0..v {
-            assert!((pi[i + 1] / pi[i] - rho).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn birth_death_mean_state_increases_with_load() {
-        let s = 40.0;
-        let mut last = 0.0;
-        for &lambda in &[0.001, 0.004, 0.008, 0.012, 0.02] {
-            let mean = BirthDeathChain::homogeneous(lambda, 1.0 / s, 7).mean_state();
-            assert!(mean > last);
-            last = mean;
-        }
-    }
-
-    #[test]
-    fn birth_death_zero_death_rate_is_handled() {
-        let chain = BirthDeathChain::new(vec![1.0, 1.0], vec![1.0, 0.0]);
-        let pi = chain.steady_state();
-        // the state after the zero death rate is unreachable in product form
-        assert_eq!(pi[2], 0.0);
-        assert_distribution(&pi[..2]);
     }
 
     #[test]

@@ -2,12 +2,9 @@
 //!
 //! The simulator reports mean message latency, mean network latency and mean
 //! source-queueing time with confidence intervals.  [`RunningStats`] is a
-//! numerically stable (Welford) accumulator; [`BatchMeans`] implements the
-//! classic batch-means method for steady-state output analysis;
-//! [`ReplicateStats`] summarises independent replications of one experiment
-//! (mean, sample standard deviation, Student-t 95% confidence interval);
-//! [`Histogram`] records integer-valued samples (latencies in cycles) for
-//! distribution plots.
+//! numerically stable (Welford) accumulator; [`ReplicateStats`] summarises
+//! independent replications of one experiment (mean, sample standard
+//! deviation, Student-t 95% confidence interval).
 
 use serde::{Deserialize, Serialize};
 
@@ -239,129 +236,6 @@ impl RunningStats {
     }
 }
 
-/// Batch-means estimator for steady-state simulation output: samples are
-/// grouped into fixed-size batches and the batch means are treated as
-/// (approximately independent) observations.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BatchMeans {
-    batch_size: u64,
-    current_sum: f64,
-    current_count: u64,
-    batch_stats: RunningStats,
-}
-
-impl BatchMeans {
-    /// Creates an estimator with the given batch size.
-    ///
-    /// # Panics
-    /// Panics if `batch_size` is zero.
-    #[must_use]
-    pub fn new(batch_size: u64) -> Self {
-        assert!(batch_size > 0, "batch size must be positive");
-        Self { batch_size, current_sum: 0.0, current_count: 0, batch_stats: RunningStats::new() }
-    }
-
-    /// Adds one raw sample.
-    pub fn push(&mut self, x: f64) {
-        self.current_sum += x;
-        self.current_count += 1;
-        if self.current_count == self.batch_size {
-            self.batch_stats.push(self.current_sum / self.batch_size as f64);
-            self.current_sum = 0.0;
-            self.current_count = 0;
-        }
-    }
-
-    /// Number of completed batches.
-    #[must_use]
-    pub fn batches(&self) -> u64 {
-        self.batch_stats.count()
-    }
-
-    /// Mean over completed batches.
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        self.batch_stats.mean()
-    }
-
-    /// 95% confidence half-width over completed batches.
-    #[must_use]
-    pub fn confidence_95(&self) -> f64 {
-        self.batch_stats.confidence_95()
-    }
-
-    /// Relative half-width of the 95% confidence interval (0 when the mean is
-    /// zero); a common stopping criterion for steady-state simulations.
-    #[must_use]
-    pub fn relative_precision(&self) -> f64 {
-        let mean = self.mean();
-        if mean.abs() < f64::EPSILON {
-            0.0
-        } else {
-            self.confidence_95() / mean.abs()
-        }
-    }
-}
-
-/// Fixed-bin histogram over non-negative integer samples (e.g. message
-/// latencies in cycles); samples beyond the last bin are clamped into it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    bin_width: u64,
-    bins: Vec<u64>,
-    total: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` bins of width `bin_width`.
-    ///
-    /// # Panics
-    /// Panics if either argument is zero.
-    #[must_use]
-    pub fn new(bin_width: u64, bins: usize) -> Self {
-        assert!(bin_width > 0 && bins > 0, "histogram dimensions must be positive");
-        Self { bin_width, bins: vec![0; bins], total: 0 }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = ((value / self.bin_width) as usize).min(self.bins.len() - 1);
-        self.bins[idx] += 1;
-        self.total += 1;
-    }
-
-    /// Total number of recorded samples.
-    #[must_use]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Raw bin counts.
-    #[must_use]
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The value below which `quantile` (in `[0,1]`) of the samples fall,
-    /// resolved to bin granularity.  Returns 0 when empty.
-    #[must_use]
-    pub fn quantile(&self, quantile: f64) -> u64 {
-        assert!((0.0..=1.0).contains(&quantile), "quantile must be in [0,1]");
-        if self.total == 0 {
-            return 0;
-        }
-        let threshold = (quantile * self.total as f64).ceil() as u64;
-        let mut seen = 0;
-        for (i, &c) in self.bins.iter().enumerate() {
-            seen += c;
-            if seen >= threshold {
-                return (i as u64 + 1) * self.bin_width;
-            }
-        }
-        self.bins.len() as u64 * self.bin_width
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -411,52 +285,6 @@ mod tests {
         let before = a.mean();
         a.merge(&RunningStats::new());
         assert_eq!(a.mean(), before);
-    }
-
-    #[test]
-    fn batch_means_reduces_to_sample_mean() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..100 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.batches(), 10);
-        assert!((bm.mean() - 49.5).abs() < 1e-12);
-        assert!(bm.relative_precision() > 0.0);
-    }
-
-    #[test]
-    fn batch_means_ignores_incomplete_batch() {
-        let mut bm = BatchMeans::new(10);
-        for i in 0..25 {
-            bm.push(i as f64);
-        }
-        assert_eq!(bm.batches(), 2);
-        assert!((bm.mean() - (4.5 + 14.5) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(10, 20);
-        for v in 0..100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.total(), 100);
-        assert_eq!(h.quantile(0.5), 50);
-        assert_eq!(h.quantile(1.0), 100);
-        assert_eq!(h.quantile(0.0), 10);
-    }
-
-    #[test]
-    fn histogram_clamps_overflow() {
-        let mut h = Histogram::new(10, 5);
-        h.record(1_000_000);
-        assert_eq!(h.bins()[4], 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "batch size")]
-    fn zero_batch_size_rejected() {
-        let _ = BatchMeans::new(0);
     }
 
     #[test]

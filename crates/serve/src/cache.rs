@@ -13,18 +13,10 @@
 //!
 //! **Level 2 — [`SolveCache`].**  Keyed by (fingerprint hex, exact rate
 //! bits): the canonical encoded answer of every solve, with a per-entry hit
-//! counter, under an LRU byte budget.  Beyond verbatim hits it keeps, per
-//! configuration, the rate-ordered chain of converged warm-start seeds —
-//! exactly the value [`star_workloads::ModelBackend`] chains through a
-//! batch sweep — so a `warm`-mode miss can start its fixed point from the
-//! **nearest cached rate** instead of from cold.  Entries remember whether
-//! they were solved cold (`exact`) or warm-started; `exact`-mode queries
-//! are only ever answered by exact entries, keeping the daemon's
-//! byte-identity contract intact.
-//!
-//! Positive finite `f64` rates are order-isomorphic to their IEEE-754 bit
-//! patterns, which is what lets the seed chain live in a `BTreeMap<u64, _>`
-//! and answer nearest-rate lookups with two bounded range scans.
+//! counter, under an LRU byte budget.  Every entry is a cold solve, the
+//! same bytes [`star_workloads::ModelBackend`] encodes for the point, so a
+//! hit answers any query verbatim without breaking the daemon's
+//! byte-identity contract.
 //!
 //! **Concurrency.**  Both levels own their synchronisation.  The config
 //! cache is read-mostly (six-ish configurations serve millions of queries),
@@ -32,20 +24,19 @@
 //! upgrades to a write lock only to build a new entry.  The solve cache is
 //! write-heavy (every miss inserts), so [`ShardedSolveCache`] splits it into
 //! independently locked shards keyed by the fingerprint hash — all rates of
-//! one configuration land on one shard, keeping its warm-seed chain intact —
-//! each with its own byte budget and counters that [`ShardedSolveCache::stats`]
-//! aggregates losslessly.  Shards also run **single-flight admission**
-//! ([`ShardedSolveCache::admit`]): the first miss on a (configuration, rate,
-//! solve-kind) key becomes the *leader* and owes the solve; concurrent
-//! misses on the same key become *followers* that wait on the leader's
-//! [`Flight`] instead of racing redundant solves through the shard lock.
+//! one configuration land on one shard — each with its own byte budget and
+//! counters that [`ShardedSolveCache::stats`] aggregates losslessly.  Shards
+//! also run **single-flight admission** ([`ShardedSolveCache::admit`]): the
+//! first miss on a (configuration, rate) key becomes the *leader* and owes
+//! the solve; concurrent misses on the same key become *followers* that wait
+//! on the leader's [`Flight`] instead of racing redundant solves through the
+//! shard lock.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use serde_json::Value;
 use star_workloads::{Scenario, ScenarioSpectrum, WireScenario};
 
-use crate::protocol::SolveMode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
@@ -142,28 +133,21 @@ impl ConfigCache {
 /// What a [`SolveCache::lookup`] answered.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Lookup {
-    /// The exact (configuration, rate) pair is cached and admissible for
-    /// the requested mode: the stored answer, verbatim, with the entry's
-    /// hit count after this hit.
+    /// The exact (configuration, rate) pair is cached: the stored answer,
+    /// verbatim, with the entry's hit count after this hit.
     Hit {
         /// The canonical encoded answer.
         payload: String,
         /// Times this entry has been served, including now.
         hits: u64,
     },
-    /// No admissible entry; solve it.  `warm`-mode misses carry the
-    /// converged seed of the nearest cached rate of the same
-    /// configuration, when one exists.
-    Miss {
-        /// Warm-start seed from the nearest cached chain point.
-        warm_seed: Option<f64>,
-    },
+    /// Not cached; solve it.
+    Miss,
 }
 
 #[derive(Debug)]
 struct SolveEntry {
     payload: String,
-    exact: bool,
     hits: u64,
     stamp: u64,
 }
@@ -172,8 +156,7 @@ struct SolveEntry {
 /// shares the fingerprint's one allocation.
 type SolveKey = (Arc<str>, u64);
 
-/// Level 2: the LRU-budgeted answer cache with the per-configuration
-/// warm-seed chain.  See the [module docs](self).
+/// Level 2: the LRU-budgeted answer cache.  See the [module docs](self).
 #[derive(Debug)]
 pub struct SolveCache {
     budget_bytes: usize,
@@ -181,21 +164,17 @@ pub struct SolveCache {
     entries: HashMap<SolveKey, SolveEntry>,
     /// Recency order: stamp → key (stamps are unique and monotonic).
     lru: BTreeMap<u64, SolveKey>,
-    /// Per-fingerprint chain of converged warm seeds, rate-ordered via the
-    /// positive-float/bits isomorphism.
-    seeds: HashMap<Arc<str>, BTreeMap<u64, f64>>,
     /// Every fingerprint seen, shared by the keys above.  Bounded by the
     /// configuration space, like the config cache.
     fingerprints: HashSet<Arc<str>>,
     next_stamp: u64,
     hits: u64,
     misses: u64,
-    seeded: u64,
     evictions: u64,
 }
 
 /// Approximate heap cost of one cached solve, for the byte budget: two
-/// fingerprint lengths, the payload, the seed-chain slot and map overheads.
+/// fingerprint lengths, the payload and a fixed allowance for map overheads.
 fn entry_cost(fingerprint: &str, payload: &str) -> usize {
     2 * fingerprint.len() + payload.len() + 96
 }
@@ -211,12 +190,10 @@ impl SolveCache {
             used_bytes: 0,
             entries: HashMap::new(),
             lru: BTreeMap::new(),
-            seeds: HashMap::new(),
             fingerprints: HashSet::new(),
             next_stamp: 0,
             hits: 0,
             misses: 0,
-            seeded: 0,
             evictions: 0,
         }
     }
@@ -240,80 +217,36 @@ impl SolveCache {
         self.next_stamp
     }
 
-    /// Looks up (configuration, rate) for the given mode, counting the
-    /// outcome and refreshing recency on hits.
-    pub fn lookup(&mut self, fingerprint: &str, rate: f64, mode: SolveMode) -> Lookup {
+    /// Looks up (configuration, rate), counting the outcome and refreshing
+    /// recency on hits.
+    pub fn lookup(&mut self, fingerprint: &str, rate: f64) -> Lookup {
         let key = self.key(fingerprint, rate);
         let fresh = self.stamp();
-        if let Some(entry) = self.entries.get_mut(&key) {
-            // warm-solved answers sit within solver tolerance of the exact
-            // ones — good enough for warm mode, inadmissible for exact mode
-            if entry.exact || mode == SolveMode::Warm {
-                entry.hits += 1;
-                self.hits += 1;
-                let old = std::mem::replace(&mut entry.stamp, fresh);
-                let payload = entry.payload.clone();
-                let hits = entry.hits;
-                self.lru.remove(&old);
-                self.lru.insert(fresh, key);
-                return Lookup::Hit { payload, hits };
-            }
-        }
-        self.misses += 1;
-        let warm_seed = if mode == SolveMode::Warm {
-            let seed = self.nearest_seed(fingerprint, rate);
-            if seed.is_some() {
-                self.seeded += 1;
-            }
-            seed
-        } else {
-            None
+        let Some(entry) = self.entries.get_mut(&key) else {
+            self.misses += 1;
+            return Lookup::Miss;
         };
-        Lookup::Miss { warm_seed }
+        entry.hits += 1;
+        self.hits += 1;
+        let old = std::mem::replace(&mut entry.stamp, fresh);
+        let payload = entry.payload.clone();
+        let hits = entry.hits;
+        self.lru.remove(&old);
+        self.lru.insert(fresh, key);
+        Lookup::Hit { payload, hits }
     }
 
-    /// The converged seed of the cached rate nearest to `rate` for this
-    /// configuration, if any rate of it is cached at all.
-    fn nearest_seed(&self, fingerprint: &str, rate: f64) -> Option<f64> {
-        let chain = self.seeds.get(fingerprint)?;
-        let bits = rate.to_bits();
-        let below = chain.range(..=bits).next_back();
-        let above = chain.range(bits..).next();
-        match (below, above) {
-            (Some((&b, &s_b)), Some((&a, &s_a))) => {
-                let d_b = (rate - f64::from_bits(b)).abs();
-                let d_a = (f64::from_bits(a) - rate).abs();
-                Some(if d_b <= d_a { s_b } else { s_a })
-            }
-            (Some((_, &s)), None) | (None, Some((_, &s))) => Some(s),
-            (None, None) => None,
-        }
-    }
-
-    /// Stores a solved answer: the canonical payload, whether it was
-    /// solved cold (`exact`), and its converged warm seed for the chain
-    /// (non-finite seeds — saturated points — are kept out of the chain;
-    /// `solve_from` would ignore them anyway).  Re-inserting a key
-    /// replaces the old entry; an exact re-solve upgrades a warm one.
-    pub fn insert(
-        &mut self,
-        fingerprint: &str,
-        rate: f64,
-        payload: String,
-        exact: bool,
-        warm_seed: f64,
-    ) {
+    /// Stores a solved answer's canonical payload.  Re-inserting a key
+    /// replaces the old entry.
+    pub fn insert(&mut self, fingerprint: &str, rate: f64, payload: String) {
         let key = self.key(fingerprint, rate);
         let cost = entry_cost(fingerprint, &payload);
         if let Some(old) = self.entries.remove(&key) {
             self.lru.remove(&old.stamp);
             self.used_bytes -= entry_cost(fingerprint, &old.payload);
         }
-        if warm_seed.is_finite() {
-            self.seeds.entry(Arc::clone(&key.0)).or_default().insert(key.1, warm_seed);
-        }
         let stamp = self.stamp();
-        self.entries.insert(key.clone(), SolveEntry { payload, exact, hits: 0, stamp });
+        self.entries.insert(key.clone(), SolveEntry { payload, hits: 0, stamp });
         self.lru.insert(stamp, key);
         self.used_bytes += cost;
         self.evict_to_budget();
@@ -325,12 +258,6 @@ impl SolveCache {
             let key = self.lru.remove(&stamp).expect("stamp just observed");
             let entry = self.entries.remove(&key).expect("entries track every lru stamp");
             self.used_bytes -= entry_cost(&key.0, &entry.payload);
-            if let Some(chain) = self.seeds.get_mut(&key.0) {
-                chain.remove(&key.1);
-                if chain.is_empty() {
-                    self.seeds.remove(&key.0);
-                }
-            }
             self.evictions += 1;
         }
     }
@@ -357,13 +284,12 @@ impl SolveCache {
             budget_bytes: self.budget_bytes as u64,
             hits: self.hits,
             misses: self.misses,
-            seeded: self.seeded,
             evictions: self.evictions,
         }
     }
 
     /// Counters as a JSON object (`entries`/`bytes`/`budget_bytes`/`hits`/
-    /// `misses`/`seeded`/`evictions`).
+    /// `misses`/`evictions`).
     #[must_use]
     pub fn stats(&self) -> Value {
         self.counters().to_value()
@@ -386,8 +312,6 @@ pub struct SolveCounters {
     pub hits: u64,
     /// Lookups that missed (including ones later coalesced onto a flight).
     pub misses: u64,
-    /// Warm misses that carried a nearest-rate seed.
-    pub seeded: u64,
     /// Entries evicted by the byte budget.
     pub evictions: u64,
 }
@@ -402,7 +326,6 @@ impl SolveCounters {
             budget_bytes: self.budget_bytes + other.budget_bytes,
             hits: self.hits + other.hits,
             misses: self.misses + other.misses,
-            seeded: self.seeded + other.seeded,
             evictions: self.evictions + other.evictions,
         }
     }
@@ -416,18 +339,13 @@ impl SolveCounters {
             ("budget_bytes".to_string(), Value::from(self.budget_bytes)),
             ("hits".to_string(), Value::from(self.hits)),
             ("misses".to_string(), Value::from(self.misses)),
-            ("seeded".to_string(), Value::from(self.seeded)),
             ("evictions".to_string(), Value::from(self.evictions)),
         ])
     }
 }
 
-/// One in-flight solve's key: (fingerprint hex, rate bits, solved-cold?).
-/// Cold flights (exact-mode misses, and warm-mode misses with no seed to
-/// chain from) and seeded warm flights of the same (configuration, rate)
-/// are distinct — they run different solver paths and admit differently —
-/// so they never coalesce onto each other.
-type FlightKey = (String, u64, bool);
+/// One in-flight solve's key: (fingerprint hex, rate bits).
+type FlightKey = (String, u64);
 
 #[derive(Debug)]
 enum FlightState {
@@ -469,8 +387,7 @@ impl Flight {
     }
 
     /// Blocks until the leader resolves the flight.  `None` means the
-    /// leader aborted: the follower must fall back to solving (cold)
-    /// itself.
+    /// leader aborted: the follower must fall back to solving itself.
     #[must_use]
     pub fn wait(&self) -> Option<String> {
         let mut state = self.state.lock().expect("flight poisoned");
@@ -513,23 +430,17 @@ pub enum Admission {
         /// Times this entry has been served, including now.
         hits: u64,
     },
-    /// First miss on this (configuration, rate, kind): the caller owes the
-    /// solve and must [`complete`](ShardedSolveCache::complete) the token.
+    /// First miss on this (configuration, rate): the caller owes the solve
+    /// and must [`complete`](ShardedSolveCache::complete) the token.
     Lead {
         /// The obligation to publish the answer (or abort on drop).
         token: FlightToken,
-        /// Warm-start seed from the nearest cached chain point, for
-        /// seeded warm-mode solves.
-        warm_seed: Option<f64>,
     },
     /// Another caller is already solving this exact key: wait on its
     /// flight instead of re-solving.
     Follow {
         /// The leader's flight; [`Flight::wait`] yields the answer.
         flight: Arc<Flight>,
-        /// Whether the joined flight solves cold (exact) rather than from
-        /// a warm seed.
-        cold: bool,
     },
 }
 
@@ -581,9 +492,8 @@ impl Shard {
 
 /// Level 2, scaled out: N independently locked [`SolveCache`] shards with
 /// single-flight admission.  The fingerprint hash picks the shard, so all
-/// rates of one configuration share a shard and its warm-seed chain stays
-/// whole; the total byte budget splits evenly across shards (each shard
-/// runs its own LRU within `budget / N`).  See the [module docs](self).
+/// rates of one configuration share a shard; the total byte budget splits
+/// evenly across shards (each shard runs its own LRU within `budget / N`).  See the [module docs](self).
 #[derive(Debug)]
 pub struct ShardedSolveCache {
     shards: Vec<Shard>,
@@ -621,43 +531,37 @@ impl ShardedSolveCache {
     }
 
     /// Admits one query: a cache hit answers verbatim; the first miss on a
-    /// (configuration, rate, kind) key becomes the leader and owes the
-    /// solve; concurrent misses on the same key follow the leader's
-    /// flight.  Atomic per key — exactly one caller holds a live
-    /// [`FlightToken`] at a time.
-    pub fn admit(&self, fingerprint: &str, rate: f64, mode: SolveMode) -> Admission {
+    /// (configuration, rate) key becomes the leader and owes the solve;
+    /// concurrent misses on the same key follow the leader's flight.
+    /// Atomic per key — exactly one caller holds a live [`FlightToken`] at
+    /// a time.
+    pub fn admit(&self, fingerprint: &str, rate: f64) -> Admission {
         let mut inner = self.shard(fingerprint).lock();
-        match inner.cache.lookup(fingerprint, rate, mode) {
-            Lookup::Hit { payload, hits } => Admission::Hit { payload, hits },
-            Lookup::Miss { warm_seed } => {
-                let cold = warm_seed.is_none();
-                let key: FlightKey = (fingerprint.to_string(), rate.to_bits(), cold);
-                if let Some(flight) = inner.flights.get(&key) {
-                    // a flight whose leader aborted stays in the map until
-                    // someone re-misses; that someone replaces it below
-                    if flight.is_pending() {
-                        let flight = Arc::clone(flight);
-                        inner.coalesced += 1;
-                        return Admission::Follow { flight, cold };
-                    }
-                }
-                let flight = Arc::new(Flight::new());
-                inner.flights.insert(key.clone(), Arc::clone(&flight));
-                Admission::Lead { token: FlightToken { key, flight, done: false }, warm_seed }
+        if let Lookup::Hit { payload, hits } = inner.cache.lookup(fingerprint, rate) {
+            return Admission::Hit { payload, hits };
+        }
+        let key: FlightKey = (fingerprint.to_string(), rate.to_bits());
+        if let Some(flight) = inner.flights.get(&key) {
+            // a flight whose leader aborted stays in the map until someone
+            // re-misses; that someone replaces it below
+            if flight.is_pending() {
+                let flight = Arc::clone(flight);
+                inner.coalesced += 1;
+                return Admission::Follow { flight };
             }
         }
+        let flight = Arc::new(Flight::new());
+        inner.flights.insert(key.clone(), Arc::clone(&flight));
+        Admission::Lead { token: FlightToken { key, flight, done: false } }
     }
 
     /// Stores the leader's answer, retires its flight, and wakes every
-    /// follower with the same payload.  Cold flights store `exact`
-    /// entries (admissible in both modes), seeded warm flights store warm
-    /// ones.
-    pub fn complete(&self, mut token: FlightToken, payload: String, warm_seed: f64) {
-        let exact = token.key.2;
+    /// follower with the same payload.
+    pub fn complete(&self, mut token: FlightToken, payload: String) {
         {
             let mut inner = self.shard(&token.key.0).lock();
             let rate = f64::from_bits(token.key.1);
-            inner.cache.insert(&token.key.0, rate, payload.clone(), exact, warm_seed);
+            inner.cache.insert(&token.key.0, rate, payload.clone());
             inner.inserted += 1;
             if inner.flights.get(&token.key).is_some_and(|f| Arc::ptr_eq(f, &token.flight)) {
                 inner.flights.remove(&token.key);
@@ -669,9 +573,9 @@ impl ShardedSolveCache {
 
     /// Stores an answer outside any flight — prewarming, and followers
     /// falling back after an aborted flight.
-    pub fn insert(&self, fingerprint: &str, rate: f64, payload: String, exact: bool, seed: f64) {
+    pub fn insert(&self, fingerprint: &str, rate: f64, payload: String) {
         let mut inner = self.shard(fingerprint).lock();
-        inner.cache.insert(fingerprint, rate, payload, exact, seed);
+        inner.cache.insert(fingerprint, rate, payload);
         inner.inserted += 1;
     }
 
@@ -763,42 +667,34 @@ mod tests {
     }
 
     #[test]
-    fn exact_entries_serve_both_modes_warm_entries_only_warm() {
+    fn hits_replay_the_stored_payload_and_reinserts_replace_it() {
         let mut cache = SolveCache::new(1 << 20);
-        cache.insert("aaaa", 0.004, "{\"exact\":true}".to_string(), true, 40.0);
-        cache.insert("aaaa", 0.005, "{\"warm\":true}".to_string(), false, 41.0);
-        // exact entry: admissible everywhere, hit counter climbs
+        cache.insert("aaaa", 0.004, "{\"first\":1}".to_string());
+        assert_eq!(cache.lookup("aaaa", 0.005), Lookup::Miss);
+        // the hit counter climbs with every verbatim replay…
+        for hits in 1..=2 {
+            assert_eq!(
+                cache.lookup("aaaa", 0.004),
+                Lookup::Hit { payload: "{\"first\":1}".to_string(), hits }
+            );
+        }
+        // …and a re-insert replaces the entry, counter included
+        cache.insert("aaaa", 0.004, "{\"second\":2}".to_string());
         assert_eq!(
-            cache.lookup("aaaa", 0.004, SolveMode::Exact),
-            Lookup::Hit { payload: "{\"exact\":true}".to_string(), hits: 1 }
+            cache.lookup("aaaa", 0.004),
+            Lookup::Hit { payload: "{\"second\":2}".to_string(), hits: 1 }
         );
-        assert_eq!(
-            cache.lookup("aaaa", 0.004, SolveMode::Warm),
-            Lookup::Hit { payload: "{\"exact\":true}".to_string(), hits: 2 }
-        );
-        // warm entry: never answers exact mode (and exact misses never
-        // carry a seed — they must solve cold)
-        assert_eq!(cache.lookup("aaaa", 0.005, SolveMode::Exact), Lookup::Miss { warm_seed: None });
-        assert_eq!(
-            cache.lookup("aaaa", 0.005, SolveMode::Warm),
-            Lookup::Hit { payload: "{\"warm\":true}".to_string(), hits: 1 }
-        );
-        // an exact re-solve upgrades the entry in place
-        cache.insert("aaaa", 0.005, "{\"exact\":2}".to_string(), true, 41.5);
-        assert_eq!(
-            cache.lookup("aaaa", 0.005, SolveMode::Exact),
-            Lookup::Hit { payload: "{\"exact\":2}".to_string(), hits: 1 }
-        );
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]
     fn every_key_of_a_configuration_shares_one_fingerprint_allocation() {
         let mut cache = SolveCache::new(1 << 20);
         for rate in [0.001, 0.002, 0.003] {
-            cache.insert("f", rate, "x".to_string(), true, rate * 1e4);
+            cache.insert("f", rate, "x".to_string());
         }
-        let _ = cache.lookup("f", 0.004, SolveMode::Exact);
-        cache.insert("g", 0.001, "x".to_string(), true, 10.0);
+        let _ = cache.lookup("f", 0.004);
+        cache.insert("g", 0.001, "x".to_string());
         assert_eq!(cache.fingerprints.len(), 2);
         let shared = cache.fingerprints.get("f").unwrap();
         let of_f: Vec<&Arc<str>> = cache
@@ -806,87 +702,34 @@ mod tests {
             .keys()
             .map(|(f, _)| f)
             .chain(cache.lru.values().map(|(f, _)| f))
-            .chain(cache.seeds.keys())
             .filter(|f| &***f == "f")
             .collect();
-        // three entries, their three recency slots and one seed chain
-        assert_eq!(of_f.len(), 3 + 3 + 1);
+        // three entries and their three recency slots
+        assert_eq!(of_f.len(), 3 + 3);
         assert!(of_f.iter().all(|f| Arc::ptr_eq(f, shared)));
-    }
-
-    #[test]
-    fn warm_misses_seed_from_the_nearest_cached_rate() {
-        let mut cache = SolveCache::new(1 << 20);
-        assert_eq!(cache.lookup("f", 0.004, SolveMode::Warm), Lookup::Miss { warm_seed: None });
-        cache.insert("f", 0.002, "a".to_string(), true, 20.0);
-        cache.insert("f", 0.008, "b".to_string(), true, 80.0);
-        // below, between (closer to each side), above — and other
-        // fingerprints never leak their seeds
-        assert_eq!(
-            cache.lookup("f", 0.001, SolveMode::Warm),
-            Lookup::Miss { warm_seed: Some(20.0) }
-        );
-        assert_eq!(
-            cache.lookup("f", 0.003, SolveMode::Warm),
-            Lookup::Miss { warm_seed: Some(20.0) }
-        );
-        assert_eq!(
-            cache.lookup("f", 0.007, SolveMode::Warm),
-            Lookup::Miss { warm_seed: Some(80.0) }
-        );
-        assert_eq!(
-            cache.lookup("f", 0.020, SolveMode::Warm),
-            Lookup::Miss { warm_seed: Some(80.0) }
-        );
-        assert_eq!(cache.lookup("g", 0.004, SolveMode::Warm), Lookup::Miss { warm_seed: None });
-        // saturated answers (non-finite seeds) stay out of the chain
-        cache.insert("f", 0.015, "sat".to_string(), true, f64::INFINITY);
-        assert_eq!(
-            cache.lookup("f", 0.014, SolveMode::Warm),
-            Lookup::Miss { warm_seed: Some(80.0) }
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.get("seeded").unwrap().as_u64(), Some(5));
     }
 
     #[test]
     fn lru_budget_evicts_cold_entries_first_and_keeps_the_newest() {
         let one = entry_cost("ffffffffffffffff", "x");
         let mut cache = SolveCache::new(3 * one + one / 2);
-        cache.insert("ffffffffffffffff", 0.001, "x".to_string(), true, 1.0);
-        cache.insert("ffffffffffffffff", 0.002, "x".to_string(), true, 2.0);
-        cache.insert("ffffffffffffffff", 0.003, "x".to_string(), true, 3.0);
+        cache.insert("ffffffffffffffff", 0.001, "x".to_string());
+        cache.insert("ffffffffffffffff", 0.002, "x".to_string());
+        cache.insert("ffffffffffffffff", 0.003, "x".to_string());
         assert_eq!(cache.len(), 3);
         // touch 0.001 so 0.002 is the least recently used…
-        assert!(matches!(
-            cache.lookup("ffffffffffffffff", 0.001, SolveMode::Exact),
-            Lookup::Hit { .. }
-        ));
-        cache.insert("ffffffffffffffff", 0.004, "x".to_string(), true, 4.0);
+        assert!(matches!(cache.lookup("ffffffffffffffff", 0.001), Lookup::Hit { .. }));
+        cache.insert("ffffffffffffffff", 0.004, "x".to_string());
         assert_eq!(cache.len(), 3);
-        assert_eq!(
-            cache.lookup("ffffffffffffffff", 0.002, SolveMode::Exact),
-            Lookup::Miss { warm_seed: None }
-        );
-        assert!(matches!(
-            cache.lookup("ffffffffffffffff", 0.001, SolveMode::Exact),
-            Lookup::Hit { .. }
-        ));
-        // …and the evicted entry's seed left the warm chain with it
-        // (0.0015 now seeds from 0.001, not the evicted 0.002)
-        assert_eq!(
-            cache.lookup("ffffffffffffffff", 0.0015, SolveMode::Warm),
-            Lookup::Miss { warm_seed: Some(1.0) }
-        );
+        // …and is the one evicted
+        assert_eq!(cache.lookup("ffffffffffffffff", 0.002), Lookup::Miss);
+        assert!(matches!(cache.lookup("ffffffffffffffff", 0.001), Lookup::Hit { .. }));
         // a budget below one entry still holds exactly the newest answer
         let mut tiny = SolveCache::new(1);
-        tiny.insert("ffffffffffffffff", 0.001, "x".to_string(), true, 1.0);
-        tiny.insert("ffffffffffffffff", 0.002, "y".to_string(), true, 2.0);
+        tiny.insert("ffffffffffffffff", 0.001, "x".to_string());
+        tiny.insert("ffffffffffffffff", 0.002, "y".to_string());
         assert_eq!(tiny.len(), 1);
-        assert!(matches!(
-            tiny.lookup("ffffffffffffffff", 0.002, SolveMode::Exact),
-            Lookup::Hit { .. }
-        ));
+        assert!(matches!(tiny.lookup("ffffffffffffffff", 0.002), Lookup::Hit { .. }));
         assert!(tiny.stats().get("evictions").unwrap().as_u64().unwrap() >= 1);
         assert!(!tiny.is_empty());
     }
@@ -918,7 +761,7 @@ mod tests {
         let fps = distinct_shard_fingerprints(&cache, 2);
         for i in 0..4 {
             let rate = 0.001 * (i + 1) as f64;
-            cache.insert(&fps[0], rate, "x".to_string(), true, rate);
+            cache.insert(&fps[0], rate, "x".to_string());
         }
         // the overloaded shard evicted down to its own budget even though
         // the total budget had room to spare
@@ -926,11 +769,8 @@ mod tests {
         let loaded = cache.shard_index(&fps[0]);
         assert_eq!(per_shard[loaded].entries, 2, "per-shard LRU holds ~2 entries");
         assert!(per_shard[loaded].evictions >= 2);
-        cache.insert(&fps[1], 0.001, "x".to_string(), true, 0.001);
-        assert!(matches!(
-            cache.admit(&fps[1], 0.001, SolveMode::Exact),
-            Admission::Hit { hits: 1, .. }
-        ));
+        cache.insert(&fps[1], 0.001, "x".to_string());
+        assert!(matches!(cache.admit(&fps[1], 0.001), Admission::Hit { hits: 1, .. }));
         // aggregate stats are exactly the field-by-field sum of the shards
         let sum =
             cache.shard_stats().into_iter().fold(SolveCounters::default(), SolveCounters::merge);
@@ -941,7 +781,6 @@ mod tests {
             ("budget_bytes", sum.budget_bytes),
             ("hits", sum.hits),
             ("misses", sum.misses),
-            ("seeded", sum.seeded),
             ("evictions", sum.evictions),
         ] {
             assert_eq!(stats.get(key).unwrap().as_u64(), Some(got), "aggregate {key}");
@@ -958,26 +797,24 @@ mod tests {
         let fp = "00000000000000aa";
         // leader admits first and holds its token across the follower's
         // admission — the deterministic version of two connections racing
-        let Admission::Lead { token, warm_seed } = cache.admit(fp, 0.004, SolveMode::Exact) else {
+        let Admission::Lead { token } = cache.admit(fp, 0.004) else {
             panic!("first miss must lead");
         };
-        assert_eq!(warm_seed, None);
         let follower = {
             let cache = Arc::clone(&cache);
-            let Admission::Follow { flight, cold: true } = cache.admit(fp, 0.004, SolveMode::Exact)
-            else {
+            let Admission::Follow { flight } = cache.admit(fp, 0.004) else {
                 panic!("concurrent same-key miss must follow, not re-solve");
             };
             std::thread::spawn(move || flight.wait())
         };
-        cache.complete(token, "{\"answer\":1}".to_string(), 40.0);
+        cache.complete(token, "{\"answer\":1}".to_string());
         assert_eq!(follower.join().unwrap(), Some("{\"answer\":1}".to_string()));
         let stats = cache.stats();
         assert_eq!(stats.get("inserted").unwrap().as_u64(), Some(1), "exactly one solve stored");
         assert_eq!(stats.get("coalesced").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("entries").unwrap().as_u64(), Some(1));
         // and the answer now serves hits verbatim
-        let Admission::Hit { payload, hits } = cache.admit(fp, 0.004, SolveMode::Exact) else {
+        let Admission::Hit { payload, hits } = cache.admit(fp, 0.004) else {
             panic!("completed flight must have populated the cache");
         };
         assert_eq!((payload.as_str(), hits), ("{\"answer\":1}", 1));
@@ -987,43 +824,15 @@ mod tests {
     fn aborted_leaders_unblock_followers_and_are_replaced() {
         let cache = ShardedSolveCache::new(1 << 20, 2);
         let fp = "00000000000000bb";
-        let Admission::Lead { token, .. } = cache.admit(fp, 0.004, SolveMode::Exact) else {
+        let Admission::Lead { token } = cache.admit(fp, 0.004) else {
             panic!("first miss must lead");
         };
-        let Admission::Follow { flight, .. } = cache.admit(fp, 0.004, SolveMode::Exact) else {
+        let Admission::Follow { flight } = cache.admit(fp, 0.004) else {
             panic!("second miss must follow");
         };
         drop(token); // leader dies without an answer
         assert_eq!(flight.wait(), None, "followers get the abort, not a hang");
         // the stale aborted flight is replaced: the next miss leads again
-        assert!(matches!(cache.admit(fp, 0.004, SolveMode::Exact), Admission::Lead { .. }));
-    }
-
-    #[test]
-    fn cold_and_seeded_warm_flights_never_coalesce() {
-        let cache = ShardedSolveCache::new(1 << 20, 2);
-        let fp = "00000000000000cc";
-        cache.insert(fp, 0.002, "near".to_string(), true, 20.0);
-        let Admission::Lead { token: exact_token, warm_seed: None } =
-            cache.admit(fp, 0.004, SolveMode::Exact)
-        else {
-            panic!("exact miss must lead cold");
-        };
-        // same (configuration, rate), warm mode with a seed: a different
-        // flight key, so it leads its own solve instead of following the
-        // cold one
-        let Admission::Lead { token: warm_token, warm_seed: Some(seed) } =
-            cache.admit(fp, 0.004, SolveMode::Warm)
-        else {
-            panic!("seeded warm miss must lead its own flight");
-        };
-        assert_eq!(seed, 20.0);
-        cache.complete(warm_token, "warm".to_string(), 40.0);
-        cache.complete(exact_token, "exact".to_string(), 40.0);
-        // the exact entry (stored last) wins for both modes
-        let Admission::Hit { payload, .. } = cache.admit(fp, 0.004, SolveMode::Exact) else {
-            panic!("exact answer must be cached");
-        };
-        assert_eq!(payload, "exact");
+        assert!(matches!(cache.admit(fp, 0.004), Admission::Lead { .. }));
     }
 }

@@ -17,7 +17,7 @@
 //!
 //! Cache misses go through the sharded cache's **single-flight admission**
 //! ([`ShardedSolveCache::admit`]): the first miss on a (configuration,
-//! rate, kind) key leads and owes the solve; duplicate misses — in the same
+//! rate) key leads and owes the solve; duplicate misses — in the same
 //! window or racing in from other connections — follow that flight and
 //! reuse its answer instead of re-solving.  Every window publishes all the
 //! flights it leads *before* waiting on any flight it follows, so no two
@@ -65,8 +65,8 @@ pub struct ServeConfig {
     /// `busy` line and a close.  `0` means unlimited.
     pub max_connections: usize,
     /// Configurations to solve across the whole rate grid before the
-    /// listener opens, so their steady-state traffic starts at the warm
-    /// hit rate (empty = no prewarming).
+    /// listener opens, so their traffic hits the cache from the first
+    /// query (empty = no prewarming).
     pub prewarm: Vec<WireScenario>,
     /// Rates per prewarmed configuration, spread over the same grid
     /// [`star_workloads::load_rate_grid`] gives the load generator.
@@ -150,7 +150,6 @@ impl ServerState {
 struct SolveJob {
     point: OperatingPoint,
     spectrum: Arc<ScenarioSpectrum>,
-    warm_state: Vec<f64>,
     token: FlightToken,
 }
 
@@ -169,9 +168,9 @@ enum Planned {
     /// Stats snapshot, taken after the window's solves land.
     Stats { id: u64 },
     /// Awaiting solve job `index`'s estimate (this window leads it).
-    Pending { id: u64, index: usize, outcome: CacheOutcome },
+    Pending { id: u64, index: usize },
     /// Awaiting another leader's flight (coalesced duplicate miss).
-    Follow { id: u64, outcome: CacheOutcome, flight: Arc<Flight>, fallback: Fallback },
+    Follow { id: u64, flight: Arc<Flight>, fallback: Fallback },
 }
 
 /// The serving daemon.  [`Daemon::bind`] then [`Daemon::run`]; the run
@@ -503,44 +502,31 @@ fn process_window(
                             ),
                         ))
                     }
-                    Ok(Some(_)) => {
-                        match state.solves.admit(&entry.fingerprint, query.rate, query.mode) {
-                            Admission::Hit { payload, hits } => Planned::Ready(protocol::ok_query(
-                                query.id,
-                                CacheOutcome::Exact,
-                                hits,
-                                &payload,
-                            )),
-                            Admission::Lead { token, warm_seed } => {
-                                let outcome = if warm_seed.is_some() {
-                                    CacheOutcome::Warm
-                                } else {
-                                    CacheOutcome::Cold
-                                };
-                                jobs.push(SolveJob {
-                                    point: entry.scenario.at(query.rate),
-                                    spectrum: Arc::clone(&entry.spectrum),
-                                    warm_state: warm_seed.map(|s| vec![s]).unwrap_or_default(),
-                                    token,
-                                });
-                                Planned::Pending { id: query.id, index: jobs.len() - 1, outcome }
-                            }
-                            Admission::Follow { flight, cold } => {
-                                let outcome =
-                                    if cold { CacheOutcome::Cold } else { CacheOutcome::Warm };
-                                Planned::Follow {
-                                    id: query.id,
-                                    outcome,
-                                    flight,
-                                    fallback: Fallback {
-                                        point: entry.scenario.at(query.rate),
-                                        spectrum: Arc::clone(&entry.spectrum),
-                                        fingerprint: entry.fingerprint.clone(),
-                                    },
-                                }
-                            }
+                    Ok(Some(_)) => match state.solves.admit(&entry.fingerprint, query.rate) {
+                        Admission::Hit { payload, hits } => Planned::Ready(protocol::ok_query(
+                            query.id,
+                            CacheOutcome::Exact,
+                            hits,
+                            &payload,
+                        )),
+                        Admission::Lead { token } => {
+                            jobs.push(SolveJob {
+                                point: entry.scenario.at(query.rate),
+                                spectrum: Arc::clone(&entry.spectrum),
+                                token,
+                            });
+                            Planned::Pending { id: query.id, index: jobs.len() - 1 }
                         }
-                    }
+                        Admission::Follow { flight } => Planned::Follow {
+                            id: query.id,
+                            flight,
+                            fallback: Fallback {
+                                point: entry.scenario.at(query.rate),
+                                spectrum: Arc::clone(&entry.spectrum),
+                                fingerprint: entry.fingerprint.clone(),
+                            },
+                        },
+                    },
                 }
             }
         });
@@ -548,15 +534,14 @@ fn process_window(
 
     // the window's led misses, solved as one deterministic ordered batch…
     let estimates = ExecPool::global_ordered(width, &jobs, |_, job| {
-        state.backend.estimate_with(&job.point, &job.spectrum, &job.warm_state)
+        state.backend.estimate_with(&job.point, &job.spectrum, &[])
     });
     // …then published (cache insert + follower wake-up) before any Follow
     // below is waited on
     let mut payloads: Vec<String> = Vec::with_capacity(estimates.len());
     for (job, estimate) in jobs.into_iter().zip(&estimates) {
         let payload = encode_estimate(estimate);
-        let seed = ModelBackend::warm_seed(estimate).unwrap_or(f64::NAN);
-        state.solves.complete(job.token, payload.clone(), seed);
+        state.solves.complete(job.token, payload.clone());
         payloads.push(payload);
     }
 
@@ -564,28 +549,24 @@ fn process_window(
         let response = match plan {
             Planned::Ready(response) => response,
             Planned::Stats { id } => protocol::ok_stats(id, &state.stats()),
-            Planned::Pending { id, index, outcome } => {
-                protocol::ok_query(id, outcome, 0, &payloads[index])
+            Planned::Pending { id, index } => {
+                protocol::ok_query(id, CacheOutcome::Cold, 0, &payloads[index])
             }
-            Planned::Follow { id, outcome, flight, fallback } => match flight.wait() {
-                Some(payload) => protocol::ok_query(id, outcome, 0, &payload),
-                None => {
-                    // the leader died mid-solve: solve cold ourselves (an
-                    // exact answer, admissible whatever mode asked)
+            Planned::Follow { id, flight, fallback } => {
+                let payload = flight.wait().unwrap_or_else(|| {
+                    // the leader died mid-solve: solve it ourselves
                     let estimate =
                         state.backend.estimate_with(&fallback.point, &fallback.spectrum, &[]);
                     let payload = encode_estimate(&estimate);
-                    let seed = ModelBackend::warm_seed(&estimate).unwrap_or(f64::NAN);
                     state.solves.insert(
                         &fallback.fingerprint,
                         fallback.point.traffic_rate,
                         payload.clone(),
-                        true,
-                        seed,
                     );
-                    protocol::ok_query(id, CacheOutcome::Cold, 0, &payload)
-                }
-            },
+                    payload
+                });
+                protocol::ok_query(id, CacheOutcome::Cold, 0, &payload)
+            }
         };
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;

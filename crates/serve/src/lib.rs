@@ -14,12 +14,9 @@
 //!   builds — one spectrum per *network* across all disciplines and knobs.
 //! * **Level 2** ([`cache::ShardedSolveCache`]): solved answers keyed by
 //!   (fingerprint, exact rate bits) under an LRU byte budget with per-entry
-//!   hit counters, plus the rate-ordered chain of converged warm-start
-//!   seeds per configuration, so `warm`-mode misses start their fixed
-//!   point from the nearest cached rate.  The level is **sharded**: the
-//!   fingerprint hash picks one of N independently locked
-//!   [`cache::SolveCache`] shards (all rates of a configuration share a
-//!   shard, so its warm chain stays whole), and each shard runs
+//!   hit counters.  The level is **sharded**: the fingerprint hash picks
+//!   one of N independently locked [`cache::SolveCache`] shards (all rates
+//!   of a configuration share a shard), and each shard runs
 //!   **single-flight admission** — concurrent misses on one
 //!   (configuration, rate) coalesce into one solve instead of racing.
 //!
@@ -30,16 +27,13 @@
 //! that answers overload with explicit `busy` refusals rather than
 //! unbounded thread growth.
 //!
-//! The contract that keeps the daemon honest ([`protocol`]): `exact`-mode
-//! answers are **byte-identical** to what the batch
-//! [`star_workloads::ModelBackend`] encodes for the same point — cold
-//! solves through literally the same code path
-//! ([`star_workloads::ModelBackend::estimate_with`] with an empty warm
-//! state), cache hits replaying previously-solved bytes verbatim.
-//! `warm`-mode answers trade that guarantee for fewer fixed-point
-//! iterations and agree to solver tolerance (1e-9 relative latency), the
-//! same deal [`star_workloads::Evaluator::evaluate_sweep`] already makes
-//! within a batch sweep.
+//! The contract that keeps the daemon honest ([`protocol`]): every answer
+//! is **byte-identical** to what the batch [`star_workloads::ModelBackend`]
+//! encodes for the same point — cold solves through literally the same
+//! code path ([`star_workloads::ModelBackend::estimate_with`] with an empty
+//! warm state), cache hits replaying previously-solved bytes verbatim.  The
+//! wire `mode` field is still accepted (`exact`, or the retired `warm`),
+//! and both spellings get the same exact answer.
 //!
 //! Queries pipelined on one connection are evaluated as deterministic
 //! ordered batches on the shared [`star_exec::ExecPool`]; SIGINT or a wire

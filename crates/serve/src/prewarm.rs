@@ -5,13 +5,10 @@
 //! traffic mix (the configurations `star-load` names) that cold ramp is
 //! pure waste.  [`prewarm`] resolves each configuration once, solves every
 //! rate of [`star_workloads::load_rate_grid`] as one ordered batch on the
-//! shared [`star_exec::ExecPool`], and stores the answers as **exact**
-//! entries — each solved cold through the very
-//! [`star_workloads::ModelBackend::estimate_with`] path a live exact-mode
-//! query takes, so prewarmed answers are byte-identical to batch solves
-//! and admissible in both `exact` and `warm` mode.  The converged seeds
-//! populate the per-configuration warm chain as a side effect, so warm
-//! traffic near the grid starts seeded too.
+//! shared [`star_exec::ExecPool`], and stores the answers — each solved
+//! cold through the very [`star_workloads::ModelBackend::estimate_with`]
+//! path a live query takes, so prewarmed answers are byte-identical to
+//! batch solves.
 //!
 //! The `--prewarm` flag names configurations in a compact spec parsed by
 //! [`parse_prewarm_list`]: the literal `pool` (the
@@ -24,8 +21,7 @@ use std::sync::Arc;
 
 use star_exec::ExecPool;
 use star_workloads::{
-    default_config_pool, encode_estimate, load_rate_grid, Discipline, ModelBackend, TopologyKind,
-    WireScenario,
+    default_config_pool, encode_estimate, load_rate_grid, Discipline, TopologyKind, WireScenario,
 };
 
 use crate::cache::ConfigEntry;
@@ -135,15 +131,13 @@ pub fn prewarm(
                 .map(move |rate| (Arc::clone(entry), rate))
         })
         .collect();
-    // every prewarm solve is cold — the exact-mode code path, so the
+    // every prewarm solve is cold — the live query's code path, so the
     // stored bytes equal what a batch solve of the same point encodes
     let estimates = ExecPool::global_ordered(width, &jobs, |_, (entry, rate)| {
         state.backend.estimate_with(&entry.scenario.at(*rate), &entry.spectrum, &[])
     });
     for ((entry, rate), estimate) in jobs.iter().zip(&estimates) {
-        let payload = encode_estimate(estimate);
-        let seed = ModelBackend::warm_seed(estimate).unwrap_or(f64::NAN);
-        state.solves.insert(&entry.fingerprint, *rate, payload, true, seed);
+        state.solves.insert(&entry.fingerprint, *rate, encode_estimate(estimate));
     }
     Ok(PrewarmReport { configs: entries.len(), solves: jobs.len() })
 }

@@ -5,18 +5,19 @@
 //! operations exist:
 //!
 //! * `{"op":"query","id":N,"topology":"star","size":5,"discipline":
-//!   "enhanced-nbc","vc":6,"m":32,"rate":0.004,"mode":"exact"}` — evaluate
-//!   one operating point (`op` defaults to `query`, the scenario knobs to
-//!   the paper's defaults, `mode` to `exact`);
+//!   "enhanced-nbc","vc":6,"m":32,"rate":0.004}` — evaluate one operating
+//!   point (`op` defaults to `query`, the scenario knobs to the paper's
+//!   defaults; an optional `mode` of `exact` or `warm` is accepted for
+//!   compatibility and changes nothing);
 //! * `{"op":"stats","id":N}` — a cache/traffic counter snapshot;
 //! * `{"op":"shutdown","id":N}` — ask the daemon to drain and exit.
 //!
 //! Successful query responses are
-//! `{"id":N,"status":"ok","cached":"cold|exact|warm","hits":H,"result":…}`
+//! `{"id":N,"status":"ok","cached":"cold|exact","hits":H,"result":…}`
 //! where `result` is the canonical
 //! [`star_workloads::wire::encode_estimate`] payload — spliced in verbatim,
 //! so the daemon's byte-identity contract (`result` equals the batch
-//! encoding, byte for byte, for `exact`-mode answers) survives the framing.
+//! encoding, byte for byte, for every answer) survives the framing.
 //! Every failure is `{"id":…,"status":"error","error":"…"}` with `id` null
 //! when the request was too broken to carry one; a malformed line is an
 //! error *response*, never a dropped connection.
@@ -24,17 +25,14 @@
 use serde_json::Value;
 use star_workloads::WireScenario;
 
-/// How a query wants its answer solved.
+/// The wire `mode` field, kept for compatibility with clients that send
+/// it.  Every answer is a cold fixed-point solve, byte-identical to the
+/// batch [`star_workloads::ModelBackend`]; both accepted spellings
+/// (`exact`, and the retired `warm`) parse to [`SolveMode::Exact`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveMode {
-    /// Cold fixed-point solves only: answers are byte-identical to the
-    /// batch [`star_workloads::ModelBackend`], and only exact-solved cache
-    /// entries may answer.  The default.
+    /// The exact solve.
     Exact,
-    /// Warm-start from the nearest cached rate of the same configuration:
-    /// answers agree with batch to solver tolerance (1e-9 relative
-    /// latency) with fewer iterations.
-    Warm,
 }
 
 impl SolveMode {
@@ -43,7 +41,6 @@ impl SolveMode {
     pub fn name(self) -> &'static str {
         match self {
             Self::Exact => "exact",
-            Self::Warm => "warm",
         }
     }
 }
@@ -55,8 +52,6 @@ pub enum CacheOutcome {
     Cold,
     /// Served verbatim from the solve cache.
     Exact,
-    /// A fresh solve warm-started from a cached neighbouring rate.
-    Warm,
 }
 
 impl CacheOutcome {
@@ -66,7 +61,6 @@ impl CacheOutcome {
         match self {
             Self::Cold => "cold",
             Self::Exact => "exact",
-            Self::Warm => "warm",
         }
     }
 }
@@ -80,7 +74,7 @@ pub struct Query {
     pub wire: WireScenario,
     /// Traffic generation rate `λ_g` (finite, positive).
     pub rate: f64,
-    /// Solve mode (`exact` unless the query says otherwise).
+    /// The wire `mode` field; see [`SolveMode`].
     pub mode: SolveMode,
 }
 
@@ -143,19 +137,13 @@ impl Request {
                     .ok_or_else(|| {
                         fail("field `rate` must be a finite positive number".to_string())
                     })?;
-                let mode = match value.get("mode") {
-                    None => SolveMode::Exact,
-                    Some(v) => match v.as_str() {
-                        Some("exact") => SolveMode::Exact,
-                        Some("warm") => SolveMode::Warm,
-                        _ => {
-                            return Err(fail(
-                                "field `mode` must be \"exact\" or \"warm\"".to_string(),
-                            ))
-                        }
-                    },
-                };
-                Ok(Self::Query(Query { id, wire, rate, mode }))
+                match value.get("mode").map(Value::as_str) {
+                    None | Some(Some("exact" | "warm")) => {}
+                    Some(_) => {
+                        return Err(fail("field `mode` must be \"exact\" or \"warm\"".to_string()))
+                    }
+                }
+                Ok(Self::Query(Query { id, wire, rate, mode: SolveMode::Exact }))
             }
             other => Err(fail(format!("unknown op `{other}` (query|stats|shutdown)"))),
         }
@@ -235,7 +223,8 @@ mod tests {
         assert_eq!(q.id, 7);
         assert_eq!(q.wire.kind, TopologyKind::Star);
         assert_eq!(q.wire.discipline, Discipline::Nbc);
-        assert_eq!(q.mode, SolveMode::Warm);
+        // the retired warm mode parses, and means the exact solve
+        assert_eq!(q.mode, SolveMode::Exact);
         // op and mode default; scenario knobs fall back to the paper's
         let bare = Request::parse(r#"{"id":1,"topology":"torus","rate":0.01}"#).unwrap();
         let Request::Query(q) = &bare else { panic!("expected a query") };
@@ -261,7 +250,7 @@ mod tests {
                 message_length: 32,
             },
             rate: 0.0125,
-            mode: SolveMode::Warm,
+            mode: SolveMode::Exact,
         };
         assert_eq!(Request::parse(&query_line(&query)), Ok(Request::Query(query)));
     }

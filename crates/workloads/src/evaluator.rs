@@ -391,10 +391,10 @@ impl ModelBackend {
     ///
     /// With an empty `warm_state` the returned estimate is **bit-identical**
     /// to [`Evaluator::evaluate`] on the same point — this is the contract
-    /// the serving daemon's byte-identity guarantee rests on.  With a warm
-    /// seed (see [`Self::warm_seed`]) the answer agrees to solver tolerance
-    /// (1e-9 relative latency) with fewer iterations, exactly like the
-    /// sweep chain of [`Evaluator::evaluate_sweep`].
+    /// the serving daemon's byte-identity guarantee rests on.  A non-empty
+    /// `warm_state` seeds the fixed point the way the sweep chain of
+    /// [`Evaluator::evaluate_sweep`] does; the answer then agrees to solver
+    /// tolerance (1e-9 relative latency) instead of bit for bit.
     ///
     /// # Panics
     /// As [`Evaluator::evaluate`]; also if the spectrum was built for a
@@ -415,13 +415,11 @@ impl ModelBackend {
     }
 
     /// The mean network latency an estimate contributes as the next rate's
-    /// warm-start seed: the value
-    /// [`Evaluator::evaluate_sweep`] chains between rates, and the value the
-    /// serving daemon's solve cache stores per chain point.  `None` for
-    /// simulator estimates; non-finite (and ignored by `solve_from` in
-    /// favour of a cold start) for saturated points.
-    #[must_use]
-    pub fn warm_seed(estimate: &PointEstimate) -> Option<f64> {
+    /// warm-start seed: the value [`Evaluator::evaluate_sweep`] chains
+    /// between rates.  `None` for simulator estimates; non-finite (and
+    /// ignored by `solve_from` in favour of a cold start) for saturated
+    /// points.
+    fn warm_seed(estimate: &PointEstimate) -> Option<f64> {
         // saturated points leave a non-finite seed, which solve_from ignores
         // in favour of the cold start
         estimate.spectrum_result().map(|r| r.mean_network_latency)

@@ -15,10 +15,10 @@
 //!   library behind `merge-shards`, and byte-compared — the cross-process
 //!   sharding contract, enforced on every push), a **serve smoke** (two
 //!   `star-serve` launches on ephemeral ports: first a cold daemon whose
-//!   deterministic query mix is replayed twice over TCP, every answer
-//!   byte-compared to a batch [`star_workloads::ModelBackend`] solve of
-//!   the same operating point with the second pass served from the solve
-//!   cache; then a **prewarmed** daemon (`--prewarm pool`, 4 shards) whose
+//!   deterministic query mix is replayed twice over TCP, every other query
+//!   sent with the retired `"mode":"warm"`, every answer byte-compared to a
+//!   batch [`star_workloads::ModelBackend`] solve of the same operating
+//!   point with the second pass served from the solve cache; then a **prewarmed** daemon (`--prewarm pool`, 4 shards) whose
 //!   very first queries must hit `exact` with the same byte-identity, and
 //!   which must survive a `star-load --connections 4` replay with zero
 //!   errors — the serving contract plus the scale-out path, enforced on
@@ -40,8 +40,7 @@
 //!   complete and consistent).
 //! * `cargo xtask serve-bench` — launches `star-serve` on an ephemeral port
 //!   (8 shards, the `pool` prewarm list) and replays the pinned `star-load`
-//!   stream against it (2000 queries, seed 7, half warm-mode, pipeline 8,
-//!   4 connections), appending the measurement to `BENCH_serve.json` at the
+//!   stream against it (2000 queries, seed 7, pipeline 8, 4 connections), appending the measurement to `BENCH_serve.json` at the
 //!   repository root; extra arguments are forwarded to `star-load` and
 //!   override the pinned knobs.
 //! * `cargo xtask sim-bench` — runs the pinned `sim-bench` flit-throughput
@@ -357,10 +356,11 @@ fn spawn_daemon(extra: &[&str]) -> Result<ServeDaemon, String> {
 
 /// The serving contract, checked end to end in two launches.
 ///
-/// **Cold:** a deterministic query mix replayed twice; every `result`
-/// payload byte-identical to a batch [`star_workloads::ModelBackend`]
-/// solve, the whole second pass served from the solve cache, and a clean
-/// drain through the wire `shutdown` op.
+/// **Cold:** a deterministic query mix replayed twice, every other query
+/// in the retired `warm` mode; every `result` payload byte-identical to a
+/// batch [`star_workloads::ModelBackend`] solve whatever the mode, the
+/// whole second pass served from the solve cache, and a clean drain
+/// through the wire `shutdown` op.
 ///
 /// **Prewarmed:** a daemon launched with `--shards 4 --prewarm pool` must
 /// answer its *first* query per pool configuration as an `exact` cache hit
@@ -415,7 +415,9 @@ fn cold_serve_smoke() -> Result<(), String> {
             let mut batch = String::new();
             for (i, (fields, _, _)) in cases.iter().enumerate() {
                 let id = pass * 100 + i as u64;
-                batch.push_str(&format!("{{\"id\":{id},{fields},\"mode\":\"exact\"}}\n"));
+                // every answer is exact, whichever mode the query names
+                let mode = if i % 2 == 0 { "exact" } else { "warm" };
+                batch.push_str(&format!("{{\"id\":{id},{fields},\"mode\":\"{mode}\"}}\n"));
             }
             writer.write_all(batch.as_bytes()).map_err(|e| format!("writing pass {pass}: {e}"))?;
             for (i, (fields, _, _)) in cases.iter().enumerate() {
@@ -472,8 +474,8 @@ fn cold_serve_smoke() -> Result<(), String> {
         return Err(format!("daemon exited with {status}"));
     }
     println!(
-        "==> serve-smoke: {} queries byte-identical to batch, second pass cached, clean drain \
-         ({:.1}s)",
+        "==> serve-smoke: {} exact- and warm-mode queries byte-identical to batch, second pass \
+         cached, clean drain ({:.1}s)",
         cases.len() * 2,
         started.elapsed().as_secs_f64()
     );
@@ -553,8 +555,6 @@ fn prewarmed_serve_smoke() -> Result<(), String> {
             "800",
             "--seed",
             "7",
-            "--warm-fraction",
-            "0.5",
             "--pipeline",
             "8",
             "--connections",
@@ -618,8 +618,6 @@ fn serve_bench(rest: &[String]) -> ExitCode {
         "2000",
         "--seed",
         "7",
-        "--warm-fraction",
-        "0.5",
         "--pipeline",
         "8",
         "--connections",

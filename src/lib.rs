@@ -30,8 +30,8 @@
 //! * [`serve`] (crate `star-serve`) — the persistent evaluation daemon:
 //!   a line-delimited-JSON TCP server answering scenario queries from a
 //!   two-level cache (fingerprint-keyed topology/spectrum sharing plus an
-//!   LRU solve cache that warm-starts rate-adjacent queries), byte-identical
-//!   in `exact` mode to a batch [`ModelBackend`] solve (see
+//!   LRU solve cache), every answer byte-identical to a batch
+//!   [`ModelBackend`] solve (see
 //!   `REPRODUCING.md`'s *Serving mode* and the `star-serve` / `star-load`
 //!   binaries);
 //! * [`workloads`] (crate `star-workloads`) — the unified evaluation API:

@@ -261,34 +261,172 @@ impl SpectrumModel {
     }
 }
 
+/// Every how many iterations a bisection probe tests its certificate.
+const CERTIFY_EVERY: usize = 8;
+
+/// What one bisection probe decided about a rate.
+#[derive(Debug, Clone, Copy)]
+struct Probe {
+    saturated: bool,
+    /// A lower bound on the rate's `S̄`, to seed the next probe with
+    /// (meaningless when saturated).
+    state: f64,
+    iterations: usize,
+    certified: bool,
+    capped: bool,
+}
+
+impl SpectrumModel {
+    /// Decides whether the model saturates at `traffic_rate`, exactly as
+    /// `self.params().with_rate(traffic_rate)`'s [`Self::solve_from`] with
+    /// `seed` would, usually without converging the fixed point.
+    ///
+    /// The probe runs the damped recurrence of [`Self::solve_from`] (the
+    /// same update, divergence and convergence tests and the same M/G/1
+    /// post-check).  Every [`CERTIFY_EVERY`] iterations, if the last three
+    /// iterates rise with shrinking steps, it extrapolates their limit `x̂`
+    /// (Aitken's Δ²) and tests `y = x̂ + (x̂ − x_k) + 1e-9·x̂`: when
+    /// `F(y) ≤ y` and both waits are finite at `y`, the rate solves.
+    ///
+    /// **Premise:** the step `F` (Eqs. 4-15) is non-decreasing in `S̄` up to
+    /// the channel pole `λ_c·S̄ = 1`, and in the rate at fixed `S̄` (a unit
+    /// test holds the kernel to both).  Then so is the damped map
+    /// `G(x) = ½x + ½F(x)`, and `x ≤ y` gives `G(x) ≤ G(y) ≤ y`: every later
+    /// iterate stays at or below `y`, so the full solve can never diverge,
+    /// and its last iterate has finite waits because they are monotone in
+    /// `S̄`.  The full solve would report `saturated: false` whether it
+    /// converged or ran out of iterations.  A probe that never certifies has
+    /// run the full solve and returns its flag.  Iterates that start at or
+    /// below the least fixed point stay below it, so the iterate passed on
+    /// is still a lower bound on `S̄` at every higher rate.
+    fn probe(&self, traffic_rate: f64, seed: f64, scratch: &mut StepScratch) -> Probe {
+        let params = &self.params;
+        let m = params.message_length;
+        let mean_distance = self.spectrum.mean_distance();
+        let channel_rate = traffic_rate * mean_distance / self.spectrum.degree() as f64;
+        let zero_load = m as f64 + mean_distance;
+        let saturated = |iterations| Probe {
+            saturated: true,
+            state: f64::NAN,
+            iterations,
+            certified: false,
+            capped: false,
+        };
+        if channel_rate * m as f64 >= 1.0 {
+            return saturated(0);
+        }
+        let waits_finite = |s: f64| {
+            channel_waiting_time(channel_rate, s, m).is_finite()
+                && source_waiting_time(traffic_rate, params.virtual_channels, s, m).is_finite()
+        };
+        let solver = latency_solver();
+        let mut state = if seed.is_finite() && seed >= zero_load { seed } else { zero_load };
+        // the step from the iterate before `state` to `state`
+        let mut last = f64::NAN;
+        let mut converged_at = None;
+        for iteration in 1..=solver.max_iterations {
+            let image = self.kernel.network_latency_step(state, channel_rate, scratch);
+            let Some((next, residual)) = solver.advance(state, image) else {
+                return saturated(iteration);
+            };
+            let rise = last;
+            last = next - state;
+            state = next;
+            if residual < solver.tolerance {
+                converged_at = Some(iteration);
+                break;
+            }
+            if iteration % CERTIFY_EVERY != 0 || !(last > 0.0 && last < rise) {
+                continue;
+            }
+            let limit = state + last * last / (rise - last);
+            let bound = limit + (limit - state) + 1e-9 * limit;
+            if bound <= solver.divergence_ceiling && waits_finite(bound) {
+                let image = self.kernel.network_latency_step(bound, channel_rate, scratch);
+                if image.is_finite() && image <= bound {
+                    return Probe {
+                        saturated: false,
+                        state,
+                        iterations: iteration,
+                        certified: true,
+                        capped: false,
+                    };
+                }
+            }
+        }
+        Probe {
+            saturated: !waits_finite(state),
+            state,
+            iterations: converged_at.unwrap_or(solver.max_iterations),
+            certified: false,
+            capped: converged_at.is_none(),
+        }
+    }
+}
+
+/// How [`saturation_search`] found the knee.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SaturationSearch {
+    /// The predicted saturation rate: the largest probed rate that solves.
+    pub rate: f64,
+    /// Probes the bisection ran.
+    pub probes: usize,
+    /// Fixed-point iterations over all probes (a certificate test's extra
+    /// step is not counted).
+    pub iterations: usize,
+    /// Probes decided unsaturated by the certificate, before converging.
+    pub certified: usize,
+    /// Probes that spent the whole iteration budget: their flag is the one
+    /// of an unconverged last iterate.
+    pub capped: usize,
+}
+
 /// Largest traffic generation rate at which the model still solves
 /// unsaturated (the predicted saturation rate), found by bisection on the
 /// `saturated` flag to the given relative tolerance.
 ///
-/// Each probe warm-starts from the `S̄` of the highest rate known to solve
-/// ([`SpectrumModel::solve_from`]).  The latency map is monotone in `S̄` and
-/// in the rate, so that seed lies below the fixed point of any higher rate
-/// and the damped iteration climbs to the same answer a cold start reaches.
-/// Near the knee every probe still needs thousands of iterations wherever
-/// it starts, so this saves about a tenth of them.
-///
 /// # Panics
-/// Panics if the parameters are invalid for the spectrum's topology or
-/// `tolerance` is outside `(0, 1)`.
+/// As [`saturation_search`].
 #[must_use]
 pub fn saturation_rate(
     base: ModelParams,
     spectrum: &Arc<TraversalSpectrum>,
     tolerance: f64,
 ) -> f64 {
+    saturation_search(base, spectrum, tolerance).rate
+}
+
+/// [`saturation_rate`]'s bisection, with an account of its probes.
+///
+/// The bisection only needs each probe's `saturated` flag, and its `S̄` to
+/// seed the next probe.  A probe returns the
+/// flag [`SpectrumModel::solve_from`] would, and decides most rates that
+/// solve from a certificate long before the fixed point converges.  Each
+/// probe warm-starts from an `S̄` known to lie at or below the fixed point
+/// of every higher rate, so the damped iteration climbs to the same
+/// decision a cold start reaches, and the knee is the one of a bisection
+/// over converged solves, bit for bit.  Rates that saturate have no such
+/// shortcut: their probes run until the iteration diverges, and take most
+/// of a search's iterations.  The step's rate-independent kernel is built
+/// once per search.
+///
+/// # Panics
+/// Panics if the parameters are invalid for the spectrum's topology or
+/// `tolerance` is outside `(0, 1)`.
+#[must_use]
+pub fn saturation_search(
+    base: ModelParams,
+    spectrum: &Arc<TraversalSpectrum>,
+    tolerance: f64,
+) -> SaturationSearch {
     assert!(tolerance > 0.0 && tolerance < 1.0, "tolerance must be in (0, 1)");
-    let probe = |rate: f64, seed: f64| {
-        SpectrumModel::new(base.with_rate(rate), Arc::clone(spectrum)).solve_from(&[seed])
-    };
+    let model = SpectrumModel::new(base, Arc::clone(spectrum));
+    let mut scratch = StepScratch::default();
+    let mut search =
+        SaturationSearch { rate: 0.0, probes: 0, iterations: 0, certified: 0, capped: 0 };
     // NaN: no rate is known to solve yet, so the first probe starts cold
     let mut seed = f64::NAN;
     let m = base.message_length as f64;
-    let mut low = 0.0;
     // λ_c·M ≥ 1 (one message of M flits per channel at a time) is certainly
     // beyond saturation: λ_g = degree/(d̄·M).  The closed-form star keeps the
     // 1/M bracket its pinned curves were bisected from.
@@ -297,18 +435,22 @@ pub fn saturation_rate(
     } else {
         spectrum.degree() as f64 / (spectrum.mean_distance() * m)
     };
-    debug_assert!(probe(high, seed).saturated);
-    while (high - low) / high.max(1e-12) > tolerance {
-        let mid = 0.5 * (low + high);
-        let result = probe(mid, seed);
-        if result.saturated {
+    debug_assert!(model.probe(high, seed, &mut scratch).saturated);
+    while (high - search.rate) / high.max(1e-12) > tolerance {
+        let mid = 0.5 * (search.rate + high);
+        let probe = model.probe(mid, seed, &mut scratch);
+        search.probes += 1;
+        search.iterations += probe.iterations;
+        search.certified += usize::from(probe.certified);
+        search.capped += usize::from(probe.capped);
+        if probe.saturated {
             high = mid;
         } else {
-            low = mid;
-            seed = result.mean_network_latency;
+            search.rate = mid;
+            seed = probe.state;
         }
     }
-    low
+    search
 }
 
 #[cfg(test)]
@@ -575,6 +717,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_probe_decides_as_the_solve_and_passes_on_a_lower_bound() {
+        let mut scratch = StepScratch::default();
+        let mut certified = 0;
+        for spectrum in spectra() {
+            let model = SpectrumModel::new(params(7, 32, 0.0), Arc::clone(&spectrum));
+            let knee = sat(&spectrum);
+            for fraction in [0.1, 0.5, 0.9, 0.99, 1.01, 1.1, 1.5] {
+                let rate = knee * fraction;
+                let solved = solve(&spectrum, params(7, 32, rate));
+                let probe = model.probe(rate, f64::NAN, &mut scratch);
+                assert_eq!(probe.saturated, solved.saturated, "{} at {rate}", solved.topology);
+                if probe.certified {
+                    assert!(probe.iterations < solved.iterations);
+                    assert!(probe.state <= solved.mean_network_latency);
+                    certified += 1;
+                } else {
+                    assert_eq!(probe.iterations, solved.iterations);
+                }
+                if !probe.saturated {
+                    // and from that seed, the solve at a higher rate agrees
+                    let decided = model.probe(rate * 1.005, probe.state, &mut scratch);
+                    let higher = solve(&spectrum, params(7, 32, rate * 1.005));
+                    assert_eq!(decided.saturated, higher.saturated);
+                }
+            }
+        }
+        assert!(certified >= 3 * 3, "the unsaturated probes must certify");
     }
 
     #[test]

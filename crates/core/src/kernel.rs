@@ -280,6 +280,80 @@ mod tests {
         assert!(checked > 5 * 4 * 2 * 4 * 40, "most points must be below saturation");
     }
 
+    /// The first of the ascending `points` at which `f` falls below its
+    /// value at the point before (or is NaN).
+    fn first_fall(points: &[f64], mut f: impl FnMut(f64) -> f64) -> Option<f64> {
+        let mut last = f64::NEG_INFINITY;
+        points.iter().copied().find(|&x| {
+            let y = f(x);
+            let fell = y.is_nan() || y < last;
+            last = y;
+            fell
+        })
+    }
+
+    /// The premise of the saturation search's certificate: the step is
+    /// non-decreasing in `S̄` from zero load up to the channel pole
+    /// `λ_c·S̄ = 1`, and in the channel rate at fixed `S̄`.
+    #[test]
+    fn the_step_is_non_decreasing_in_latency_and_in_rate() {
+        let spectra = [
+            TraversalSpectrum::star(5),
+            TraversalSpectrum::hypercube(7),
+            TraversalSpectrum::new(&Torus::new(8)),
+            TraversalSpectrum::new(&Ring::new(8)),
+        ];
+        let mut scratch = StepScratch::default();
+        let mut checked = 0;
+        for spectrum in &spectra {
+            for discipline in DISCIPLINES {
+                let floor = ModelParams::min_virtual_channels(discipline, spectrum.diameter());
+                for (virtual_channels, message_length) in
+                    [(floor, 8), (floor + 2, 32), (floor + 5, 64)]
+                {
+                    let params = ModelParams {
+                        discipline,
+                        virtual_channels,
+                        message_length,
+                        ..ModelParams::default()
+                    };
+                    let kernel = StepKernel::new(&params, spectrum);
+                    let mut step =
+                        |s: f64, rate: f64| kernel.network_latency_step(s, rate, &mut scratch);
+                    let zero_load = message_length as f64 + spectrum.mean_distance();
+                    let label = || {
+                        format!(
+                            "{} {discipline:?} V={virtual_channels} M={message_length}",
+                            spectrum.topology_name()
+                        )
+                    };
+                    // in S̄ at fixed λ_c, from zero load up to and onto the
+                    // pole, finer as it nears
+                    for rho in [0.05, 0.3, 0.6, 0.9, 0.99] {
+                        let rate = rho / zero_load;
+                        let pole = 1.0 / rate;
+                        let mut points: Vec<f64> = (0..=200)
+                            .map(|i| zero_load + (pole - zero_load) * f64::from(i) / 200.0)
+                            .chain([1e-3, 1e-6, 1e-9, 1e-12].map(|gap| pole * (1.0 - gap)))
+                            .collect();
+                        points.sort_by(f64::total_cmp);
+                        let fall = first_fall(&points, |s| step(s, rate));
+                        assert_eq!(fall, None, "{} falls in S̄ at λ_c {rate}", label());
+                        checked += 1;
+                    }
+                    // in λ_c at fixed S̄, from zero load to the pole 1/S̄
+                    for s in [zero_load, 1.5 * zero_load, 4.0 * zero_load] {
+                        let rates: Vec<f64> = (0..=200).map(|i| f64::from(i) / 200.0 / s).collect();
+                        let fall = first_fall(&rates, |rate| step(s, rate));
+                        assert_eq!(fall, None, "{} falls in λ_c at S̄ {s}", label());
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 4 * 4 * 3 * 8);
+    }
+
     #[test]
     fn more_selectable_channels_than_exist_never_block() {
         let params = ModelParams::default();

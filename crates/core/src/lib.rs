@@ -38,7 +38,7 @@
 //! | blocking | [`blocking`] (Eqs. 6–11) | per-hop blocking over any bipartite network |
 //! | waiting | [`waiting`] (Eqs. 12–16) | M/G/1 channel and source waiting times |
 //! | occupancy | [`occupancy`] (Eqs. 18–19) | virtual-channel occupancy and `V̄` |
-//! | latency | [`generic`] ([`SpectrumModel`], [`saturation_rate`]) | the Eq. 1 fixed point and its saturation bisection |
+//! | latency | [`generic`] ([`SpectrumModel`], [`saturation_search`]) | the Eq. 1 fixed point and its saturation bisection |
 //!
 //! A spectrum comes from one of three constructors: the closed forms
 //! [`TraversalSpectrum::star`] (permutation cycle types of `S_n`) and
@@ -71,7 +71,9 @@ pub mod spectrum;
 pub mod validation;
 pub mod waiting;
 
-pub use generic::{saturation_rate, SpectrumModel, SpectrumResult};
+pub use generic::{
+    saturation_rate, saturation_search, SaturationSearch, SpectrumModel, SpectrumResult,
+};
 pub use params::{ModelDiscipline, ModelParams, ModelParamsError};
 pub use spectrum::{TraversalClass, TraversalSpectrum};
 pub use validation::ValidationRow;

@@ -110,19 +110,33 @@ impl FixedPointSolver {
         let mut state = initial;
         let mut residual = f64::INFINITY;
         for iteration in 1..=self.max_iterations {
-            let next_raw = step(state);
-            if !next_raw.is_finite() || next_raw > self.divergence_ceiling {
+            let Some((next, change)) = self.advance(state, step(state)) else {
                 return FixedPointOutcome::Diverged { last_state: state, iterations: iteration };
-            }
-            let next = (1.0 - self.damping) * state + self.damping * next_raw;
-            let denom = next.abs().max(1e-12);
-            residual = 0.0f64.max((next - state).abs() / denom);
+            };
             state = next;
+            residual = change;
             if residual < self.tolerance {
                 return FixedPointOutcome::Converged { state, iterations: iteration, residual };
             }
         }
         FixedPointOutcome::MaxIterations { state, residual }
+    }
+
+    /// One damped update of [`Self::solve_scalar`]: from `state` and its
+    /// image `F(state)`, the next state and its relative change
+    /// `|Δx| / max(|x|, 1e-12)`, or `None` when `F(state)` diverged
+    /// (non-finite or above the ceiling).  A caller that runs its own loop
+    /// over this update, and stops on `change < tolerance`, walks the same
+    /// iterates as `solve_scalar` bit for bit.
+    #[inline]
+    #[must_use]
+    pub fn advance(&self, state: f64, next_raw: f64) -> Option<(f64, f64)> {
+        if !next_raw.is_finite() || next_raw > self.divergence_ceiling {
+            return None;
+        }
+        let next = (1.0 - self.damping) * state + self.damping * next_raw;
+        let denom = next.abs().max(1e-12);
+        Some((next, 0.0f64.max((next - state).abs() / denom)))
     }
 }
 

@@ -80,8 +80,8 @@ pub use star_sim as sim;
 pub use star_workloads as workloads;
 
 pub use star_core::{
-    saturation_rate, ModelDiscipline, ModelParams, ModelParamsError, SpectrumModel, SpectrumResult,
-    TraversalSpectrum, ValidationRow,
+    saturation_rate, saturation_search, ModelDiscipline, ModelParams, ModelParamsError,
+    SaturationSearch, SpectrumModel, SpectrumResult, TraversalSpectrum, ValidationRow,
 };
 pub use star_exec::{merge_shard_csvs, ExecPool, ShardSpec};
 pub use star_graph::{

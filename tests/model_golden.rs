@@ -11,7 +11,8 @@
 //! split over several tests so the harness can run them in parallel.
 
 use star_wormhole::{
-    load_rate_grid, Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario, TopologyKind,
+    load_rate_grid, saturation_search, Discipline, Evaluator as _, ModelBackend, PointEstimate,
+    Scenario, ScenarioSpectrum, TopologyKind,
 };
 
 const PINNED: &str = include_str!("../perfbench/refs/model.txt");
@@ -141,4 +142,22 @@ fn pinned_large_torus_curves_are_reproduced_bit_for_bit() {
 #[test]
 fn pinned_large_ring_curves_are_reproduced_bit_for_bit() {
     assert_eq!(check(&LARGE_RINGS), 2 * 4);
+}
+
+#[test]
+fn pinned_star_knees_spend_no_probe_without_converging_or_diverging() {
+    // a probe that ran out of iterations would leave the knee to an
+    // unconverged iterate: none does on the pinned S5 and S7 curves
+    let mut searched = 0;
+    for line in PINNED.lines().filter(|l| l.starts_with("S5/") || l.starts_with("S7/")) {
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        let scenario = scenario(fields[0]);
+        let params = scenario.model_params(0.0).unwrap().unwrap();
+        let search = saturation_search(params, ScenarioSpectrum::build(&scenario).spectrum(), 1e-5);
+        assert_eq!(search.capped, 0, "{}: {search:?}", fields[0]);
+        // the grid starts at 20% of this knee
+        assert_eq!(Some(Some((search.rate * 0.2).to_bits())), bits(fields[1]).first().copied());
+        searched += 1;
+    }
+    assert_eq!(searched, 2 * 3);
 }

@@ -181,7 +181,21 @@ impl SpectrumModel {
     /// so callers can pass the previous state unconditionally.
     #[must_use]
     pub fn solve_from(&self, warm_state: &[f64]) -> SpectrumResult {
-        let params = &self.params;
+        self.solve_at(self.params.traffic_rate, warm_state)
+    }
+
+    /// [`Self::solve_from`] at another traffic rate.  The rate is the only
+    /// parameter the step's kernel does not hold, so one model answers a
+    /// whole sweep, each rate bit for bit as a model built for it would.
+    ///
+    /// # Panics
+    /// Panics if the rate is negative or not finite.
+    #[must_use]
+    pub fn solve_at(&self, traffic_rate: f64, warm_state: &[f64]) -> SpectrumResult {
+        let params = &self.params.with_rate(traffic_rate);
+        if let Err(e) = params.validate(self.spectrum.node_count(), self.spectrum.diameter()) {
+            panic!("invalid parameters for {}: {e}", self.spectrum.topology_name());
+        }
         let name = self.spectrum.topology_name().to_string();
         let mean_distance = self.spectrum.mean_distance();
         let channel_rate = params.traffic_rate * mean_distance / self.spectrum.degree() as f64;
@@ -261,8 +275,42 @@ impl SpectrumModel {
     }
 }
 
-/// Every how many iterations a bisection probe tests its certificate.
+/// Every how many steps a bisection probe tests its unsaturated certificate.
 const CERTIFY_EVERY: usize = 8;
+
+/// The relaxation `θ` of a probe's monotone walk: each point moves `θ` of
+/// the way to its image.  Any `θ < 1` keeps the walk below the least fixed
+/// point; 0.9 crosses a saturated rate's bottleneck in about half the
+/// damped solve's steps while each cell stops a tenth of the way short of
+/// its image, the gap the saturated certificate needs.
+const WALK_RELAXATION: f64 = 0.9;
+
+/// The relative margin a walk cell keeps between its image and its top, and
+/// that the envelope takes off each cell's blocking share.
+const CELL_MARGIN: f64 = 1e-9;
+
+/// Damped steps that cross any one walk cell `[a_i, a_{i+1})`: each halves
+/// the distance to `F(a_i)` or better, and the cell ends `1 − θ` of that
+/// distance short of it, with `½⁴ < 1 − θ`.
+const CELL_STEPS: usize = 4;
+
+/// One cell `[a_i, a_{i+1})` of a probe's walk.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    /// The cell's bottom `a_i`.
+    start: f64,
+    /// `F(a_i)`, at most `F` anywhere at or above the cell.
+    image: f64,
+    /// The blocking share `Q(a_i)`, shaded by [`CELL_MARGIN`].
+    share: f64,
+}
+
+/// The buffers a search's probes reuse.
+#[derive(Debug, Default)]
+struct ProbeScratch {
+    step: StepScratch,
+    cells: Vec<Cell>,
+}
 
 /// What one bisection probe decided about a rate.
 #[derive(Debug, Clone, Copy)]
@@ -271,63 +319,232 @@ struct Probe {
     /// A lower bound on the rate's `S̄`, to seed the next probe with
     /// (meaningless when saturated).
     state: f64,
+    /// Step evaluations, a walk that gave up included.
     iterations: usize,
+    /// Decided by a certificate: the Aitken bound for a rate that solves,
+    /// the walk's cover for one that saturates.
     certified: bool,
     capped: bool,
+    /// The walk gave up and the damped probe decided.
+    fallback: bool,
+    /// A certified saturated probe's bound on the iterations the damped
+    /// solve takes to diverge (0 otherwise).
+    bound: usize,
 }
 
-impl SpectrumModel {
-    /// Decides whether the model saturates at `traffic_rate`, exactly as
-    /// `self.params().with_rate(traffic_rate)`'s [`Self::solve_from`] with
-    /// `seed` would, usually without converging the fixed point.
-    ///
-    /// The probe runs the damped recurrence of [`Self::solve_from`] (the
-    /// same update, divergence and convergence tests and the same M/G/1
-    /// post-check).  Every [`CERTIFY_EVERY`] iterations, if the last three
-    /// iterates rise with shrinking steps, it extrapolates their limit `x̂`
-    /// (Aitken's Δ²) and tests `y = x̂ + (x̂ − x_k) + 1e-9·x̂`: when
-    /// `F(y) ≤ y` and both waits are finite at `y`, the rate solves.
-    ///
-    /// **Premise:** the step `F` (Eqs. 4-15) is non-decreasing in `S̄` up to
-    /// the channel pole `λ_c·S̄ = 1`, and in the rate at fixed `S̄` (a unit
-    /// test holds the kernel to both).  Then so is the damped map
-    /// `G(x) = ½x + ½F(x)`, and `x ≤ y` gives `G(x) ≤ G(y) ≤ y`: every later
-    /// iterate stays at or below `y`, so the full solve can never diverge,
-    /// and its last iterate has finite waits because they are monotone in
-    /// `S̄`.  The full solve would report `saturated: false` whether it
-    /// converged or ran out of iterations.  A probe that never certifies has
-    /// run the full solve and returns its flag.  Iterates that start at or
-    /// below the least fixed point stay below it, so the iterate passed on
-    /// is still a lower bound on `S̄` at every higher rate.
-    fn probe(&self, traffic_rate: f64, seed: f64, scratch: &mut StepScratch) -> Probe {
-        let params = &self.params;
-        let m = params.message_length;
-        let mean_distance = self.spectrum.mean_distance();
-        let channel_rate = traffic_rate * mean_distance / self.spectrum.degree() as f64;
-        let zero_load = m as f64 + mean_distance;
-        let saturated = |iterations| Probe {
+impl Probe {
+    fn saturated(iterations: usize) -> Self {
+        Self {
             saturated: true,
             state: f64::NAN,
             iterations,
             certified: false,
             capped: false,
-        };
-        if channel_rate * m as f64 >= 1.0 {
-            return saturated(0);
+            fallback: false,
+            bound: 0,
         }
-        let waits_finite = |s: f64| {
-            channel_waiting_time(channel_rate, s, m).is_finite()
-                && source_waiting_time(traffic_rate, params.virtual_channels, s, m).is_finite()
-        };
+    }
+
+    fn certified(state: f64, iterations: usize) -> Self {
+        Self { saturated: false, state, certified: true, ..Self::saturated(iterations) }
+    }
+}
+
+impl SpectrumModel {
+    /// Decides whether the model saturates at `traffic_rate`, exactly as
+    /// `self.params().with_rate(traffic_rate)`'s [`Self::solve_from`] with
+    /// `seed` would, usually without running its damped iteration.
+    ///
+    /// The probe walks up from the solve's start `a₀` with
+    /// `a_{i+1} = a_i + θ·(F(a_i) − a_i)` ([`WALK_RELAXATION`]).  It ends in
+    /// one of three ways:
+    /// - **Solves (certified).**  Every [`CERTIFY_EVERY`] points, and at
+    ///   once at a thin cell (below), if the last three points rise with
+    ///   shrinking steps, it extrapolates their limit `x̂` (Aitken's Δ²) and
+    ///   tests `y = x̂ + (x̂ − a_k) + 1e-9·x̂`: when `F(y) ≤ y` and both
+    ///   waits are finite at `y`, the rate solves.
+    /// - **Saturates (certified).**  `F` is infinite or above the solver's
+    ///   divergence ceiling at `a_n`.  Each cell `[a_i, a_{i+1})` has
+    ///   `F ≥ F(a_i) > a_{i+1}` on it, so the damped solve from `a₀` rises
+    ///   through every cell and diverges once it passes `a_n`.  That is the
+    ///   solve's answer if it neither converges nor runs out of iterations
+    ///   on the way.  Every cell keeps `½(F(a_i) − a_{i+1}) > 1e-9·a_{i+1}`
+    ///   ([`CELL_MARGIN`]), so each damped step changes `S̄` by far more than
+    ///   the 1e-12 tolerance; a cell without that gap is thin.
+    ///   [`Self::envelope_bound`] bounds the damped iteration count by the
+    ///   cap.
+    /// - **Gives up.**  A thin cell fails the extrapolation test, the bound
+    ///   exceeds the cap, or the walk spends the whole cap.  The damped
+    ///   probe then runs from the same start, so the flag is the solve's by
+    ///   construction.
+    ///
+    /// **Premises** (unit tests hold the kernel to both): the step `F`
+    /// (Eqs. 4-15) is non-decreasing in `S̄` up to the channel pole
+    /// `λ_c·S̄ = 1`, and in the rate at fixed `S̄`; and its blocking share
+    /// `Q`, with `F = (M + d̄) + w̄·Q`, is non-decreasing in `S̄`.  Under the
+    /// first, a walk that starts at or below the least fixed point stays
+    /// below it, so the point passed on is still a lower bound on `S̄` at
+    /// every higher rate; `x ≤ y` gives `G(x) ≤ G(y) ≤ y` for the damped map
+    /// `G(x) = ½x + ½F(x)`, so a certified rate's solve can neither diverge
+    /// nor end with an infinite wait.
+    fn probe(&self, traffic_rate: f64, seed: f64, scratch: &mut ProbeScratch) -> Probe {
+        let m = self.params.message_length;
+        let mean_distance = self.spectrum.mean_distance();
+        let channel_rate = traffic_rate * mean_distance / self.spectrum.degree() as f64;
+        if channel_rate * m as f64 >= 1.0 {
+            return Probe::saturated(0);
+        }
+        let zero_load = m as f64 + mean_distance;
+        let start = if seed.is_finite() && seed >= zero_load { seed } else { zero_load };
+        self.walk(traffic_rate, channel_rate, start, scratch).unwrap_or_else(|wasted| {
+            let probe = self.damped_probe(traffic_rate, channel_rate, start, scratch);
+            Probe { iterations: wasted + probe.iterations, fallback: true, ..probe }
+        })
+    }
+
+    /// The probe's monotone walk from `start`: its decision, or the steps it
+    /// spent before giving up.
+    fn walk(
+        &self,
+        traffic_rate: f64,
+        channel_rate: f64,
+        start: f64,
+        scratch: &mut ProbeScratch,
+    ) -> Result<Probe, usize> {
         let solver = latency_solver();
-        let mut state = if seed.is_finite() && seed >= zero_load { seed } else { zero_load };
+        scratch.cells.clear();
+        let mut point = start;
+        // the step into `point`
+        let mut last = f64::NAN;
+        for evaluations in 1..=solver.max_iterations {
+            let step = self.kernel.step(point, channel_rate, &mut scratch.step);
+            if !step.latency.is_finite() || step.latency > solver.divergence_ceiling {
+                let bound = self.envelope_bound(channel_rate, &scratch.cells, start, point);
+                return match bound {
+                    Some(bound) => {
+                        Ok(Probe { certified: true, bound, ..Probe::saturated(evaluations) })
+                    }
+                    None => Err(evaluations),
+                };
+            }
+            let next = point + WALK_RELAXATION * (step.latency - point);
+            // a thin cell: the walk is closing on a fixed point
+            let thin = 0.5 * (step.latency - next) <= CELL_MARGIN * next;
+            scratch.cells.push(Cell {
+                start: point,
+                image: step.latency,
+                share: step.blocking_share * (1.0 - CELL_MARGIN),
+            });
+            let rise = last;
+            (last, point) = (next - point, next);
+            if (thin || evaluations % CERTIFY_EVERY == 0)
+                && self.certifies_solving(traffic_rate, channel_rate, point, last, rise, scratch)
+            {
+                return Ok(Probe::certified(point, evaluations));
+            }
+            if thin {
+                return Err(evaluations);
+            }
+        }
+        Err(solver.max_iterations)
+    }
+
+    /// A bound on the iterations the damped solve from `start` takes to
+    /// diverge, when `cells` cover `[start, end)` and `F` diverges from
+    /// `end` on; `None` when it may exceed the solver's cap.
+    ///
+    /// It bounds a lower envelope `z ← ½z + ½L(z)` of the damped map, with
+    /// `L(z) = max(F(a_i), (M + d̄) + w̄(z)·Q_i)` on cell `i`: `w̄` is the
+    /// Eq. 15 channel wait, `Q_i` the cell's shaded blocking share, and
+    /// `M + d̄` is shaded by 1e-12, which covers the rounding between `F`
+    /// and `(M + d̄) + w̄·Q`.  With `F` and `Q` non-decreasing,
+    /// `F(x) ≥ L(z)` for every `x ≥ z`, so the damped iterate stays at or
+    /// above `z`; once `z` reaches `end`, the next damped step diverges.
+    /// `L ≥ F(a_i)` alone takes `z` across a cell in [`CELL_STEPS`] steps,
+    /// which settles every walk shorter than a quarter of the cap; a longer
+    /// one iterates the envelope, without evaluating a kernel step.
+    fn envelope_bound(
+        &self,
+        channel_rate: f64,
+        cells: &[Cell],
+        start: f64,
+        end: f64,
+    ) -> Option<usize> {
+        let solver = latency_solver();
+        if CELL_STEPS * cells.len() < solver.max_iterations {
+            return Some(CELL_STEPS * cells.len() + 1);
+        }
+        let zero_load = self.kernel.zero_load() * (1.0 - 1e-12);
+        let (mut z, mut cell, mut steps) = (start, 0, 0);
+        while z < end {
+            while cell + 1 < cells.len() && z >= cells[cell + 1].start {
+                cell += 1;
+            }
+            let Cell { image, share, .. } = cells[cell];
+            let wait = channel_waiting_time(channel_rate, z, self.params.message_length);
+            // an infinite wait with no share is NaN, and `max` keeps F(a_i)
+            z = (1.0 - solver.damping) * z + solver.damping * image.max(zero_load + wait * share);
+            steps += 1;
+            if steps >= solver.max_iterations {
+                return None;
+            }
+        }
+        Some(steps + 1)
+    }
+
+    /// Whether both M/G/1 waits are finite at `S̄ = mean_service`.
+    fn waits_finite(&self, traffic_rate: f64, channel_rate: f64, mean_service: f64) -> bool {
+        let (m, v) = (self.params.message_length, self.params.virtual_channels);
+        channel_waiting_time(channel_rate, mean_service, m).is_finite()
+            && source_waiting_time(traffic_rate, v, mean_service, m).is_finite()
+    }
+
+    /// The unsaturated certificate at a rising sequence's latest point
+    /// `state`, reached by the step `last` after the step `rise`.
+    fn certifies_solving(
+        &self,
+        traffic_rate: f64,
+        channel_rate: f64,
+        state: f64,
+        last: f64,
+        rise: f64,
+        scratch: &mut ProbeScratch,
+    ) -> bool {
+        if !(last > 0.0 && last < rise) {
+            return false;
+        }
+        let limit = state + last * last / (rise - last);
+        let bound = limit + (limit - state) + 1e-9 * limit;
+        bound <= latency_solver().divergence_ceiling
+            && self.waits_finite(traffic_rate, channel_rate, bound)
+            && {
+                let image =
+                    self.kernel.network_latency_step(bound, channel_rate, &mut scratch.step);
+                image.is_finite() && image <= bound
+            }
+    }
+
+    /// The damped recurrence of [`Self::solve_from`] from `start` (the same
+    /// update, divergence and convergence tests and the same M/G/1
+    /// post-check), with the unsaturated certificate tested every
+    /// [`CERTIFY_EVERY`] iterations.  One that never certifies has run the
+    /// full solve and returns its flag.
+    fn damped_probe(
+        &self,
+        traffic_rate: f64,
+        channel_rate: f64,
+        start: f64,
+        scratch: &mut ProbeScratch,
+    ) -> Probe {
+        let solver = latency_solver();
+        let mut state = start;
         // the step from the iterate before `state` to `state`
         let mut last = f64::NAN;
         let mut converged_at = None;
         for iteration in 1..=solver.max_iterations {
-            let image = self.kernel.network_latency_step(state, channel_rate, scratch);
+            let image = self.kernel.network_latency_step(state, channel_rate, &mut scratch.step);
             let Some((next, residual)) = solver.advance(state, image) else {
-                return saturated(iteration);
+                return Probe::saturated(iteration);
             };
             let rise = last;
             last = next - state;
@@ -336,30 +553,20 @@ impl SpectrumModel {
                 converged_at = Some(iteration);
                 break;
             }
-            if iteration % CERTIFY_EVERY != 0 || !(last > 0.0 && last < rise) {
-                continue;
-            }
-            let limit = state + last * last / (rise - last);
-            let bound = limit + (limit - state) + 1e-9 * limit;
-            if bound <= solver.divergence_ceiling && waits_finite(bound) {
-                let image = self.kernel.network_latency_step(bound, channel_rate, scratch);
-                if image.is_finite() && image <= bound {
-                    return Probe {
-                        saturated: false,
-                        state,
-                        iterations: iteration,
-                        certified: true,
-                        capped: false,
-                    };
-                }
+            if iteration % CERTIFY_EVERY == 0
+                && self.certifies_solving(traffic_rate, channel_rate, state, last, rise, scratch)
+            {
+                return Probe::certified(state, iteration);
             }
         }
         Probe {
-            saturated: !waits_finite(state),
+            saturated: !self.waits_finite(traffic_rate, channel_rate, state),
             state,
             iterations: converged_at.unwrap_or(solver.max_iterations),
             certified: false,
             capped: converged_at.is_none(),
+            fallback: false,
+            bound: 0,
         }
     }
 }
@@ -371,11 +578,17 @@ pub struct SaturationSearch {
     pub rate: f64,
     /// Probes the bisection ran.
     pub probes: usize,
-    /// Fixed-point iterations over all probes (a certificate test's extra
+    /// Step evaluations over all probes: walk steps, those of walks that
+    /// gave up included, and damped iterations (a certificate test's extra
     /// step is not counted).
     pub iterations: usize,
     /// Probes decided unsaturated by the certificate, before converging.
     pub certified: usize,
+    /// Probes decided saturated by the walk's certificate, without running
+    /// the damped iteration.
+    pub certified_saturated: usize,
+    /// Probes whose walk gave up, so that the damped probe decided them.
+    pub fallbacks: usize,
     /// Probes that spent the whole iteration budget: their flag is the one
     /// of an unconverged last iterate.
     pub capped: usize,
@@ -399,16 +612,17 @@ pub fn saturation_rate(
 /// [`saturation_rate`]'s bisection, with an account of its probes.
 ///
 /// The bisection only needs each probe's `saturated` flag, and its `S̄` to
-/// seed the next probe.  A probe returns the
-/// flag [`SpectrumModel::solve_from`] would, and decides most rates that
-/// solve from a certificate long before the fixed point converges.  Each
-/// probe warm-starts from an `S̄` known to lie at or below the fixed point
-/// of every higher rate, so the damped iteration climbs to the same
-/// decision a cold start reaches, and the knee is the one of a bisection
-/// over converged solves, bit for bit.  Rates that saturate have no such
-/// shortcut: their probes run until the iteration diverges, and take most
-/// of a search's iterations.  The step's rate-independent kernel is built
-/// once per search.
+/// seed the next probe.  A probe returns the flag
+/// [`SpectrumModel::solve_from`] would, from a relaxed monotone walk that
+/// certifies it either way: a rate that solves long before its fixed point
+/// converges, a rate that saturates as soon as the walk reaches the
+/// channel pole, with a bound on the damped solve's iterations showing
+/// that the solve would have diverged within its cap.  A walk that cannot
+/// certify falls back to the damped iteration.  Each probe warm-starts from
+/// an `S̄` known to lie at or below the fixed point of every higher rate,
+/// so each probe reaches the decision a cold start reaches, and the knee is
+/// the one of a bisection over converged solves, bit for bit.  The step's
+/// rate-independent kernel is built once per search.
 ///
 /// # Panics
 /// Panics if the parameters are invalid for the spectrum's topology or
@@ -421,9 +635,16 @@ pub fn saturation_search(
 ) -> SaturationSearch {
     assert!(tolerance > 0.0 && tolerance < 1.0, "tolerance must be in (0, 1)");
     let model = SpectrumModel::new(base, Arc::clone(spectrum));
-    let mut scratch = StepScratch::default();
-    let mut search =
-        SaturationSearch { rate: 0.0, probes: 0, iterations: 0, certified: 0, capped: 0 };
+    let mut scratch = ProbeScratch::default();
+    let mut search = SaturationSearch {
+        rate: 0.0,
+        probes: 0,
+        iterations: 0,
+        certified: 0,
+        certified_saturated: 0,
+        fallbacks: 0,
+        capped: 0,
+    };
     // NaN: no rate is known to solve yet, so the first probe starts cold
     let mut seed = f64::NAN;
     let m = base.message_length as f64;
@@ -439,9 +660,12 @@ pub fn saturation_search(
     while (high - search.rate) / high.max(1e-12) > tolerance {
         let mid = 0.5 * (search.rate + high);
         let probe = model.probe(mid, seed, &mut scratch);
+        debug_assert!(probe.bound <= latency_solver().max_iterations);
         search.probes += 1;
         search.iterations += probe.iterations;
-        search.certified += usize::from(probe.certified);
+        search.certified += usize::from(probe.certified && !probe.saturated);
+        search.certified_saturated += usize::from(probe.certified && probe.saturated);
+        search.fallbacks += usize::from(probe.fallback);
         search.capped += usize::from(probe.capped);
         if probe.saturated {
             high = mid;
@@ -660,6 +884,29 @@ mod tests {
     }
 
     #[test]
+    fn one_model_solves_every_rate_as_a_model_built_for_it() {
+        for spectrum in spectra() {
+            let knee = sat(&spectrum);
+            let model = SpectrumModel::new(params(7, 32, 0.0), Arc::clone(&spectrum));
+            let mut seed = Vec::new();
+            for fraction in [0.0, 0.3, 0.9, 0.99, 1.2] {
+                let rate = knee * fraction;
+                let built = SpectrumModel::new(params(7, 32, rate), Arc::clone(&spectrum));
+                assert_eq!(model.solve_at(rate, &seed), built.solve_from(&seed));
+                assert_eq!(model.solve_at(rate, &[]), built.solve());
+                seed = vec![built.solve_from(&seed).mean_network_latency];
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid parameters for S5")]
+    fn a_negative_rate_is_rejected() {
+        let model = SpectrumModel::new(params(7, 32, 0.0), Arc::new(TraversalSpectrum::star(5)));
+        let _ = model.solve_at(-0.001, &[]);
+    }
+
+    #[test]
     fn solve_from_falls_back_to_cold_start_on_unusable_seeds() {
         for spectrum in spectra() {
             let model = SpectrumModel::new(params(7, 32, 0.5 * sat(&spectrum)), spectrum);
@@ -721,8 +968,8 @@ mod tests {
 
     #[test]
     fn a_probe_decides_as_the_solve_and_passes_on_a_lower_bound() {
-        let mut scratch = StepScratch::default();
-        let mut certified = 0;
+        let mut scratch = ProbeScratch::default();
+        let (mut certified, mut certified_saturated) = (0, 0);
         for spectrum in spectra() {
             let model = SpectrumModel::new(params(7, 32, 0.0), Arc::clone(&spectrum));
             let knee = sat(&spectrum);
@@ -731,14 +978,18 @@ mod tests {
                 let solved = solve(&spectrum, params(7, 32, rate));
                 let probe = model.probe(rate, f64::NAN, &mut scratch);
                 assert_eq!(probe.saturated, solved.saturated, "{} at {rate}", solved.topology);
-                if probe.certified {
+                if probe.certified && probe.saturated {
+                    // the walk is never slower than the damped solve, whose
+                    // length the envelope bounds
+                    assert!(probe.iterations <= solved.iterations);
+                    assert!(probe.bound >= solved.iterations);
+                    certified_saturated += 1;
+                } else if probe.certified && !probe.fallback {
                     assert!(probe.iterations < solved.iterations);
-                    assert!(probe.state <= solved.mean_network_latency);
                     certified += 1;
-                } else {
-                    assert_eq!(probe.iterations, solved.iterations);
                 }
                 if !probe.saturated {
+                    assert!(probe.state <= solved.mean_network_latency);
                     // and from that seed, the solve at a higher rate agrees
                     let decided = model.probe(rate * 1.005, probe.state, &mut scratch);
                     let higher = solve(&spectrum, params(7, 32, rate * 1.005));
@@ -746,7 +997,40 @@ mod tests {
                 }
             }
         }
-        assert!(certified >= 3 * 3, "the unsaturated probes must certify");
+        // at a tenth of the knee the walk closes on the fixed point before
+        // it can extrapolate, and falls back
+        assert!(certified >= 3 * 3, "the unsaturated probes' walks must certify");
+        assert!(certified_saturated >= 3 * 3, "the saturated probes must certify");
+    }
+
+    /// `saturation_rate(ModelParams::default(), T8, 1e-13)`, pinned because
+    /// that bisection takes half a minute in a debug build.
+    const T8_KNEE: f64 = 0.014_881_188_037_297_724;
+
+    #[test]
+    fn just_past_the_knee_a_probe_certifies_what_the_cap_allows_and_falls_back_otherwise() {
+        // from 1% to 1e-9 past the knee the damped solve needs from tens to
+        // tens of thousands of iterations to diverge: the envelope must
+        // bound the long ones above the real count, and give up on those it
+        // cannot place under the cap
+        let spectrum = Arc::new(TraversalSpectrum::new(&Torus::new(8)));
+        let model = SpectrumModel::new(ModelParams::default(), Arc::clone(&spectrum));
+        assert!(0.5f64.powi(CELL_STEPS as i32) < 1.0 - WALK_RELAXATION);
+        let mut scratch = ProbeScratch::default();
+        let (mut long, mut fallbacks) = (0, 0);
+        for k in 2..=9 {
+            let rate = T8_KNEE * (1.0 + 10f64.powi(-k));
+            let solved = solve(&spectrum, ModelParams::default().with_rate(rate));
+            let probe = model.probe(rate, f64::NAN, &mut scratch);
+            assert_eq!(probe.saturated, solved.saturated, "1e-{k} past the knee");
+            if probe.certified && probe.saturated {
+                assert!(probe.bound >= solved.iterations, "1e-{k}: {probe:?} vs {solved:?}");
+                long += usize::from(probe.bound > 10_000);
+            }
+            fallbacks += usize::from(probe.fallback);
+        }
+        assert!(long >= 1, "a certificate must reach past 10,000 iterations");
+        assert!(fallbacks >= 1, "a probe near the cap must fall back");
     }
 
     #[test]
@@ -773,9 +1057,7 @@ mod tests {
         // right at the knee the iteration stops contracting: the solver
         // spends its whole budget without meeting its tolerance, so the
         // point is not saturated, but its latency is no answer either.
-        // KNEE is `saturation_rate(ModelParams::default(), T8, 1e-13)`,
-        // pinned because that bisection takes half a minute in a debug build
-        const KNEE: f64 = 0.014_881_188_037_297_724;
+        const KNEE: f64 = T8_KNEE;
         let spectrum = Arc::new(TraversalSpectrum::new(&Torus::new(8)));
         assert!(solve(&spectrum, ModelParams::default().with_rate(KNEE * (1.0 + 1e-9))).saturated);
         let r = solve(&spectrum, ModelParams::default().with_rate(KNEE));

@@ -346,18 +346,24 @@ impl ModelBackend {
         Self { warm_start: false }
     }
 
+    /// The model of `scenario` on its spectrum, built at `traffic_rate`.
+    fn model(scenario: &Scenario, traffic_rate: f64, spectrum: &ScenarioSpectrum) -> SpectrumModel {
+        let params: ModelParams = scenario
+            .model_params(traffic_rate)
+            .unwrap_or_else(|e| panic!("invalid model scenario {}: {e}", scenario.label()))
+            .unwrap_or_else(|| panic!("{}", Self::unsupported_message(scenario)));
+        SpectrumModel::new(params, Arc::clone(&spectrum.0))
+    }
+
+    /// Answers `point` with a model of its scenario, warm-started from
+    /// `warm_state` (empty: cold).
     fn estimate(
         &self,
         point: &OperatingPoint,
-        spectrum: &ScenarioSpectrum,
+        model: &SpectrumModel,
         warm_state: &[f64],
     ) -> PointEstimate {
-        let scenario = &point.scenario;
-        let params: ModelParams = scenario
-            .model_params(point.traffic_rate)
-            .unwrap_or_else(|e| panic!("invalid model scenario {}: {e}", scenario.label()))
-            .unwrap_or_else(|| panic!("{}", Self::unsupported_message(scenario)));
-        let result = SpectrumModel::new(params, Arc::clone(&spectrum.0)).solve_from(warm_state);
+        let result = model.solve_at(point.traffic_rate, warm_state);
         let answered = !result.saturated && result.converged;
         PointEstimate {
             point: point.clone(),
@@ -411,7 +417,8 @@ impl ModelBackend {
             spectrum.0.topology_name(),
             "spectrum built for another topology"
         );
-        self.estimate(point, spectrum, warm_state)
+        let model = Self::model(&point.scenario, point.traffic_rate, spectrum);
+        self.estimate(point, &model, warm_state)
     }
 
     /// The mean network latency an estimate contributes as the next rate's
@@ -437,20 +444,22 @@ impl Evaluator for ModelBackend {
 
     fn evaluate_replicate(&self, point: &OperatingPoint, _replicate: usize) -> PointEstimate {
         // the model is deterministic — every replicate is the same solve
-        self.estimate(point, &ScenarioSpectrum::build(&point.scenario), &[])
+        self.evaluate(point)
     }
 
     fn evaluate(&self, point: &OperatingPoint) -> PointEstimate {
-        self.estimate(point, &ScenarioSpectrum::build(&point.scenario), &[])
+        self.estimate_with(point, &ScenarioSpectrum::build(&point.scenario), &[])
     }
 
     fn evaluate_sweep(&self, scenario: &Scenario, rates: &[f64]) -> Vec<PointEstimate> {
-        let spectrum = ScenarioSpectrum::build(scenario);
+        let Some(&first) = rates.first() else { return Vec::new() };
+        // one model, and so one step kernel, answers every rate
+        let model = Self::model(scenario, first, &ScenarioSpectrum::build(scenario));
         let mut warm_state: Vec<f64> = Vec::new();
         rates
             .iter()
             .map(|&rate| {
-                let estimate = self.estimate(&scenario.at(rate), &spectrum, &warm_state);
+                let estimate = self.estimate(&scenario.at(rate), &model, &warm_state);
                 if self.warm_start {
                     if let Some(seed) = Self::warm_seed(&estimate) {
                         warm_state = vec![seed];

@@ -155,6 +155,9 @@ fn pinned_star_knees_spend_no_probe_without_converging_or_diverging() {
         let params = scenario.model_params(0.0).unwrap().unwrap();
         let search = saturation_search(params, ScenarioSpectrum::build(&scenario).spectrum(), 1e-5);
         assert_eq!(search.capped, 0, "{}: {search:?}", fields[0]);
+        // and every probe's walk decided it, none fell back to the damped
+        // iteration
+        assert_eq!(search.fallbacks, 0, "{}: {search:?}", fields[0]);
         // the grid starts at 20% of this knee
         assert_eq!(Some(Some((search.rate * 0.2).to_bits())), bits(fields[1]).first().copied());
         searched += 1;

@@ -1,11 +1,12 @@
-//! The knee search decides most of its probes from a certificate instead of
-//! a converged fixed point.  That must not move a single knee: here every
-//! search is held, bit for bit, to the bisection as it ran over converged
-//! solves (one `SpectrumModel::solve_from` per probe, the same brackets and
-//! the same warm-start seeds).  The configurations are off the benchmark's
-//! pinned design, which `tests/model_golden.rs` already covers: S4, Q5, T6
-//! and R8, every discipline the model covers, `V` at the floor and five
-//! above it, `M` of 8 and 64, at the grid's tolerance and a coarse one.
+//! The knee search decides its probes from certificates instead of a
+//! converged or diverged fixed point.  That must not move a single knee:
+//! here every search is held, bit for bit, to the bisection as it ran over
+//! converged solves (one `SpectrumModel::solve_from` per probe, the same
+//! brackets and the same warm-start seeds).  The configurations are off the
+//! benchmark's pinned design, which `tests/model_golden.rs` already covers:
+//! S4, Q5, T6 and R8, every discipline the model covers, `V` at the floor
+//! and five above it, `M` of 8 and 64, at the grid's tolerance and a coarse
+//! one.
 
 use std::sync::Arc;
 
@@ -44,12 +45,12 @@ fn converged_bisection(
 }
 
 /// Holds every search on one network to the converged bisection; returns
-/// how many searches ran and how many probes the certificate decided.
+/// how many searches ran and how many probes the certificates decided.
 fn check(kind: TopologyKind, size: usize) -> (usize, usize) {
     let network = kind.scenario(size);
     let spectrum = ScenarioSpectrum::build(&network);
     let spectrum = spectrum.spectrum();
-    let (mut searched, mut certified) = (0, 0);
+    let (mut searched, mut certified, mut certified_saturated) = (0, 0, 0);
     for discipline in Discipline::ALL {
         let floor =
             ModelParams::min_virtual_channels(discipline.model_discipline(), spectrum.diameter());
@@ -73,15 +74,25 @@ fn check(kind: TopologyKind, size: usize) -> (usize, usize) {
                         scenario.label(),
                         search.rate
                     );
-                    assert!(search.rate > 0.0 && search.certified <= search.probes);
+                    assert!(search.rate > 0.0);
+                    // a certificate decides every probe whose solve does
+                    // not run out of iterations
+                    assert_eq!(
+                        search.certified + search.certified_saturated + search.capped,
+                        search.probes,
+                        "{} at {tolerance}: {search:?}",
+                        scenario.label()
+                    );
                     searched += 1;
                     certified += search.certified;
+                    certified_saturated += search.certified_saturated;
                 }
             }
         }
     }
     assert!(certified > searched, "the certificate must decide most solving probes");
-    (searched, certified)
+    assert!(certified_saturated > searched, "the walk must decide most saturating probes");
+    (searched, certified + certified_saturated)
 }
 
 // every discipline on each network but the star graph's deterministic one,

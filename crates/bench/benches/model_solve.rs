@@ -8,17 +8,20 @@
 //! sweep amortises, the saturation bisection that takes most of a curve's
 //! time, and the warm- vs cold-started `Q10` sweep.
 //!
-//! A search's probes walk up a relaxed monotone step and are decided by
-//! certificates: a rate that solves long before its fixed point converges,
-//! a rate that saturates as soon as the walk reaches the channel pole.  On
-//! S5 (`V = 6`, `M = 32`) a search runs 1,478 step evaluations to the 12,645
-//! iterations of a bisection over converged solves (2,602 when only rates
-//! that solve were certified).  `T8` with plain negative-hop routing at its
-//! `V = 5` floor, the benchmark design's slowest search, runs 11,635 to the
-//! converged bisection's 30,000 (20,964 with only the solving
-//! certificate).  Two release runs on a shared 2-vCPU host put a search at
-//! 0.60–0.62 ms on S5 (1.2–1.4 ms with only the solving certificate) and
-//! 12.4–13.5 ms on T8/nhop (17–22 ms).
+//! A search's probes walk up the step in secant cells, whose lines convexity
+//! keeps below the step, and are decided by certificates: a rate that
+//! solves long before its fixed point converges, a rate that saturates once
+//! the secant's slope passes 1, with a closed-form bound showing the damped
+//! solve would diverge within its cap.  Every evaluation a probe makes is
+//! counted.  On S5 (`V = 6`, `M = 32`) a search runs 91 step evaluations to
+//! the 12,645 iterations of a bisection over converged solves (1,478 with
+//! the relaxed monotone walk the secant cells replaced).  `T8` with plain
+//! negative-hop routing at its `V = 5` floor, once the benchmark design's
+//! slowest search, runs 115 (11,635 with the relaxed walk); S7 (`V = 8`)
+//! runs 96 (1,716) and T12 (`V = 8`) 85 (1,436).  One release run of each
+//! build on a shared 2-vCPU host, relaxed walk → secant cells: a search
+//! takes 0.89 ms → 57 µs on S5, 3.20 ms → 149 µs on S7, 4.18 ms → 203 µs on
+//! T12 and 10.7 ms → 125 µs on T8/nhop.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

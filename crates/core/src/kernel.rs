@@ -9,9 +9,7 @@
 //! `P(all a busy)` and the class populations do not, so [`StepKernel::new`]
 //! flattens them once per model.  [`StepKernel::network_latency_step`] then
 //! fills the rate-dependent tables into a caller-owned [`StepScratch`] and
-//! walks the flat arrays without allocating.  [`StepKernel::step`] also
-//! returns the step's blocking share `Q`, the factor the channel wait
-//! multiplies, so that `S̄' = (M + d̄) + w̄·Q`.
+//! walks the flat arrays without allocating.
 //!
 //! Every expression and summation order is the one of
 //! [`crate::blocking::total_blocking_delay`] over
@@ -56,19 +54,6 @@ pub(crate) struct StepKernel {
     /// `(index into powers, probability of f)` per adaptivity value.
     terms: Vec<(usize, f64)>,
     destinations: f64,
-    /// `M + d̄`: the population-weighted class base, the step at zero wait.
-    zero_load: f64,
-}
-
-/// One application of the step, with the share it was built from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Step {
-    /// The mean network latency `S̄'` the step implies (Eqs. 4-15).
-    pub(crate) latency: f64,
-    /// `Q`, the destination-weighted sum over hops of the blocking
-    /// probability (Eq. 11's weights): `S̄' = (M + d̄) + w̄·Q` up to
-    /// rounding, with `w̄` the channel wait of Eq. 15.
-    pub(crate) blocking_share: f64,
 }
 
 /// The rate-dependent tables one step fills; a solve owns one and reuses
@@ -130,9 +115,6 @@ impl StepKernel {
                 }
             })
             .collect();
-        let destinations = spectrum.destination_count() as f64;
-        let zero_load =
-            classes.iter().map(|class| class.base * class.count).sum::<f64>() / destinations;
         Self {
             message_length: params.message_length,
             total_vcs,
@@ -141,14 +123,8 @@ impl StepKernel {
             classes,
             hops,
             terms,
-            destinations,
-            zero_load,
+            destinations: spectrum.destination_count() as f64,
         }
-    }
-
-    /// `M + d̄`, the step's value when no channel wait is paid.
-    pub(crate) fn zero_load(&self) -> f64 {
-        self.zero_load
     }
 
     /// The mean network latency implied by a current estimate `S̄` of it at
@@ -161,21 +137,9 @@ impl StepKernel {
         channel_rate: f64,
         scratch: &mut StepScratch,
     ) -> f64 {
-        self.step(mean_service, channel_rate, scratch).latency
-    }
-
-    /// [`Self::network_latency_step`] with its blocking share `Q` (NaN when
-    /// the channel wait is unbounded).
-    #[inline]
-    pub(crate) fn step(
-        &self,
-        mean_service: f64,
-        channel_rate: f64,
-        scratch: &mut StepScratch,
-    ) -> Step {
         let mean_wait = channel_waiting_time(channel_rate, mean_service, self.message_length);
         if !mean_wait.is_finite() {
-            return Step { latency: f64::INFINITY, blocking_share: f64::NAN };
+            return f64::INFINITY;
         }
         let StepScratch { occupancy, busy, powers } = scratch;
         let width = self.total_vcs + 1;
@@ -198,9 +162,9 @@ impl StepKernel {
         powers
             .extend(self.powers.iter().map(|&(a, f)| busy.get(a).copied().unwrap_or(0.0).powi(f)));
 
-        let (mut weighted, mut share) = (0.0, 0.0);
+        let mut weighted = 0.0;
         for class in &self.classes {
-            let (mut blocking, mut blocked) = (0.0, 0.0);
+            let mut blocking = 0.0;
             for colors in &self.hops[class.hops.clone()] {
                 let mut total = 0.0;
                 for color in colors {
@@ -208,15 +172,12 @@ impl StepKernel {
                         self.terms[color.clone()].iter().map(|&(i, p)| powers[i] * p).sum();
                     total += 0.5 * p_hop;
                 }
-                let total = total.clamp(0.0, 1.0);
-                blocking += total * mean_wait;
-                blocked += total;
+                blocking += total.clamp(0.0, 1.0) * mean_wait;
             }
             let latency = class.base + blocking;
             weighted += latency * class.count;
-            share += blocked * class.count;
         }
-        Step { latency: weighted / self.destinations, blocking_share: share / self.destinations }
+        weighted / self.destinations
     }
 }
 
@@ -392,11 +353,15 @@ mod tests {
         assert_eq!(checked, 4 * 4 * 3 * 8);
     }
 
-    /// The saturated certificate's envelope premise: the blocking share `Q`
-    /// (and the channel wait `w̄`) are non-decreasing in `S̄` from zero load
-    /// up to the channel pole, and `(M + d̄) + w̄·Q` rebuilds the step.
+    /// The premise the saturation search's secant cells add: the step is
+    /// convex in `S̄` from zero load up to the channel pole, so a secant
+    /// through two of its points lies below it outside them.  Checked as
+    /// second differences on a full-range grid and on a fine grid over the
+    /// last 2% before the pole, where the step bends hardest; a difference
+    /// may fall below zero by the 1e-12 relative the search's lines are
+    /// shaded for.
     #[test]
-    fn the_blocking_share_is_non_decreasing_in_latency_and_rebuilds_the_step() {
+    fn the_step_is_convex_in_latency_up_to_the_pole() {
         let spectra = [
             TraversalSpectrum::star(5),
             TraversalSpectrum::hypercube(7),
@@ -404,7 +369,7 @@ mod tests {
             TraversalSpectrum::new(&Ring::new(8)),
         ];
         let mut scratch = StepScratch::default();
-        let (mut checked, mut rebuilt) = (0, 0);
+        let mut checked = 0;
         for spectrum in &spectra {
             for discipline in DISCIPLINES {
                 let floor = ModelParams::min_virtual_channels(discipline, spectrum.diameter());
@@ -419,48 +384,34 @@ mod tests {
                     };
                     let kernel = StepKernel::new(&params, spectrum);
                     let zero_load = message_length as f64 + spectrum.mean_distance();
-                    let label = format!(
-                        "{} {discipline:?} V={virtual_channels} M={message_length}",
-                        spectrum.topology_name()
-                    );
-                    assert!((kernel.zero_load() - zero_load).abs() <= 1e-12 * zero_load, "{label}");
                     for rho in [0.05, 0.3, 0.6, 0.9, 0.99] {
                         let rate = rho / zero_load;
                         let pole = 1.0 / rate;
-                        let mut points: Vec<f64> = (0..=200)
-                            .map(|i| zero_load + (pole - zero_load) * f64::from(i) / 200.0)
-                            .chain([1e-3, 1e-6, 1e-9, 1e-12].map(|gap| pole * (1.0 - gap)))
-                            // Q is not computed where the wait is infinite
-                            .filter(|&s| rate * s < 1.0)
-                            .collect();
-                        points.sort_by(f64::total_cmp);
-                        let mut share = |s: f64| {
-                            let step = kernel.step(s, rate, &mut scratch);
-                            if step.latency.is_finite() {
-                                let wait = channel_waiting_time(rate, s, message_length);
-                                let rebuilt_step = kernel.zero_load() + wait * step.blocking_share;
-                                let error = (rebuilt_step - step.latency).abs();
+                        for (low, high) in
+                            [(zero_load, pole), (pole - 0.02 * (pole - zero_load), pole)]
+                        {
+                            // 200 equal cells, the last point a cell short of the pole
+                            let grid: Vec<f64> = (0..200)
+                                .map(|i| low + (high - low) * f64::from(i) / 200.0)
+                                .map(|s| kernel.network_latency_step(s, rate, &mut scratch))
+                                .collect();
+                            for (i, w) in grid.windows(3).enumerate() {
+                                let second = w[0] - 2.0 * w[1] + w[2];
                                 assert!(
-                                    error <= 1e-12 * step.latency,
-                                    "{label}: at S̄ {s} the step {} rebuilds as {rebuilt_step}",
-                                    step.latency
+                                    second >= -1e-12 * w[2],
+                                    "{} {discipline:?} V={virtual_channels} M={message_length}: \
+                                     the step bends down by {second} at point {i} of \
+                                     [{low}, {high}) at λ_c {rate}",
+                                    spectrum.topology_name()
                                 );
-                                rebuilt += 1;
                             }
-                            step.blocking_share
-                        };
-                        let fall = first_fall(&points, &mut share);
-                        assert_eq!(fall, None, "{label}: Q falls in S̄ at λ_c {rate}");
-                        let fall =
-                            first_fall(&points, |s| channel_waiting_time(rate, s, message_length));
-                        assert_eq!(fall, None, "{label}: w̄ falls in S̄ at λ_c {rate}");
-                        checked += 1;
+                            checked += 1;
+                        }
                     }
                 }
             }
         }
-        assert_eq!(checked, 4 * 4 * 3 * 5);
-        assert!(rebuilt >= checked * 200);
+        assert_eq!(checked, 4 * 4 * 3 * 5 * 2);
     }
 
     #[test]

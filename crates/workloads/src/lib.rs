@@ -119,5 +119,5 @@ pub use sweep_runner::{
 };
 pub use wire::{
     default_config_pool, encode_estimate, load_rate_grid, model_saturation_rate,
-    scenario_fingerprint, WireError, WireScenario,
+    model_saturation_search, scenario_fingerprint, WireError, WireScenario,
 };

@@ -27,6 +27,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use serde_json::Value;
+use star_core::SaturationSearch;
 use star_exec::RunFingerprint;
 use star_graph::{Hypercube, StarGraph, Topology};
 
@@ -330,12 +331,22 @@ pub fn default_config_pool() -> Vec<WireScenario> {
 /// to pick rate grids that cover the whole latency curve up to the knee.
 ///
 /// # Panics
+/// As [`model_saturation_search`].
+#[must_use]
+pub fn model_saturation_rate(scenario: &Scenario, tolerance: f64) -> f64 {
+    model_saturation_search(scenario, tolerance).rate
+}
+
+/// [`model_saturation_rate`]'s bisection with its account: the probes it
+/// ran, their step evaluations, and how each was decided.
+///
+/// # Panics
 /// Panics if the analytical model does not cover the scenario, or if the
 /// scenario's parameters are out of the model's range (the panic message
 /// carries the underlying config error, e.g. too few virtual channels for
 /// the topology's escape-level minimum).
 #[must_use]
-pub fn model_saturation_rate(scenario: &Scenario, tolerance: f64) -> f64 {
+pub fn model_saturation_search(scenario: &Scenario, tolerance: f64) -> SaturationSearch {
     let params: star_core::ModelParams = match scenario.model_params(0.0) {
         Ok(Some(params)) => params,
         Err(e) => panic!("invalid model scenario {}: {e}", scenario.label()),
@@ -343,7 +354,7 @@ pub fn model_saturation_rate(scenario: &Scenario, tolerance: f64) -> f64 {
             panic!("the analytical model does not cover scenario {}", scenario.label())
         }
     };
-    star_core::saturation_rate(params, ScenarioSpectrum::build(scenario).spectrum(), tolerance)
+    star_core::saturation_search(params, ScenarioSpectrum::build(scenario).spectrum(), tolerance)
 }
 
 /// The saturation-scaled serving rate grid of a scenario: `steps` rates
@@ -508,6 +519,11 @@ mod tests {
             let grid = load_rate_grid(&scenario, 5);
             assert_eq!(grid.len(), 5);
             let saturation = model_saturation_rate(&scenario, 1e-5);
+            // the search behind the grid accounts for every probe it ran
+            let search = model_saturation_search(&scenario, 1e-5);
+            assert_eq!(search.rate.to_bits(), saturation.to_bits());
+            assert_eq!(search.certified + search.certified_saturated, search.probes);
+            assert!(search.iterations >= search.probes && search.fallbacks == 0);
             assert!(grid.windows(2).all(|w| w[0] < w[1]), "grids ascend");
             assert!(grid[0] > 0.0 && grid[4] < saturation, "grid stays below the knee");
             // the grid is a pure function of (scenario, steps): prewarming

@@ -3,7 +3,10 @@
 //!
 //! * `cargo xtask ci` — the full verification pipeline, in the same order the
 //!   GitHub Actions workflow runs it: rustfmt check, clippy with warnings
-//!   denied, release build, tests, doctests, a smoke run of every criterion
+//!   denied, release build, tests, doctests, a **knee audit** (the
+//!   `#[ignore]`d tests of `tests/saturation_exact.rs`, in release: every
+//!   certified knee search over S4–S6, Q5–Q9, T6–T10 and R8–R14 held bit for
+//!   bit to a bisection over converged solves), a smoke run of every criterion
 //!   bench in `--test` mode (each bench body executes once), a replicate
 //!   smoke (one `star_vs_hypercube` point simulated with `--replicates 3`,
 //!   so the multi-seed fan-out path runs on every push), a **torus smoke**
@@ -93,9 +96,9 @@ fn print_help() {
     eprintln!("usage: cargo xtask <command>\n");
     eprintln!("commands:");
     eprintln!(
-        "  ci            fmt-check, clippy -D warnings, build, test, doctest, bench smoke, \
-         replicate smoke, torus smoke, shard smoke, serve smoke, perfbench self-test, \
-         doc -D warnings"
+        "  ci            fmt-check, clippy -D warnings, build, test, doctest, knee audit, \
+         bench smoke, replicate smoke, torus smoke, shard smoke, serve smoke, perfbench \
+         self-test, doc -D warnings"
     );
     eprintln!(
         "  figure1       regenerate the paper's Figure 1 CSVs (forwards extra args, \
@@ -160,6 +163,13 @@ fn ci() -> ExitCode {
         // --all-targets excludes doctests, which run in their own step below
         ("test", &["test", "-q", "--workspace", "--all-targets"]),
         ("doctest", &["test", "-q", "--workspace", "--doc"]),
+        // the certified knee searches against a bisection over converged
+        // solves on a wider set of networks than the test step's, in release
+        // because every converged probe is a full solve
+        (
+            "knee-audit",
+            &["test", "-q", "--release", "--test", "saturation_exact", "--", "--ignored"],
+        ),
         // scoped to the criterion benches; the workspace-wide smoke (which
         // also drags every lib test harness through bench mode) is a separate
         // CI job

@@ -6,7 +6,8 @@
 //! benchmark's pinned design, which `tests/model_golden.rs` already covers:
 //! S4, Q5, T6 and R8, every discipline the model covers, `V` at the floor
 //! and five above it, `M` of 8 and 64, at the grid's tolerance and a coarse
-//! one.
+//! one.  The `#[ignore]`d knee audit widens that to S4–S6, Q5–Q9, T6–T10
+//! and R8–R14; `cargo xtask ci` runs it in release.
 
 use std::sync::Arc;
 
@@ -44,18 +45,40 @@ fn converged_bisection(
     low
 }
 
-/// Holds every search on one network to the converged bisection; returns
-/// how many searches ran and how many probes the certificates decided.
-fn check(kind: TopologyKind, size: usize) -> (usize, usize) {
-    let network = kind.scenario(size);
-    let spectrum = ScenarioSpectrum::build(&network);
-    let spectrum = spectrum.spectrum();
-    let (mut searched, mut certified, mut certified_saturated) = (0, 0, 0);
-    for discipline in Discipline::ALL {
+/// What the searches over a set of configurations did.
+#[derive(Debug, Default)]
+struct Tally {
+    searches: usize,
+    probes: usize,
+    iterations: usize,
+    certified: usize,
+    certified_saturated: usize,
+    fallbacks: usize,
+    capped: usize,
+}
+
+/// Holds every search on a family's networks of the given sizes to the
+/// converged bisection, for every discipline the model covers there, `V` at
+/// the given offsets above the floor, and the given message lengths and
+/// tolerances.
+fn audit(
+    kind: TopologyKind,
+    sizes: impl IntoIterator<Item = usize>,
+    offsets: &[usize],
+    lengths: &[usize],
+    tolerances: &[f64],
+) -> Tally {
+    let mut tally = Tally::default();
+    for (network, discipline) in sizes
+        .into_iter()
+        .flat_map(|size| Discipline::ALL.map(|discipline| (kind.scenario(size), discipline)))
+    {
+        let spectrum = ScenarioSpectrum::build(&network);
+        let spectrum = spectrum.spectrum();
         let floor =
             ModelParams::min_virtual_channels(discipline.model_discipline(), spectrum.diameter());
-        for v in [floor, floor + 5] {
-            for m in [8, 64] {
+        for v in offsets.iter().map(|offset| floor + offset) {
+            for &m in lengths {
                 let scenario = network
                     .clone()
                     .with_discipline(discipline)
@@ -63,7 +86,7 @@ fn check(kind: TopologyKind, size: usize) -> (usize, usize) {
                     .with_message_length(m);
                 // the star graph has no deterministic model
                 let Ok(Some(base)) = scenario.model_params(0.0) else { continue };
-                for tolerance in [1e-5, 0.02] {
+                for &tolerance in tolerances {
                     let want =
                         converged_bisection(base, spectrum, kind == TopologyKind::Star, tolerance);
                     let search = saturation_search(base, spectrum, tolerance);
@@ -83,16 +106,30 @@ fn check(kind: TopologyKind, size: usize) -> (usize, usize) {
                         "{} at {tolerance}: {search:?}",
                         scenario.label()
                     );
-                    searched += 1;
-                    certified += search.certified;
-                    certified_saturated += search.certified_saturated;
+                    tally.searches += 1;
+                    tally.probes += search.probes;
+                    tally.iterations += search.iterations;
+                    tally.certified += search.certified;
+                    tally.certified_saturated += search.certified_saturated;
+                    tally.fallbacks += search.fallbacks;
+                    tally.capped += search.capped;
                 }
             }
         }
     }
-    assert!(certified > searched, "the certificate must decide most solving probes");
-    assert!(certified_saturated > searched, "the walk must decide most saturating probes");
-    (searched, certified + certified_saturated)
+    tally
+}
+
+/// [`audit`] at the floor and five above it, `M` of 8 and 64, at the
+/// grid's tolerance and a coarse one; returns how many searches ran.
+fn check(kind: TopologyKind, size: usize) -> usize {
+    let tally = audit(kind, [size], &[0, 5], &[8, 64], &[1e-5, 0.02]);
+    assert!(tally.certified > tally.searches, "the certificate must decide most solving probes");
+    assert!(
+        tally.certified_saturated > tally.searches,
+        "the walk must decide most saturating probes"
+    );
+    tally.searches
 }
 
 // every discipline on each network but the star graph's deterministic one,
@@ -100,22 +137,22 @@ fn check(kind: TopologyKind, size: usize) -> (usize, usize) {
 
 #[test]
 fn star_knees_match_the_converged_bisection_bit_for_bit() {
-    assert_eq!(check(TopologyKind::Star, 4).0, 3 * 8);
+    assert_eq!(check(TopologyKind::Star, 4), 3 * 8);
 }
 
 #[test]
 fn hypercube_knees_match_the_converged_bisection_bit_for_bit() {
-    assert_eq!(check(TopologyKind::Hypercube, 5).0, 4 * 8);
+    assert_eq!(check(TopologyKind::Hypercube, 5), 4 * 8);
 }
 
 #[test]
 fn torus_knees_match_the_converged_bisection_bit_for_bit() {
-    assert_eq!(check(TopologyKind::Torus, 6).0, 4 * 8);
+    assert_eq!(check(TopologyKind::Torus, 6), 4 * 8);
 }
 
 #[test]
 fn ring_knees_match_the_converged_bisection_bit_for_bit() {
-    assert_eq!(check(TopologyKind::Ring, 8).0, 4 * 8);
+    assert_eq!(check(TopologyKind::Ring, 8), 4 * 8);
 }
 
 #[test]
@@ -125,4 +162,39 @@ fn saturation_rate_is_the_search_rate() {
     let base = scenario.model_params(0.0).unwrap().unwrap();
     let search = saturation_search(base, spectrum.spectrum(), 0.02);
     assert_eq!(saturation_rate(base, spectrum.spectrum(), 0.02).to_bits(), search.rate.to_bits());
+}
+
+/// The knee audit: [`audit`] over a family's sizes, `V` at the floor, three
+/// and seven above it, and `M` of 8 and 64, at the grid's tolerance.  Too
+/// slow for a debug test run (each converged probe is a full solve), it runs
+/// in release as `cargo xtask ci`'s `knee-audit` step:
+/// `cargo test --release --test saturation_exact -- --ignored`.
+fn knee_audit(kind: TopologyKind, sizes: impl IntoIterator<Item = usize>) -> usize {
+    let tally = audit(kind, sizes, &[0, 3, 7], &[8, 64], &[1e-5]);
+    println!("{kind:?}: {tally:?}");
+    tally.searches
+}
+
+#[test]
+#[ignore = "knee audit: run in release by `cargo xtask ci`"]
+fn audit_star_knees_s4_to_s6() {
+    assert_eq!(knee_audit(TopologyKind::Star, 4..=6), 3 * 3 * 3 * 2);
+}
+
+#[test]
+#[ignore = "knee audit: run in release by `cargo xtask ci`"]
+fn audit_hypercube_knees_q5_to_q9() {
+    assert_eq!(knee_audit(TopologyKind::Hypercube, 5..=9), 5 * 4 * 3 * 2);
+}
+
+#[test]
+#[ignore = "knee audit: run in release by `cargo xtask ci`"]
+fn audit_torus_knees_t6_to_t10() {
+    assert_eq!(knee_audit(TopologyKind::Torus, [6, 8, 10]), 3 * 4 * 3 * 2);
+}
+
+#[test]
+#[ignore = "knee audit: run in release by `cargo xtask ci`"]
+fn audit_ring_knees_r8_to_r14() {
+    assert_eq!(knee_audit(TopologyKind::Ring, [8, 10, 12, 14]), 4 * 4 * 3 * 2);
 }

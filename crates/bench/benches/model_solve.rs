@@ -5,8 +5,11 @@
 //! quantifies that for the paper's configurations (`S5`, `V = 6/9/12`), for
 //! the larger networks the model is meant to reach (`S6`, `S7`, `Q10`,
 //! `Q13`) and for a BFS-census topology (`T12`), plus the spectrum builds a
-//! sweep amortises, the saturation bisection that takes most of a curve's
-//! time, and the warm- vs cold-started `Q10` sweep.
+//! sweep amortises (the star's closed form next to the BFS census it
+//! reproduces), the model builds a configuration pays once, the saturation
+//! bisection that takes most of a curve's time, the warm- vs cold-started
+//! `Q10` sweep, and one served miss answered with and without rebuilding
+//! its model.
 //!
 //! A search's probes walk up the step in secant cells, whose lines convexity
 //! keeps below the step, and are decided by certificates: a rate that
@@ -30,8 +33,10 @@ use std::sync::Arc;
 use star_core::{
     saturation_rate, ModelDiscipline, ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum,
 };
-use star_graph::Torus;
-use star_workloads::{ModelBackend, Scenario, SweepRunner, SweepSpec};
+use star_graph::{StarGraph, Torus};
+use star_workloads::{
+    ModelBackend, Scenario, ScenarioModel, ScenarioSpectrum, SweepRunner, SweepSpec,
+};
 
 fn params(v: usize, rate: f64) -> ModelParams {
     ModelParams { virtual_channels: v, traffic_rate: rate, ..ModelParams::default() }
@@ -86,8 +91,28 @@ fn bench_spectrum_builds(c: &mut Criterion) {
     group.bench_function("hypercube_q13", |b| {
         b.iter(|| black_box(TraversalSpectrum::hypercube(13)));
     });
+    // the star's closed form against the BFS census it reproduces bit for bit
+    let star = StarGraph::new(7);
+    group.bench_function("bfs_s7", |b| b.iter(|| black_box(TraversalSpectrum::new(&star))));
     let torus = Torus::new(12);
     group.bench_function("bfs_t12", |b| b.iter(|| black_box(TraversalSpectrum::new(&torus))));
+    group.finish();
+}
+
+fn bench_model_builds(c: &mut Criterion) {
+    // the per-configuration cost of a model: validating its parameters and
+    // flattening the step kernel, hop kinds interned, over a built spectrum
+    let mut group = c.benchmark_group("model_build");
+    for (name, spectrum, v) in [
+        ("s5_v6", TraversalSpectrum::star(5), 6),
+        ("s7_v8", TraversalSpectrum::star(7), 8),
+        ("t12_v8", TraversalSpectrum::new(&Torus::new(12)), 8),
+    ] {
+        let spectrum = Arc::new(spectrum);
+        group.bench_function(format!("{name}_m32"), |b| {
+            b.iter(|| black_box(SpectrumModel::new(params(v, 0.0), Arc::clone(&spectrum))));
+        });
+    }
     group.finish();
 }
 
@@ -125,6 +150,20 @@ fn bench_backend_sweeps(c: &mut Criterion) {
     group.bench_function("q10_v8_m32_warm_backend", |b| {
         b.iter(|| black_box(runner.run_one(&ModelBackend::new(), &sweep)));
     });
+    // one served miss (S5, V = 6, M = 32, moderate load): `estimate_with`
+    // builds the configuration's model, step kernel included, for every
+    // point; the daemon answers on a model it built once per configuration
+    let backend = ModelBackend::new();
+    let s5 = Scenario::star(5);
+    let point = s5.at(0.006);
+    let spectrum = ScenarioSpectrum::build(&s5);
+    let model = ScenarioModel::build(&s5, &spectrum).expect("S5 is modelled");
+    group.bench_function("s5_miss_estimate_with", |b| {
+        b.iter(|| black_box(backend.estimate_with(&point, &spectrum, &[])));
+    });
+    group.bench_function("s5_miss_prebuilt_model", |b| {
+        b.iter(|| black_box(backend.estimate_on(&point, &model)));
+    });
     group.finish();
 }
 
@@ -132,6 +171,7 @@ criterion_group!(
     benches,
     bench_solves,
     bench_spectrum_builds,
+    bench_model_builds,
     bench_saturation,
     bench_backend_sweeps
 );

@@ -78,10 +78,11 @@ fn latency_solver() -> FixedPointSolver {
 ///
 /// Building a model also flattens the rate-independent half of the
 /// fixed-point step: per class `M + distance` and population, per hop the
-/// admissible virtual-channel count of each source colour and its
-/// adaptivity distribution, and the binomial weights of
-/// `P(all a busy)`.  Each iteration of a solve then only fills the Eq. 18
-/// occupancy, `P(all a busy)` and the powers `P^f` it reads into buffers
+/// index of its kind — the admissible virtual-channel count of each source
+/// colour and the adaptivity distribution, interned once per distinct
+/// kind — and the binomial weights of `P(all a busy)`.  Each iteration of
+/// a solve then only fills the Eq. 18 occupancy, `P(all a busy)`, the
+/// powers `P^f` it reads and one blocking delay per hop kind into buffers
 /// the solve owns, and walks those flat arrays without allocating.  The
 /// per-hop formula of [`crate::blocking::total_blocking_delay`] stays the
 /// documented reference the step reproduces bit for bit.

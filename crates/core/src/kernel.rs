@@ -11,6 +11,14 @@
 //! fills the rate-dependent tables into a caller-owned [`StepScratch`] and
 //! walks the flat arrays without allocating.
 //!
+//! A hop's blocking delay depends only on its *kind*: the pair of
+//! (admissible channels `a`, adaptivity distribution) of its two source
+//! colours.  Most hops repeat a kind — S7 under Enhanced-NBC has 167 hops
+//! and 67 kinds, T12 under NHop 294 hops and 49 kinds, and deterministic
+//! routing has one kind — so `new` interns the kinds into a table, each
+//! hop keeps only its kind's index, and a step prices every kind once
+//! before the class walk adds the prices up hop by hop.
+//!
 //! Every expression and summation order is the one of
 //! [`crate::blocking::total_blocking_delay`] over
 //! [`crate::occupancy::ChannelOccupancy::prob_all_busy`], so a step is bit
@@ -49,8 +57,11 @@ pub(crate) struct StepKernel {
     /// The distinct `(a, f)` pairs whose `P(all a busy)^f` a step reads.
     powers: Vec<(usize, i32)>,
     classes: Vec<ClassTerms>,
-    /// Per hop, the terms of the even and of the odd source colour.
-    hops: Vec<[Range<usize>; 2]>,
+    /// Per hop, its index in [`Self::kinds`].
+    hops: Vec<u32>,
+    /// Per distinct hop kind, the terms of the even and of the odd source
+    /// colour.
+    kinds: Vec<[Range<usize>; 2]>,
     /// `(index into powers, probability of f)` per adaptivity value.
     terms: Vec<(usize, f64)>,
     destinations: f64,
@@ -66,6 +77,20 @@ pub(crate) struct StepScratch {
     busy: Vec<f64>,
     /// `P(all a busy)^f` per entry of [`StepKernel::powers`].
     powers: Vec<f64>,
+    /// The blocking delay of one hop per entry of [`StepKernel::kinds`].
+    blocking: Vec<f64>,
+}
+
+/// A slot of the kind table no kind occupies.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+/// Hashes a hop kind — the admissible channels of both source colours and
+/// the adaptivity distribution — by its exact bits.
+fn kind_hash(vcs: [usize; 2], adaptivity: &[(usize, f64)]) -> u64 {
+    const SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+    let mix = |h: u64, x: u64| (h.rotate_left(5) ^ x).wrapping_mul(SEED);
+    let h = mix(mix(0, vcs[0] as u64), vcs[1] as u64);
+    adaptivity.iter().fold(h, |h, &(f, p)| mix(mix(h, f as u64), p.to_bits()))
 }
 
 impl StepKernel {
@@ -83,10 +108,15 @@ impl StepKernel {
 
         let split = params.vc_split(spectrum.diameter());
         let adaptive = params.discipline.is_adaptive();
+        let hop_count: usize = spectrum.classes().iter().map(|class| class.distance).sum();
+        // open addressing over kind indices, at most half full
+        let slot_bits = (2 * hop_count).max(2).next_power_of_two().trailing_zeros();
+        let mut slots = vec![EMPTY_SLOT; 1 << slot_bits];
         let mut power_index: HashMap<(usize, usize), usize> = HashMap::new();
-        let mut powers = Vec::new();
-        let mut hops = Vec::new();
-        let mut terms = Vec::new();
+        let mut powers: Vec<(usize, i32)> = Vec::new();
+        let mut kinds: Vec<[Range<usize>; 2]> = Vec::new();
+        let mut hops = Vec::with_capacity(hop_count);
+        let mut terms: Vec<(usize, f64)> = Vec::new();
         let classes: Vec<ClassTerms> = spectrum
             .classes()
             .iter()
@@ -95,18 +125,38 @@ impl StepKernel {
                     if adaptive { &class.adaptive_profile } else { &class.deterministic_profile };
                 let first = hops.len();
                 for hop in 1..=profile.distance {
-                    hops.push([Color::Zero, Color::One].map(|color| {
-                        let a = selectable_vcs(split, color, hop, profile.distance);
-                        let start = terms.len();
-                        for &(f, p) in &profile.hop_adaptivity[hop - 1] {
-                            let index = *power_index.entry((a, f)).or_insert_with(|| {
-                                powers.push((a, f as i32));
-                                powers.len() - 1
-                            });
-                            terms.push((index, p));
-                        }
-                        start..terms.len()
-                    }));
+                    let vcs = [Color::Zero, Color::One]
+                        .map(|color| selectable_vcs(split, color, hop, profile.distance));
+                    let adaptivity = &profile.hop_adaptivity[hop - 1];
+                    let is_this_kind = |kind: &[Range<usize>; 2]| {
+                        kind.iter().zip(vcs).all(|(range, a)| {
+                            range.len() == adaptivity.len()
+                                && terms[range.clone()].iter().zip(adaptivity).all(
+                                    |(&(index, p), &(f, q))| {
+                                        powers[index] == (a, f as i32) && p.to_bits() == q.to_bits()
+                                    },
+                                )
+                        })
+                    };
+                    let mut slot = (kind_hash(vcs, adaptivity) >> (64 - slot_bits)) as usize;
+                    while slots[slot] != EMPTY_SLOT && !is_this_kind(&kinds[slots[slot] as usize]) {
+                        slot = (slot + 1) & (slots.len() - 1);
+                    }
+                    if slots[slot] == EMPTY_SLOT {
+                        slots[slot] = kinds.len() as u32;
+                        kinds.push(vcs.map(|a| {
+                            let start = terms.len();
+                            for &(f, p) in adaptivity {
+                                let index = *power_index.entry((a, f)).or_insert_with(|| {
+                                    powers.push((a, f as i32));
+                                    powers.len() - 1
+                                });
+                                terms.push((index, p));
+                            }
+                            start..terms.len()
+                        }));
+                    }
+                    hops.push(slots[slot]);
                 }
                 ClassTerms {
                     base: params.message_length as f64 + class.distance as f64,
@@ -122,6 +172,7 @@ impl StepKernel {
             powers,
             classes,
             hops,
+            kinds,
             terms,
             destinations: spectrum.destination_count() as f64,
         }
@@ -141,7 +192,7 @@ impl StepKernel {
         if !mean_wait.is_finite() {
             return f64::INFINITY;
         }
-        let StepScratch { occupancy, busy, powers } = scratch;
+        let StepScratch { occupancy, busy, powers, blocking } = scratch;
         let width = self.total_vcs + 1;
         occupancy.resize(width, 0.0);
         vc_occupancy_distribution_into(channel_rate, mean_service, occupancy);
@@ -161,20 +212,25 @@ impl StepKernel {
         powers.clear();
         powers
             .extend(self.powers.iter().map(|&(a, f)| busy.get(a).copied().unwrap_or(0.0).powi(f)));
+        // one hop's blocking delay per kind
+        blocking.clear();
+        blocking.extend(self.kinds.iter().map(|colors| {
+            let mut total = 0.0;
+            for color in colors {
+                let p_hop: f64 =
+                    self.terms[color.clone()].iter().map(|&(i, p)| powers[i] * p).sum();
+                total += 0.5 * p_hop;
+            }
+            total.clamp(0.0, 1.0) * mean_wait
+        }));
 
         let mut weighted = 0.0;
         for class in &self.classes {
-            let mut blocking = 0.0;
-            for colors in &self.hops[class.hops.clone()] {
-                let mut total = 0.0;
-                for color in colors {
-                    let p_hop: f64 =
-                        self.terms[color.clone()].iter().map(|&(i, p)| powers[i] * p).sum();
-                    total += 0.5 * p_hop;
-                }
-                blocking += total.clamp(0.0, 1.0) * mean_wait;
+            let mut delay = 0.0;
+            for &kind in &self.hops[class.hops.clone()] {
+                delay += blocking[kind as usize];
             }
-            let latency = class.base + blocking;
+            let latency = class.base + delay;
             weighted += latency * class.count;
         }
         weighted / self.destinations
@@ -227,12 +283,15 @@ mod tests {
     #[test]
     fn the_kernel_step_is_the_per_hop_formula_bit_for_bit() {
         // S6 has hops with three or more adaptivity values, where a
-        // reordered sum shows
+        // reordered sum shows; S7 and T12 are the largest spectra the
+        // benchmark's design solves, with the most hop kinds
         let spectra = [
             TraversalSpectrum::star(5),
             TraversalSpectrum::star(6),
+            TraversalSpectrum::star(7),
             TraversalSpectrum::hypercube(7),
             TraversalSpectrum::new(&Torus::new(8)),
+            TraversalSpectrum::new(&Torus::new(12)),
             TraversalSpectrum::new(&Ring::new(8)),
         ];
         // one scratch for every kernel: a step must not depend on what an
@@ -276,7 +335,7 @@ mod tests {
                 }
             }
         }
-        assert!(checked > 5 * 4 * 2 * 4 * 40, "most points must be below saturation");
+        assert!(checked > 7 * 4 * 2 * 4 * 40, "most points must be below saturation");
     }
 
     /// The first of the ascending `points` at which `f` falls below its
@@ -427,14 +486,71 @@ mod tests {
         assert_eq!(occupancy.prob_all_busy(beyond), 0.0);
     }
 
+    /// Whether two kinds' colour term lists are equal to the bit.
+    fn same_kind(kernel: &StepKernel, x: &[Range<usize>; 2], y: &[Range<usize>; 2]) -> bool {
+        x.iter().zip(y).all(|(x, y)| {
+            let (x, y) = (&kernel.terms[x.clone()], &kernel.terms[y.clone()]);
+            x.len() == y.len()
+                && x.iter().zip(y).all(|(&(i, p), &(j, q))| i == j && p.to_bits() == q.to_bits())
+        })
+    }
+
+    #[test]
+    fn the_kind_table_holds_each_hop_kind_once() {
+        let spectra = [
+            TraversalSpectrum::star(5),
+            TraversalSpectrum::star(7),
+            TraversalSpectrum::hypercube(7),
+            TraversalSpectrum::new(&Torus::new(12)),
+            TraversalSpectrum::new(&Ring::new(16)),
+        ];
+        for spectrum in &spectra {
+            let hop_count: usize = spectrum.classes().iter().map(|c| c.distance).sum();
+            for discipline in DISCIPLINES {
+                let floor = ModelParams::min_virtual_channels(discipline, spectrum.diameter());
+                for virtual_channels in [floor, floor + 3] {
+                    let params =
+                        ModelParams { discipline, virtual_channels, ..ModelParams::default() };
+                    let kernel = StepKernel::new(&params, spectrum);
+                    let label =
+                        format!("{} {discipline:?} V={virtual_channels}", spectrum.topology_name());
+                    assert_eq!(kernel.hops.len(), hop_count, "{label}");
+                    assert!(kernel.hops.iter().all(|&k| (k as usize) < kernel.kinds.len()));
+                    for (i, x) in kernel.kinds.iter().enumerate() {
+                        for y in &kernel.kinds[..i] {
+                            assert!(!same_kind(&kernel, x, y), "{label}: kind {i} is repeated");
+                        }
+                    }
+                    if discipline == ModelDiscipline::Deterministic {
+                        assert_eq!(kernel.kinds.len(), 1, "{label}: one kind for every hop");
+                    }
+                }
+            }
+        }
+        // the interning pays off where the step's cost lies
+        let kinds = |spectrum: &TraversalSpectrum, discipline| {
+            let virtual_channels =
+                ModelParams::min_virtual_channels(discipline, spectrum.diameter());
+            let params = ModelParams { discipline, virtual_channels, ..ModelParams::default() };
+            let kernel = StepKernel::new(&params, spectrum);
+            (kernel.hops.len(), kernel.kinds.len())
+        };
+        let (hops, distinct) = kinds(&TraversalSpectrum::star(7), ModelDiscipline::EnhancedNbc);
+        assert!(2 * distinct < hops, "S7: {distinct} kinds for {hops} hops");
+        let (hops, distinct) =
+            kinds(&TraversalSpectrum::new(&Torus::new(12)), ModelDiscipline::NHop);
+        assert!(4 * distinct < hops, "T12: {distinct} kinds for {hops} hops");
+    }
+
     #[test]
     fn a_step_reuses_its_scratch_without_reallocating() {
         let params = ModelParams::default();
         let kernel = StepKernel::new(&params, &TraversalSpectrum::star(5));
         let mut scratch = StepScratch::default();
         let first = kernel.network_latency_step(40.0, 0.005, &mut scratch);
+        assert_eq!(scratch.blocking.len(), kernel.kinds.len());
         let buffers = |s: &StepScratch| {
-            [&s.occupancy, &s.busy, &s.powers].map(|b| (b.as_ptr(), b.capacity()))
+            [&s.occupancy, &s.busy, &s.powers, &s.blocking].map(|b| (b.as_ptr(), b.capacity()))
         };
         let before = buffers(&scratch);
         for i in 0..100 {

@@ -23,10 +23,15 @@
 //! Every builder accumulates exact `u128` path counts per adaptivity value
 //! and divides once at the end, so the BFS census reproduces both closed
 //! forms bit for bit (see the tests below).  The closed forms are kept
-//! because they are orders of magnitude cheaper to build at large sizes and
 //! because their class order is the one the pinned model curves were
-//! computed in.  The contract a topology must satisfy for the BFS census to
-//! be meaningful is documented on [`Topology`] ("The spectrum contract").
+//! computed in, and because they are cheaper to build: the hypercube's
+//! takes microseconds at any size, and the star's, which builds one
+//! [`MinimalPathDag`] per cycle type, costs 42 µs at S5, 105 µs at S6 and
+//! 0.45 ms at S7 against the census's 45 µs, 247 µs and 1.0 ms (release,
+//! median of nine batches on a 2-vCPU host; `spectrum_build/star_s7` and
+//! `bfs_s7` in `crates/bench/benches/model_solve.rs` time the S7 pair).
+//! The contract a topology must satisfy for the BFS census to be
+//! meaningful is documented on [`Topology`] ("The spectrum contract").
 
 use std::collections::BTreeMap;
 
@@ -372,9 +377,9 @@ mod tests {
     #[test]
     fn star_census_matches_closed_form_exactly() {
         // the generic BFS census must reproduce the cycle-type spectrum of
-        // S3–S6 bit for bit: same representatives, populations, path counts
+        // S3–S7 bit for bit: same representatives, populations, path counts
         // and per-hop adaptivity histograms (exact f64 equality)
-        for n in 3..=6 {
+        for n in 3..=7 {
             let star = StarGraph::new(n);
             let generic = TraversalSpectrum::new(&star);
             let closed = TraversalSpectrum::star(n);

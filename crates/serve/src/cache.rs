@@ -3,11 +3,12 @@
 //! **Level 1 — [`ConfigCache`].**  Keyed by the [`WireScenario`]
 //! fingerprint (the same [`star_exec::RunFingerprint`] hex that stamps
 //! shard partial headers): one entry per configuration ever queried,
-//! holding the rebuilt [`Scenario`] and the `Arc`-shared
-//! [`ScenarioSpectrum`].  Entries of different configurations on the same
-//! network (`S7` under two disciplines, say) share one topology value and
-//! one spectrum build, so the expensive half of a solve is paid once per
-//! *network*, not once per configuration — let alone per query.  The
+//! holding the rebuilt [`Scenario`], the `Arc`-shared [`ScenarioSpectrum`]
+//! and the configuration's [`ScenarioModel`].  Entries of different
+//! configurations on the same network (`S7` under two disciplines, say)
+//! share one topology value and one spectrum build, so the expensive half
+//! of a solve is paid once per *network*, and the model's step kernel once
+//! per configuration — never per query.  The
 //! configuration space is small (four families × tabled sizes × four
 //! disciplines × a handful of `V`/`M` values), so this level is unbounded.
 //!
@@ -35,13 +36,13 @@
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 use serde_json::Value;
-use star_workloads::{Scenario, ScenarioSpectrum, WireScenario};
+use star_workloads::{Scenario, ScenarioModel, ScenarioSpectrum, WireScenario};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
-/// One resolved configuration: the rebuilt scenario plus its shared
-/// spectrum, ready to answer any rate.
+/// One resolved configuration: the rebuilt scenario, its shared spectrum
+/// and its model, ready to answer any rate.
 #[derive(Debug)]
 pub struct ConfigEntry {
     /// The configuration fingerprint, as the canonical 16-hex-digit string.
@@ -51,6 +52,10 @@ pub struct ConfigEntry {
     /// The topology's spectrum build, shared by every query and every
     /// configuration on the same network.
     pub spectrum: Arc<ScenarioSpectrum>,
+    /// The configuration's model on that spectrum, built once and shared by
+    /// every miss; `None` when the analytical model does not cover the
+    /// configuration.
+    pub model: Option<ScenarioModel>,
 }
 
 /// The maps behind [`ConfigCache`], guarded together by one `RwLock`.
@@ -69,7 +74,7 @@ struct ConfigMaps {
 /// read lock, so concurrent connections resolving known configurations
 /// never serialise on this level; a miss upgrades to the write lock (with a
 /// double-check, so racing first sights build once) and pays the spectrum
-/// build there — rare, the configuration space is tiny.
+/// and model builds there — rare, the configuration space is tiny.
 #[derive(Debug, Default)]
 pub struct ConfigCache {
     maps: RwLock<ConfigMaps>,
@@ -85,7 +90,8 @@ impl ConfigCache {
     }
 
     /// The configuration for a wire scenario, building topology and
-    /// spectrum only on first sight of the network.
+    /// spectrum only on first sight of the network, and the model only on
+    /// first sight of the configuration.
     pub fn resolve(&self, wire: &WireScenario) -> Arc<ConfigEntry> {
         let fingerprint = wire.fingerprint().to_hex();
         if let Some(entry) =
@@ -108,10 +114,13 @@ impl ConfigCache {
             let spectrum = Arc::new(ScenarioSpectrum::build(&scenario));
             (scenario, spectrum)
         });
+        let scenario = wire.scenario_on(base.topology());
+        let model = ScenarioModel::build(&scenario, spectrum);
         let entry = Arc::new(ConfigEntry {
             fingerprint: fingerprint.clone(),
-            scenario: wire.scenario_on(base.topology()),
+            scenario,
             spectrum: Arc::clone(spectrum),
+            model,
         });
         maps.by_fingerprint.insert(fingerprint, Arc::clone(&entry));
         entry

@@ -38,11 +38,9 @@ use std::time::Duration;
 
 use serde_json::Value;
 use star_exec::ExecPool;
-use star_workloads::{
-    encode_estimate, ModelBackend, OperatingPoint, ScenarioSpectrum, WireScenario,
-};
+use star_workloads::{encode_estimate, ModelBackend, OperatingPoint, PointEstimate, WireScenario};
 
-use crate::cache::{Admission, ConfigCache, Flight, FlightToken, ShardedSolveCache};
+use crate::cache::{Admission, ConfigCache, ConfigEntry, Flight, FlightToken, ShardedSolveCache};
 use crate::prewarm::{self, PrewarmReport};
 use crate::protocol::{self, CacheOutcome, Request, RequestError};
 use crate::signal;
@@ -144,20 +142,31 @@ impl ServerState {
     }
 }
 
-/// One solve this window leads: everything `estimate_with` needs,
+/// One solve this window leads: the point and its configuration,
 /// pre-resolved so the hot closure only computes, plus the flight token
 /// that publishes the answer to any followers.
 struct SolveJob {
     point: OperatingPoint,
-    spectrum: Arc<ScenarioSpectrum>,
+    entry: Arc<ConfigEntry>,
     token: FlightToken,
 }
 
 /// The self-solve a follower falls back to if its leader aborts.
 struct Fallback {
     point: OperatingPoint,
-    spectrum: Arc<ScenarioSpectrum>,
-    fingerprint: String,
+    entry: Arc<ConfigEntry>,
+}
+
+/// A cold solve of `point` on its configuration's prebuilt model: the bytes
+/// `estimate_with(point, spectrum, &[])` encodes, without rebuilding the
+/// model's step kernel.
+pub(crate) fn solve_cold(
+    state: &ServerState,
+    point: &OperatingPoint,
+    entry: &ConfigEntry,
+) -> PointEstimate {
+    let model = entry.model.as_ref().expect("only configurations with a model are solved");
+    state.backend.estimate_on(point, model)
 }
 
 /// What each request line of a window turns into before responses are
@@ -512,7 +521,7 @@ fn process_window(
                         Admission::Lead { token } => {
                             jobs.push(SolveJob {
                                 point: entry.scenario.at(query.rate),
-                                spectrum: Arc::clone(&entry.spectrum),
+                                entry: Arc::clone(&entry),
                                 token,
                             });
                             Planned::Pending { id: query.id, index: jobs.len() - 1 }
@@ -522,8 +531,7 @@ fn process_window(
                             flight,
                             fallback: Fallback {
                                 point: entry.scenario.at(query.rate),
-                                spectrum: Arc::clone(&entry.spectrum),
-                                fingerprint: entry.fingerprint.clone(),
+                                entry: Arc::clone(&entry),
                             },
                         },
                     },
@@ -533,9 +541,8 @@ fn process_window(
     }
 
     // the window's led misses, solved as one deterministic ordered batch…
-    let estimates = ExecPool::global_ordered(width, &jobs, |_, job| {
-        state.backend.estimate_with(&job.point, &job.spectrum, &[])
-    });
+    let estimates =
+        ExecPool::global_ordered(width, &jobs, |_, job| solve_cold(state, &job.point, &job.entry));
     // …then published (cache insert + follower wake-up) before any Follow
     // below is waited on
     let mut payloads: Vec<String> = Vec::with_capacity(estimates.len());
@@ -555,11 +562,10 @@ fn process_window(
             Planned::Follow { id, flight, fallback } => {
                 let payload = flight.wait().unwrap_or_else(|| {
                     // the leader died mid-solve: solve it ourselves
-                    let estimate =
-                        state.backend.estimate_with(&fallback.point, &fallback.spectrum, &[]);
+                    let estimate = solve_cold(state, &fallback.point, &fallback.entry);
                     let payload = encode_estimate(&estimate);
                     state.solves.insert(
-                        &fallback.fingerprint,
+                        &fallback.entry.fingerprint,
                         fallback.point.traffic_rate,
                         payload.clone(),
                     );

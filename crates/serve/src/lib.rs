@@ -11,7 +11,8 @@
 //!
 //! * **Level 1** ([`cache::ConfigCache`]): configurations keyed by their
 //!   [`star_exec::RunFingerprint`] identity, holding `Arc`-shared spectrum
-//!   builds — one spectrum per *network* across all disciplines and knobs.
+//!   builds — one spectrum per *network* across all disciplines and knobs —
+//!   and one model per configuration, whose step kernel every miss reuses.
 //! * **Level 2** ([`cache::ShardedSolveCache`]): solved answers keyed by
 //!   (fingerprint, exact rate bits) under an LRU byte budget with per-entry
 //!   hit counters.  The level is **sharded**: the fingerprint hash picks
@@ -29,9 +30,10 @@
 //!
 //! The contract that keeps the daemon honest ([`protocol`]): every answer
 //! is **byte-identical** to what the batch [`star_workloads::ModelBackend`]
-//! encodes for the same point — cold solves through literally the same
-//! code path ([`star_workloads::ModelBackend::estimate_with`] with an empty
-//! warm state), cache hits replaying previously-solved bytes verbatim.  The
+//! encodes for the same point — cold solves on the configuration's
+//! prebuilt model ([`star_workloads::ModelBackend::estimate_on`], bit for
+//! bit [`star_workloads::ModelBackend::estimate_with`] with an empty warm
+//! state), cache hits replaying previously-solved bytes verbatim.  The
 //! wire `mode` field is still accepted (`exact`, or the retired `warm`),
 //! and both spellings get the same exact answer.
 //!

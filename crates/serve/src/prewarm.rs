@@ -6,9 +6,9 @@
 //! pure waste.  [`prewarm`] resolves each configuration once, solves every
 //! rate of [`star_workloads::load_rate_grid`] as one ordered batch on the
 //! shared [`star_exec::ExecPool`], and stores the answers — each solved
-//! cold through the very [`star_workloads::ModelBackend::estimate_with`]
-//! path a live query takes, so prewarmed answers are byte-identical to
-//! batch solves.
+//! cold on the configuration's prebuilt model through the very
+//! [`star_workloads::ModelBackend::estimate_on`] path a live query takes,
+//! so prewarmed answers are byte-identical to batch solves.
 //!
 //! The `--prewarm` flag names configurations in a compact spec parsed by
 //! [`parse_prewarm_list`]: the literal `pool` (the
@@ -25,7 +25,7 @@ use star_workloads::{
 };
 
 use crate::cache::ConfigEntry;
-use crate::daemon::ServerState;
+use crate::daemon::{solve_cold, ServerState};
 
 /// What [`prewarm`] did, for the daemon's startup report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -134,7 +134,7 @@ pub fn prewarm(
     // every prewarm solve is cold — the live query's code path, so the
     // stored bytes equal what a batch solve of the same point encodes
     let estimates = ExecPool::global_ordered(width, &jobs, |_, (entry, rate)| {
-        state.backend.estimate_with(&entry.scenario.at(*rate), &entry.spectrum, &[])
+        solve_cold(state, &entry.scenario.at(*rate), entry)
     });
     for ((entry, rate), estimate) in jobs.iter().zip(&estimates) {
         state.solves.insert(&entry.fingerprint, *rate, encode_estimate(estimate));

@@ -10,21 +10,53 @@
 //! weighting — exactly the averaging performed by Eq. (7).
 
 use crate::permutation::Permutation;
+use crate::MAX_SYMBOLS;
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a [`Permutation::packed`] key with one multiply, folded so the
+/// low bits a table indexes by depend on every symbol.
+#[derive(Default)]
+struct PackedHasher(u64);
+
+impl Hasher for PackedHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(self.0.rotate_left(8) ^ u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// The DAG of nodes lying on at least one minimal path from a source
 /// permutation (expressed *relative to the destination*) to the identity.
+///
+/// Nodes are numbered in level order and indexed by their packed labels;
+/// the edges along profitable dimensions are recorded once, in the forward
+/// sweep, and both path-count passes run over them.
 #[derive(Debug, Clone)]
 pub struct MinimalPathDag {
-    /// Relative source permutation.
-    source: Permutation,
-    /// Nodes grouped by hops already taken (level 0 = source,
-    /// level `distance` = identity).
-    levels: Vec<Vec<Permutation>>,
+    /// Nodes in level order: the source first, the identity last.
+    nodes: Vec<Permutation>,
+    /// Level `l` (`l` hops taken) is `nodes[level_starts[l]..level_starts[l + 1]]`.
+    level_starts: Vec<usize>,
+    /// Node index by [`Permutation::packed`] label.
+    index: HashMap<u64, u32, BuildHasherDefault<PackedHasher>>,
+    /// Node `i` has `child_starts[i + 1] − child_starts[i]` successors, one
+    /// per profitable dimension: its adaptivity.
+    child_starts: Vec<u32>,
     /// Number of minimal suffix paths from each node to the identity.
-    suffix_counts: HashMap<Permutation, u128>,
+    suffix_counts: Vec<u128>,
     /// Number of minimal prefix paths from the source to each node.
-    prefix_counts: HashMap<Permutation, u128>,
+    prefix_counts: Vec<u128>,
 }
 
 /// Per-hop adaptivity statistics of all minimal paths toward one destination,
@@ -69,71 +101,74 @@ impl MinimalPathDag {
     #[must_use]
     pub fn build(relative_source: &Permutation) -> Self {
         let distance = relative_source.distance_to_identity();
-        let mut levels: Vec<Vec<Permutation>> = vec![Vec::new(); distance + 1];
-        let mut discovered: HashMap<Permutation, usize> = HashMap::new();
-        levels[0].push(*relative_source);
-        discovered.insert(*relative_source, 0);
+        let mut nodes = vec![*relative_source];
+        let mut index: HashMap<u64, u32, BuildHasherDefault<PackedHasher>> = HashMap::default();
+        index.insert(relative_source.packed(), 0);
+        let mut level_starts = vec![0, 1];
+        let mut child_starts = vec![0u32];
+        let mut children = Vec::new();
         // Forward sweep: profitable successors only, so every discovered node
         // lies on a minimal path prefix.
         for level in 0..distance {
-            let current: Vec<Permutation> = levels[level].clone();
-            for node in current {
-                for dim in node.profitable_dimensions() {
+            for i in level_starts[level]..level_starts[level + 1] {
+                let node = nodes[i];
+                node.for_each_profitable_dimension(|dim| {
                     let next = node.apply_generator(dim);
-                    if let std::collections::hash_map::Entry::Vacant(e) = discovered.entry(next) {
-                        e.insert(level + 1);
-                        levels[level + 1].push(next);
-                    }
-                }
+                    let child = *index.entry(next.packed()).or_insert_with(|| {
+                        nodes.push(next);
+                        (nodes.len() - 1) as u32
+                    });
+                    children.push(child);
+                });
+                child_starts.push(children.len() as u32);
             }
+            level_starts.push(nodes.len());
         }
-        debug_assert_eq!(levels[distance], vec![Permutation::identity(relative_source.len())]);
+        debug_assert_eq!(
+            &nodes[level_starts[distance]..],
+            [Permutation::identity(relative_source.len())]
+        );
+        // the identity has no successor
+        child_starts.push(children.len() as u32);
 
-        // Suffix counts: paths from node to identity, processed bottom-up.
-        let mut suffix_counts: HashMap<Permutation, u128> = HashMap::new();
-        suffix_counts.insert(Permutation::identity(relative_source.len()), 1);
-        for level in (0..distance).rev() {
-            for node in &levels[level] {
-                let total: u128 = node
-                    .profitable_dimensions()
-                    .into_iter()
-                    .map(|dim| suffix_counts[&node.apply_generator(dim)])
-                    .sum();
-                suffix_counts.insert(*node, total);
-            }
-        }
-
-        // Prefix counts: paths from source to node, processed top-down.
-        let mut prefix_counts: HashMap<Permutation, u128> = HashMap::new();
-        prefix_counts.insert(*relative_source, 1);
-        for level_nodes in levels.iter().take(distance) {
-            for node in level_nodes {
-                let from = prefix_counts[node];
-                for dim in node.profitable_dimensions() {
-                    *prefix_counts.entry(node.apply_generator(dim)).or_insert(0) += from;
-                }
-            }
+        // Suffix counts: paths from node to identity, bottom-up (every edge
+        // leads to a higher index).
+        let edges = |i: usize| &children[child_starts[i] as usize..child_starts[i + 1] as usize];
+        let mut suffix_counts = vec![0u128; nodes.len()];
+        suffix_counts[nodes.len() - 1] = 1;
+        for i in (0..nodes.len() - 1).rev() {
+            suffix_counts[i] = edges(i).iter().map(|&c| suffix_counts[c as usize]).sum();
         }
 
-        Self { source: *relative_source, levels, suffix_counts, prefix_counts }
+        // Prefix counts: paths from source to node, top-down.
+        let mut prefix_counts = vec![0u128; nodes.len()];
+        prefix_counts[0] = 1;
+        for i in 0..nodes.len() {
+            let from = prefix_counts[i];
+            for &c in edges(i) {
+                prefix_counts[c as usize] += from;
+            }
+        }
+
+        Self { nodes, level_starts, index, child_starts, suffix_counts, prefix_counts }
     }
 
     /// The relative source permutation this DAG was built for.
     #[must_use]
     pub fn source(&self) -> &Permutation {
-        &self.source
+        &self.nodes[0]
     }
 
     /// Distance from source to destination.
     #[must_use]
     pub fn distance(&self) -> usize {
-        self.levels.len() - 1
+        self.level_starts.len() - 2
     }
 
     /// Total number of minimal paths from the source to the destination.
     #[must_use]
     pub fn path_count(&self) -> u128 {
-        self.suffix_counts[&self.source]
+        self.suffix_counts[0]
     }
 
     /// Nodes at a given level (`level` hops taken from the source).
@@ -142,16 +177,19 @@ impl MinimalPathDag {
     /// Panics if `level > distance`.
     #[must_use]
     pub fn level(&self, level: usize) -> &[Permutation] {
-        &self.levels[level]
+        &self.nodes[self.level_starts[level]..self.level_starts[level + 1]]
     }
 
     /// Fraction of minimal paths passing through `node` (0 if the node is not
     /// in the DAG).
     #[must_use]
     pub fn node_weight(&self, node: &Permutation) -> f64 {
-        match (self.prefix_counts.get(node), self.suffix_counts.get(node)) {
-            (Some(&a), Some(&b)) => (a * b) as f64 / self.path_count() as f64,
-            _ => 0.0,
+        match self.index.get(&node.packed()) {
+            Some(&i) => {
+                let i = i as usize;
+                (self.prefix_counts[i] * self.suffix_counts[i]) as f64 / self.path_count() as f64
+            }
+            None => 0.0,
         }
     }
 
@@ -164,20 +202,24 @@ impl MinimalPathDag {
         let total = self.path_count();
         let mut hop_adaptivity = Vec::with_capacity(distance);
         for level in 0..distance {
-            // accumulate exact u128 path counts per adaptivity value and
-            // divide once, so the resulting probabilities are independent of
+            // accumulate exact u128 path counts per adaptivity value (a
+            // node's number of successors) and divide once, in ascending
+            // adaptivity, so the resulting probabilities are independent of
             // node iteration order (and bit-identical to any other builder
             // that sums the same integers)
-            let mut sums: std::collections::BTreeMap<usize, u128> =
-                std::collections::BTreeMap::new();
-            for node in &self.levels[level] {
-                *sums.entry(node.adaptivity()).or_insert(0) +=
-                    self.prefix_counts[node] * self.suffix_counts[node];
+            let mut sums = [0u128; MAX_SYMBOLS];
+            for i in self.level_starts[level]..self.level_starts[level + 1] {
+                let adaptivity = (self.child_starts[i + 1] - self.child_starts[i]) as usize;
+                sums[adaptivity] += self.prefix_counts[i] * self.suffix_counts[i];
             }
-            hop_adaptivity
-                .push(sums.into_iter().map(|(f, s)| (f, s as f64 / total as f64)).collect());
+            hop_adaptivity.push(
+                (0..MAX_SYMBOLS)
+                    .filter(|&f| sums[f] > 0)
+                    .map(|f| (f, sums[f] as f64 / total as f64))
+                    .collect(),
+            );
         }
-        AdaptivityProfile { distance, path_count: self.path_count(), hop_adaptivity }
+        AdaptivityProfile { distance, path_count: total, hop_adaptivity }
     }
 
     /// Enumerates every minimal path explicitly (sequence of visited
@@ -186,7 +228,7 @@ impl MinimalPathDag {
     #[must_use]
     pub fn enumerate_paths(&self) -> Vec<Vec<Permutation>> {
         let mut out = Vec::new();
-        let mut current = vec![self.source];
+        let mut current = vec![*self.source()];
         fn rec(
             node: &Permutation,
             current: &mut Vec<Permutation>,
@@ -203,7 +245,7 @@ impl MinimalPathDag {
                 current.pop();
             }
         }
-        rec(&self.source, &mut current, &mut out);
+        rec(self.source(), &mut current, &mut out);
         out
     }
 }
@@ -220,6 +262,7 @@ mod tests {
     use super::*;
     use crate::factorial;
     use crate::rank::unrank;
+    use std::collections::BTreeMap;
 
     fn p(sym: &[u8]) -> Permutation {
         Permutation::from_symbols(sym).unwrap()
@@ -272,6 +315,49 @@ mod tests {
                     assert_eq!(w[1].distance_to_identity() + 1, w[0].distance_to_identity());
                 }
             }
+        }
+    }
+
+    #[test]
+    fn every_s5_dag_is_what_its_explicit_paths_imply() {
+        // the DAG's counts, weights and profile against brute-force path
+        // enumeration, exactly: the same integers divided the same way
+        let n = 5;
+        for r in 1..factorial(n) {
+            let rel = unrank(n, r);
+            let dag = MinimalPathDag::build(&rel);
+            let paths = dag.enumerate_paths();
+            let total = paths.len() as u128;
+            assert_eq!(dag.path_count(), total, "{rel:?}");
+            assert!(paths.iter().all(|path| path.len() == dag.distance() + 1));
+            let mut hop_adaptivity = Vec::new();
+            for level in 0..=dag.distance() {
+                let mut through: BTreeMap<Permutation, u128> = BTreeMap::new();
+                for path in &paths {
+                    *through.entry(path[level]).or_insert(0) += 1;
+                }
+                let mut nodes = dag.level(level).to_vec();
+                nodes.sort();
+                assert_eq!(nodes, through.keys().copied().collect::<Vec<_>>(), "{rel:?} {level}");
+                for (node, &count) in &through {
+                    let want = count as f64 / total as f64;
+                    assert_eq!(dag.node_weight(node).to_bits(), want.to_bits(), "{rel:?} {node:?}");
+                }
+                if level < dag.distance() {
+                    let mut sums: BTreeMap<usize, u128> = BTreeMap::new();
+                    for (node, &count) in &through {
+                        *sums.entry(node.adaptivity()).or_insert(0) += count;
+                    }
+                    hop_adaptivity.push(
+                        sums.into_iter()
+                            .map(|(f, count)| (f, count as f64 / total as f64))
+                            .collect::<Vec<_>>(),
+                    );
+                }
+            }
+            let want =
+                AdaptivityProfile { distance: dag.distance(), path_count: total, hop_adaptivity };
+            assert_eq!(dag.adaptivity_profile(), want, "{rel:?}");
         }
     }
 

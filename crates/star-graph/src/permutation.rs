@@ -272,6 +272,15 @@ impl Permutation {
         }
     }
 
+    /// The label packed into one word, four bits per symbol with `n` above
+    /// them: equal words are equal permutations.
+    #[inline]
+    #[must_use]
+    pub(crate) fn packed(&self) -> u64 {
+        let symbols = self.as_slice().iter().rev().fold(0u64, |key, &s| key << 4 | u64::from(s));
+        u64::from(self.n) << (4 * MAX_SYMBOLS) | symbols
+    }
+
     /// Star-graph distance from this permutation to the identity: the minimum
     /// number of generators needed to sort it.
     ///

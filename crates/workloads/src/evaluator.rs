@@ -295,6 +295,38 @@ impl ScenarioSpectrum {
     }
 }
 
+/// One configuration's model, built once: the scenario's [`ScenarioSpectrum`]
+/// with the step kernel of its discipline, `V` and `M` flattened over it.
+///
+/// [`ModelBackend::estimate_with`] builds the model for every point it
+/// answers; a caller that answers many rates of one configuration — the
+/// serving daemon's configuration cache — builds it once with
+/// [`ScenarioModel::build`] and answers each rate through
+/// [`ModelBackend::estimate_on`], bit for bit what `estimate_with` returns
+/// with a cold start.
+pub struct ScenarioModel(SpectrumModel);
+
+impl std::fmt::Debug for ScenarioModel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("ScenarioModel")
+            .field(&self.0.spectrum().topology_name())
+            .field(self.0.params())
+            .finish()
+    }
+}
+
+impl ScenarioModel {
+    /// The model of `scenario`'s configuration on `spectrum` (which must be
+    /// the scenario topology's), or `None` when the analytical model does
+    /// not cover the configuration ([`Scenario::model_params`] is not
+    /// `Ok(Some(_))`).
+    #[must_use]
+    pub fn build(scenario: &Scenario, spectrum: &ScenarioSpectrum) -> Option<Self> {
+        let params = scenario.model_params(0.0).ok().flatten()?;
+        Some(Self(SpectrumModel::new(params, Arc::clone(&spectrum.0))))
+    }
+}
+
 /// The analytical model as an [`Evaluator`]: microseconds per point.  Covers
 /// star networks with the three adaptive disciplines and every other
 /// topology with all four (deterministic routing on `Q_d` is
@@ -419,6 +451,26 @@ impl ModelBackend {
         );
         let model = Self::model(&point.scenario, point.traffic_rate, spectrum);
         self.estimate(point, &model, warm_state)
+    }
+
+    /// [`Self::estimate_with`] with a cold start and the model build hoisted
+    /// out as well: answers the point on its configuration's prebuilt
+    /// [`ScenarioModel`].  The estimate is **bit-identical** to
+    /// `estimate_with(point, spectrum, &[])`: the rate is the only parameter
+    /// the model's step kernel does not hold.
+    ///
+    /// # Panics
+    /// Panics if the rate is negative or not finite.  In debug builds, also
+    /// if the model was built for another configuration than the point's.
+    #[must_use]
+    pub fn estimate_on(&self, point: &OperatingPoint, model: &ScenarioModel) -> PointEstimate {
+        debug_assert_eq!(
+            point.scenario.model_params(point.traffic_rate).ok().flatten(),
+            Some(model.0.params().with_rate(point.traffic_rate)),
+            "model built for another configuration"
+        );
+        debug_assert_eq!(point.scenario.topology().name(), model.0.spectrum().topology_name());
+        self.estimate(point, &model.0, &[])
     }
 
     /// The mean network latency an estimate contributes as the next rate's
@@ -689,6 +741,36 @@ mod tests {
         assert!(!backend.supports(&s4().with_pattern(hot)));
         assert!(!backend.supports(&Scenario::hypercube(4).with_pattern(hot)));
         assert!(!backend.supports(&Scenario::torus(8).with_pattern(hot)));
+    }
+
+    #[test]
+    fn a_prebuilt_model_answers_bit_for_bit_as_a_fresh_one() {
+        let backend = ModelBackend::new();
+        let scenarios = [
+            Scenario::star(5),
+            Scenario::star(5).with_discipline(Discipline::NHop).with_virtual_channels(9),
+            Scenario::hypercube(5).with_discipline(Discipline::Nbc),
+            Scenario::torus(8).with_discipline(Discipline::Deterministic),
+            Scenario::ring(8).with_discipline(Discipline::NHop).with_message_length(16),
+        ];
+        for scenario in &scenarios {
+            let spectrum = ScenarioSpectrum::build(scenario);
+            let model = ScenarioModel::build(scenario, &spectrum).expect("modelled");
+            let knee = crate::model_saturation_rate(scenario, 1e-5);
+            // from zero load through the knee into saturation
+            for rate in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0, 1.01, 2.0].map(|x| x * knee) {
+                let point = scenario.at(rate);
+                let fresh = backend.estimate_with(&point, &spectrum, &[]);
+                let reused = backend.estimate_on(&point, &model);
+                assert_eq!(format!("{reused:?}"), format!("{fresh:?}"), "{}", scenario.label());
+                assert_eq!(crate::encode_estimate(&reused), crate::encode_estimate(&fresh));
+            }
+        }
+        // outside the model there is no model to build
+        let star = s4().with_discipline(Discipline::Deterministic);
+        assert!(ScenarioModel::build(&star, &ScenarioSpectrum::build(&star)).is_none());
+        let short = s4().with_virtual_channels(3);
+        assert!(ScenarioModel::build(&short, &ScenarioSpectrum::build(&short)).is_none());
     }
 
     #[test]

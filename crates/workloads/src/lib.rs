@@ -107,7 +107,8 @@ pub mod wire;
 
 pub use budget::SimBudget;
 pub use evaluator::{
-    CiTarget, EstimateDetail, Evaluator, ModelBackend, PointEstimate, ScenarioSpectrum, SimBackend,
+    CiTarget, EstimateDetail, Evaluator, ModelBackend, PointEstimate, ScenarioModel,
+    ScenarioSpectrum, SimBackend,
 };
 pub use experiment::figure1_sweeps;
 pub use report::{ascii_plot, markdown_table, write_csv, ReportSink, RunReport, RunRow};

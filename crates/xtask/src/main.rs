@@ -2,7 +2,10 @@
 //! `[alias]` in `.cargo/config.toml`.
 //!
 //! * `cargo xtask ci` — the full verification pipeline, in the same order the
-//!   GitHub Actions workflow runs it: rustfmt check, clippy with warnings
+//!   GitHub Actions workflow runs it: a **benchmark lockfile check**
+//!   (`cargo metadata --locked` on `perfbench/Cargo.toml`, so a change to
+//!   the crates' dependency edges fails instead of rewriting the
+//!   benchmark's `Cargo.lock`), rustfmt check, clippy with warnings
 //!   denied, release build, tests, doctests, a **knee audit** (the
 //!   `#[ignore]`d tests of `tests/saturation_exact.rs`, in release: every
 //!   certified knee search over S4–S6, Q5–Q9, T6–T10 and R8–R14 held bit for
@@ -96,8 +99,8 @@ fn print_help() {
     eprintln!("usage: cargo xtask <command>\n");
     eprintln!("commands:");
     eprintln!(
-        "  ci            fmt-check, clippy -D warnings, build, test, doctest, knee audit, \
-         bench smoke, replicate smoke, torus smoke, shard smoke, serve smoke, perfbench \
+        "  ci            bench-lockfile check, fmt-check, clippy -D warnings, build, test, \
+         doctest, knee audit, bench smoke, replicate smoke, torus smoke, shard smoke, serve smoke, perfbench \
          self-test, doc -D warnings"
     );
     eprintln!(
@@ -230,6 +233,22 @@ fn ci() -> ExitCode {
         ),
     ];
     let started = Instant::now();
+    // the benchmark package pins its own lockfile; a change to the crates'
+    // dependency edges would rewrite it on the next benchmark build, so it
+    // fails here instead (`--locked`: resolve, but never write the lock)
+    let mut lockfile = Command::new(cargo());
+    lockfile
+        .args(["metadata", "--offline", "--locked", "--format-version", "1"])
+        .args(["--manifest-path", "perfbench/Cargo.toml"])
+        .stdout(Stdio::null());
+    if let Err(e) = run_step(
+        "bench-lockfile",
+        "cargo metadata --offline --locked --format-version 1 --manifest-path perfbench/Cargo.toml",
+        lockfile,
+    ) {
+        eprintln!("\nci FAILED at {e}");
+        return ExitCode::FAILURE;
+    }
     for (name, args) in pipeline {
         if let Err(e) = step(name, args) {
             eprintln!("\nci FAILED at {e}");

@@ -8,9 +8,9 @@
 //!
 //! * [`exec`] (crate `star-exec`) — the shared execution layer: the
 //!   persistent deterministic [`ExecPool`] behind every parallel path
-//!   (sweep sharding, the models' per-iteration blocking sums, the
-//!   spectrum build) and the `--shard K/N` cross-process shard/merge
-//!   machinery ([`ShardSpec`], `merge_shard_csvs`);
+//!   (sweep sharding, simulator replicates, the daemon's solve batches and
+//!   prewarm) and the `--shard K/N` cross-process shard/merge machinery
+//!   ([`ShardSpec`], `merge_shard_csvs`);
 //! * [`graph`] (crate `star-graph`) — the [`Topology`] trait with its star
 //!   graph `S_n`, hypercube `Q_d`, torus `T_k` and ring implementations,
 //!   permutations, minimal-path DAGs, distance distributions;
@@ -96,6 +96,6 @@ pub use star_sim::{
 pub use star_workloads::{
     default_config_pool, encode_estimate, load_rate_grid, scenario_fingerprint, shard_sweeps,
     CiTarget, Discipline, EstimateDetail, Evaluator, ModelBackend, OperatingPoint, PointEstimate,
-    ReportSink, RunReport, RunRow, Scenario, ScenarioSpectrum, SimBackend, SimBudget, SweepReport,
-    SweepRunner, SweepSpec, TopologyKind, WireScenario,
+    ReportSink, RunReport, RunRow, Scenario, ScenarioModel, ScenarioSpectrum, SimBackend,
+    SimBudget, SweepReport, SweepRunner, SweepSpec, TopologyKind, WireScenario,
 };

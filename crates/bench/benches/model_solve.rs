@@ -8,23 +8,30 @@
 //! sweep amortises (the star's closed form next to the BFS census it
 //! reproduces), the model builds a configuration pays once, the saturation
 //! bisection that takes most of a curve's time, the warm- vs cold-started
-//! `Q10` sweep, and one served miss answered with and without rebuilding
-//! its model.
+//! `Q10` sweep, one served miss answered with and without rebuilding its
+//! model, and one whole curve (the knee search's rate grid, then the warm
+//! sweep over it) on a fresh scenario, which builds its spectrum, and on a
+//! reused one, which carries it.
 //!
 //! A search's probes walk up the step in secant cells, whose lines convexity
 //! keeps below the step, and are decided by certificates: a rate that
 //! solves long before its fixed point converges, a rate that saturates once
 //! the secant's slope passes 1, with a closed-form bound showing the damped
 //! solve would diverge within its cap.  Every evaluation a probe makes is
-//! counted.  On S5 (`V = 6`, `M = 32`) a search runs 91 step evaluations to
+//! counted.  On S5 (`V = 6`, `M = 32`) a search runs 86 step evaluations to
 //! the 12,645 iterations of a bisection over converged solves (1,478 with
 //! the relaxed monotone walk the secant cells replaced).  `T8` with plain
 //! negative-hop routing at its `V = 5` floor, once the benchmark design's
-//! slowest search, runs 115 (11,635 with the relaxed walk); S7 (`V = 8`)
-//! runs 96 (1,716) and T12 (`V = 8`) 85 (1,436).  One release run of each
+//! slowest search, runs 101 (11,635 with the relaxed walk); S7 (`V = 8`)
+//! runs 85 (1,716) and T12 (`V = 8`) 79 (1,436).  One release run of each
 //! build on a shared 2-vCPU host, relaxed walk → secant cells: a search
-//! takes 0.89 ms → 57 µs on S5, 3.20 ms → 149 µs on S7, 4.18 ms → 203 µs on
-//! T12 and 10.7 ms → 125 µs on T8/nhop.
+//! took 0.89 ms → 57 µs on S5, 3.20 ms → 149 µs on S7, 4.18 ms → 203 µs on
+//! T12 and 10.7 ms → 125 µs on T8/nhop.  Since a walk waits for its first
+//! secant before it tests a certificate (91, 96, 85 and 115 evaluations
+//! before), another pair of runs read 29.8 → 25.8 µs, 69.6 → 62.9 µs,
+//! 86.3 → 81.7 µs and 41.5 → 37.2 µs.  In that run a whole S7 curve took
+//! 818 µs on a fresh scenario and 503 µs on a reused one, a T12 curve 834
+//! and 663 µs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -35,7 +42,8 @@ use star_core::{
 };
 use star_graph::{StarGraph, Torus};
 use star_workloads::{
-    ModelBackend, Scenario, ScenarioModel, ScenarioSpectrum, SweepRunner, SweepSpec,
+    load_rate_grid, Evaluator, ModelBackend, PointEstimate, Scenario, ScenarioModel,
+    ScenarioSpectrum, SweepRunner, SweepSpec,
 };
 
 fn params(v: usize, rate: f64) -> ModelParams {
@@ -167,12 +175,46 @@ fn bench_backend_sweeps(c: &mut Criterion) {
     group.finish();
 }
 
+/// One curve as the benchmark's model op runs it: the saturation-scaled
+/// rate grid, then the warm sweep over it.
+fn curve(scenario: &Scenario) -> Vec<PointEstimate> {
+    let rates = load_rate_grid(scenario, 24);
+    ModelBackend::new().evaluate_sweep(scenario, &rates)
+}
+
+fn bench_model_ops(c: &mut Criterion) {
+    // a scenario carries its topology's spectrum: a fresh one (a new
+    // scenario on the same topology value) builds it within the curve, a
+    // reused one built it on its first curve
+    let mut group = c.benchmark_group("model_op");
+    for (name, scenario) in [
+        ("s7_v8_m32", Scenario::star(7).with_virtual_channels(8)),
+        ("t12_v8_m32", Scenario::torus(12).with_virtual_channels(8)),
+    ] {
+        let topology = scenario.topology();
+        let fresh = move || {
+            Scenario::on(Arc::clone(&topology))
+                .with_virtual_channels(scenario.virtual_channels)
+                .with_message_length(scenario.message_length)
+        };
+        group.bench_function(format!("{name}_fresh_scenario"), |b| {
+            b.iter(|| black_box(curve(&fresh())));
+        });
+        let reused = fresh();
+        group.bench_function(format!("{name}_reused_scenario"), |b| {
+            b.iter(|| black_box(curve(&reused)));
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_solves,
     bench_spectrum_builds,
     bench_model_builds,
     bench_saturation,
-    bench_backend_sweeps
+    bench_backend_sweeps,
+    bench_model_ops
 );
 criterion_main!(benches);

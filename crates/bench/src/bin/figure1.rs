@@ -33,7 +33,7 @@ use star_bench::{log_replicate_consumption, pair_into_validation_rows};
 use star_core::validation::mean_absolute_relative_error;
 use star_core::ValidationRow;
 use star_workloads::{
-    ascii_plot, figure1_sweeps, markdown_table, rate_indices, ModelBackend, Scenario, TopologyKind,
+    ascii_plot, figure1_sweeps, markdown_table, rate_indices, ModelBackend, TopologyKind,
 };
 
 fn main() {
@@ -44,16 +44,18 @@ fn main() {
     let points = cli.usize_or("--points", 6);
     let sim_backend = cli.sim_backend();
 
-    // one shared topology value for all six curves; the star grid is the
-    // paper's, any other family replays it at the family's smoke size
-    let topology = kind.topology(kind.default_size());
+    // one scenario family for all six curves, so one topology value and one
+    // spectrum build; the star grid is the paper's, any other family replays
+    // it at the family's smoke size
+    let base = kind.scenario(kind.default_size());
     let sweeps: Vec<_> = figure1_sweeps(points)
         .into_iter()
         .filter(|s| v_filter.is_none_or(|v| s.scenario.virtual_channels == v))
         .filter(|s| m_filter.is_none_or(|m| s.scenario.message_length == m))
         .map(|mut sweep| {
             if kind != TopologyKind::Star {
-                sweep.scenario = Scenario::on(std::sync::Arc::clone(&topology))
+                sweep.scenario = base
+                    .clone()
                     .with_discipline(sweep.scenario.discipline)
                     .with_virtual_channels(sweep.scenario.virtual_channels)
                     .with_message_length(sweep.scenario.message_length);

@@ -398,7 +398,8 @@ impl SpectrumModel {
     /// less a [`CELL_MARGIN`], and the walk steps [`WALK_RELAXATION`] of the
     /// way across.  It ends in one of three ways:
     /// - **Solves (certified).**  Once the cleared stretch shrinks below a
-    ///   quarter of the last one, or gets thin, it tests
+    ///   quarter of the one before (so from the first secant on), or gets
+    ///   thin, it tests
     ///   `y = x̂ + (x̂ − a_i) + 1e-9·x̂`, just above the secant's fixed point
     ///   `x̂`: if `F(y) ≤ y` and both waits are finite at `y`, the rate
     ///   solves.
@@ -476,7 +477,8 @@ impl SpectrumModel {
             let cleared = if gap > 0.0 { gap / line.descent() } else { 0.0 };
             let root = point + cleared;
             let thin = cleared <= CELL_MARGIN * point;
-            if thin || cleared < 0.25 * cleared_before {
+            // a flat first line gives no shrinkage to compare
+            if thin || (knots.len() > 1 && cleared < 0.25 * cleared_before) {
                 // just above the secant's own fixed point, margin aside
                 let fixed = point + (line.value - point) / (1.0 - line.slope);
                 let y = fixed + (fixed - point) + CELL_MARGIN * fixed;

@@ -3,12 +3,14 @@
 //! **Level 1 — [`ConfigCache`].**  Keyed by the [`WireScenario`]
 //! fingerprint (the same [`star_exec::RunFingerprint`] hex that stamps
 //! shard partial headers): one entry per configuration ever queried,
-//! holding the rebuilt [`Scenario`], the `Arc`-shared [`ScenarioSpectrum`]
-//! and the configuration's [`ScenarioModel`].  Entries of different
-//! configurations on the same network (`S7` under two disciplines, say)
-//! share one topology value and one spectrum build, so the expensive half
-//! of a solve is paid once per *network*, and the model's step kernel once
-//! per configuration — never per query.  The
+//! holding the rebuilt [`Scenario`] and the configuration's
+//! [`ScenarioModel`].  The cache keeps one base scenario per network and
+//! derives every configuration on that network (`S7` under two
+//! disciplines, say) from it with [`WireScenario::scenario_on`], so they
+//! all share the base's topology value and the spectrum the base carries
+//! ([`ScenarioSpectrum::build`]).  The expensive half of a solve is paid
+//! once per *network*, prewarming's rate grids included, and the model's
+//! step kernel once per configuration — never per query.  The
 //! configuration space is small (four families × tabled sizes × four
 //! disciplines × a handful of `V`/`M` values), so this level is unbounded.
 //!
@@ -41,17 +43,15 @@ use star_workloads::{Scenario, ScenarioModel, ScenarioSpectrum, WireScenario};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 
-/// One resolved configuration: the rebuilt scenario, its shared spectrum
-/// and its model, ready to answer any rate.
+/// One resolved configuration: the rebuilt scenario and its model, ready to
+/// answer any rate.
 #[derive(Debug)]
 pub struct ConfigEntry {
     /// The configuration fingerprint, as the canonical 16-hex-digit string.
     pub fingerprint: String,
-    /// The batch scenario this configuration denotes.
+    /// The batch scenario this configuration denotes, carrying the spectrum
+    /// every configuration on the same network shares.
     pub scenario: Scenario,
-    /// The topology's spectrum build, shared by every query and every
-    /// configuration on the same network.
-    pub spectrum: Arc<ScenarioSpectrum>,
     /// The configuration's model on that spectrum, built once and shared by
     /// every miss; `None` when the analytical model does not cover the
     /// configuration.
@@ -62,9 +62,10 @@ pub struct ConfigEntry {
 #[derive(Debug, Default)]
 struct ConfigMaps {
     by_fingerprint: HashMap<String, Arc<ConfigEntry>>,
-    /// First scenario seen per network label, holding the shared topology
-    /// `Arc`, next to the network's one spectrum build.
-    by_network: HashMap<String, (Scenario, Arc<ScenarioSpectrum>)>,
+    /// One base scenario per network label, which every configuration on
+    /// the network is derived from: it holds the shared topology and
+    /// spectrum.
+    by_network: HashMap<String, Scenario>,
 }
 
 /// Level 1: fingerprint → configuration, with per-network sharing of the
@@ -108,20 +109,10 @@ impl ConfigCache {
             return Arc::clone(entry);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let label = wire.network_label();
-        let (base, spectrum) = maps.by_network.entry(label).or_insert_with(|| {
-            let scenario = wire.scenario();
-            let spectrum = Arc::new(ScenarioSpectrum::build(&scenario));
-            (scenario, spectrum)
-        });
-        let scenario = wire.scenario_on(base.topology());
-        let model = ScenarioModel::build(&scenario, spectrum);
-        let entry = Arc::new(ConfigEntry {
-            fingerprint: fingerprint.clone(),
-            scenario,
-            spectrum: Arc::clone(spectrum),
-            model,
-        });
+        let base = maps.by_network.entry(wire.network_label()).or_insert_with(|| wire.scenario());
+        let scenario = wire.scenario_on(base);
+        let model = ScenarioModel::build(&scenario, &ScenarioSpectrum::build(&scenario));
+        let entry = Arc::new(ConfigEntry { fingerprint: fingerprint.clone(), scenario, model });
         maps.by_fingerprint.insert(fingerprint, Arc::clone(&entry));
         entry
     }
@@ -666,13 +657,38 @@ mod tests {
         let c = cache.resolve(&wire(Discipline::Nbc, 7));
         assert_ne!(a.fingerprint, c.fingerprint);
         // different configurations, one network: topology and spectrum shared
-        assert!(Arc::ptr_eq(&a.spectrum, &c.spectrum));
+        let spectrum = |entry: &ConfigEntry| ScenarioSpectrum::build(&entry.scenario);
+        assert!(Arc::ptr_eq(spectrum(&a).spectrum(), spectrum(&c).spectrum()));
         assert!(Arc::ptr_eq(&a.scenario.topology(), &c.scenario.topology()));
         let stats = cache.stats();
         assert_eq!(stats.get("entries").unwrap().as_u64(), Some(2));
         assert_eq!(stats.get("networks").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("hits").unwrap().as_u64(), Some(1));
         assert_eq!(stats.get("misses").unwrap().as_u64(), Some(2));
+    }
+
+    #[test]
+    fn a_prewarmed_pool_builds_one_spectrum_per_network() {
+        // the pool's six networks, two of them under a second configuration
+        let prewarm =
+            crate::prewarm::parse_prewarm_list("pool,star:5:nbc:7,hypercube:7:nhop:9").unwrap();
+        let config = crate::ServeConfig { prewarm, prewarm_rates: 2, ..Default::default() };
+        let daemon = crate::Daemon::bind(config).unwrap();
+        assert_eq!(daemon.prewarmed().map(|report| report.configs), Some(8));
+        let state = daemon.state();
+        let maps = state.configs.maps.read().unwrap();
+        assert_eq!((maps.by_fingerprint.len(), maps.by_network.len()), (8, 6));
+        for entry in maps.by_fingerprint.values() {
+            let base = &maps.by_network[&entry.scenario.network_label()];
+            assert!(
+                Arc::ptr_eq(
+                    ScenarioSpectrum::build(base).spectrum(),
+                    ScenarioSpectrum::build(&entry.scenario).spectrum()
+                ),
+                "{} holds its own spectrum",
+                entry.scenario.label()
+            );
+        }
     }
 
     #[test]

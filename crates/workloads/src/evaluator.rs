@@ -23,7 +23,6 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 use star_core::{ModelParams, SpectrumModel, SpectrumResult, TraversalSpectrum};
-use star_graph::{Hypercube, StarGraph};
 use star_queueing::ReplicateStats;
 use star_sim::{ReplicateReport, ReplicateRun, SimReport};
 
@@ -254,13 +253,15 @@ pub trait Evaluator: Sync {
 /// value: the expensive topology-dependent half of a model solve,
 /// `Arc`-shared so clones and concurrent evaluations reuse one allocation.
 ///
-/// [`Evaluator::evaluate`] builds one per call; callers that answer *many*
-/// points of one scenario family — the serving daemon's topology/spectrum
-/// cache, long-lived REPL sessions — build it once with
-/// [`ScenarioSpectrum::build`] and pass it to
-/// [`ModelBackend::estimate_with`], which is exactly the
-/// [`Evaluator::evaluate`] computation with the spectrum build hoisted out
-/// (the answers are bit-identical).
+/// A scenario carries its topology's spectrum: the first
+/// [`ScenarioSpectrum::build`] on it, or on any clone or `with_*` variant,
+/// builds it, and every later one returns the same allocation.  So
+/// [`Evaluator::evaluate`], [`Evaluator::evaluate_sweep`],
+/// [`crate::load_rate_grid`] and the knee search pay one build per scenario
+/// family, not one per call.  Callers that hold a spectrum themselves pass
+/// it to [`ModelBackend::estimate_with`], which is exactly the
+/// [`Evaluator::evaluate`] computation with the spectrum passed in (the
+/// answers are bit-identical).
 pub struct ScenarioSpectrum(Arc<TraversalSpectrum>);
 
 impl std::fmt::Debug for ScenarioSpectrum {
@@ -270,22 +271,13 @@ impl std::fmt::Debug for ScenarioSpectrum {
 }
 
 impl ScenarioSpectrum {
-    /// Builds the spectrum for a scenario's topology: the closed forms for
-    /// star graphs and hypercubes, the BFS census for anything else.  Only
-    /// the topology matters: every `V`/`M`/rate/discipline of the same
-    /// network shares the build.
+    /// The spectrum of a scenario's topology: the closed forms for star
+    /// graphs and hypercubes, the BFS census for anything else.  Only the
+    /// topology matters: every `V`/`M`/rate/discipline variant of the
+    /// scenario shares the build, which runs on the family's first call.
     #[must_use]
     pub fn build(scenario: &Scenario) -> Self {
-        let topology = scenario.topology();
-        let any = topology.as_any();
-        let spectrum = if let Some(star) = any.downcast_ref::<StarGraph>() {
-            TraversalSpectrum::star(star.symbols())
-        } else if let Some(cube) = any.downcast_ref::<Hypercube>() {
-            TraversalSpectrum::hypercube(cube.dims())
-        } else {
-            TraversalSpectrum::new(topology.as_ref())
-        };
-        Self(Arc::new(spectrum))
+        Self(Arc::clone(scenario.spectrum()))
     }
 
     /// The spectrum itself.
@@ -422,10 +414,11 @@ impl ModelBackend {
         )
     }
 
-    /// [`Evaluator::evaluate`] with the spectrum build hoisted out: answers
-    /// the point reusing a prebuilt [`ScenarioSpectrum`] (which must belong
-    /// to the point's topology) and an optional warm-start state (empty
-    /// slice = cold start, the [`Evaluator::evaluate`] behaviour).
+    /// [`Evaluator::evaluate`] on a given spectrum: answers the point on a
+    /// [`ScenarioSpectrum`] (which must belong to the point's topology) from
+    /// an optional warm-start state (empty slice = cold start, the
+    /// [`Evaluator::evaluate`] behaviour, which passes the scenario's own
+    /// spectrum).
     ///
     /// With an empty `warm_state` the returned estimate is **bit-identical**
     /// to [`Evaluator::evaluate`] on the same point — this is the contract

@@ -19,6 +19,8 @@ use crate::sweep_runner::SweepSpec;
 #[must_use]
 pub fn figure1_sweeps(points: usize) -> Vec<SweepSpec> {
     assert!(points >= 2, "need at least two points per curve");
+    // one S5 for all six curves: one neighbour table, one spectrum build
+    let s5 = Scenario::star(5);
     let mut out = Vec::new();
     for &(v, label) in &[(6usize, 'a'), (9, 'b'), (12, 'c')] {
         for &m in &[32usize, 64] {
@@ -34,7 +36,7 @@ pub fn figure1_sweeps(points: usize) -> Vec<SweepSpec> {
                 (1..=points).map(|i| max_rate * i as f64 / points as f64).collect();
             out.push(SweepSpec::new(
                 format!("fig1{label}-M{m}"),
-                Scenario::star(5).with_virtual_channels(v).with_message_length(m),
+                s5.clone().with_virtual_channels(v).with_message_length(m),
                 rates,
             ));
         }

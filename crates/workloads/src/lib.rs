@@ -34,8 +34,10 @@
 //! guarantees each stage makes:
 //!
 //! * **Scenario totality.**  A [`Scenario`] is cheap-to-clone data around a
-//!   shared topology handle (`Arc<dyn Topology>`): constructing one builds
-//!   the topology's tables once, but never validates the *pairing* of
+//!   shared topology handle (`Arc<dyn Topology>`) and the topology's
+//!   traversal spectrum, built on the first model evaluation and shared by
+//!   every clone and `with_*` variant: constructing one builds the
+//!   topology's tables once, but never validates the *pairing* of
 //!   topology and knobs, so harnesses can describe sweeps they may never
 //!   run.  Validation happens when a backend is asked:
 //!   [`Evaluator::supports`] answers cheaply (via

@@ -17,10 +17,10 @@
 //! matches on it.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
-use star_core::{ModelDiscipline, ModelParams, ModelParamsError};
+use star_core::{ModelDiscipline, ModelParams, ModelParamsError, TraversalSpectrum};
 use star_graph::{Hypercube, Ring, StarGraph, Topology, Torus};
 use star_routing::{DeterministicMinimal, EnhancedNbc, NHop, Nbc, RoutingAlgorithm};
 use star_sim::TrafficPattern;
@@ -197,12 +197,21 @@ impl Discipline {
 /// [`Scenario::at`] to get an [`OperatingPoint`].
 ///
 /// Cloning a scenario is cheap — the topology is behind an `Arc`, so clones
-/// share one instance (and one neighbour table).
+/// share one instance (and one neighbour table).  They also share one
+/// traversal spectrum: [`Scenario::on`] starts an empty slot for it that
+/// every clone and `with_*` variant holds, and the first model evaluation of
+/// any of them fills it ([`crate::ScenarioSpectrum::build`]).  A scenario
+/// built by another [`Scenario::on`] call, even on the same topology value,
+/// starts its own slot.
 #[derive(Clone, Serialize, Deserialize)]
 pub struct Scenario {
     /// The network, as a value.  Private so every scenario is guaranteed to
     /// hold a live topology; read it back with [`Self::topology`].
     topology: Arc<dyn Topology>,
+    /// The topology's traversal spectrum, built on first use.  Private and
+    /// set only by [`Self::on`], so it always belongs to `topology`.
+    #[serde(skip)]
+    spectrum: Arc<OnceLock<Arc<TraversalSpectrum>>>,
     /// Routing discipline.
     pub discipline: Discipline,
     /// Virtual channels per physical channel.
@@ -261,6 +270,7 @@ impl Scenario {
     pub fn on(topology: Arc<dyn Topology>) -> Self {
         Self {
             topology,
+            spectrum: Arc::default(),
             discipline: Discipline::EnhancedNbc,
             virtual_channels: 6,
             message_length: 32,
@@ -382,6 +392,22 @@ impl Scenario {
     #[must_use]
     pub fn topology(&self) -> Arc<dyn Topology> {
         Arc::clone(&self.topology)
+    }
+
+    /// The topology's traversal spectrum, shared by every scenario of this
+    /// family and built by the first caller: the closed forms for star
+    /// graphs and hypercubes, the BFS census for anything else.
+    pub(crate) fn spectrum(&self) -> &Arc<TraversalSpectrum> {
+        self.spectrum.get_or_init(|| {
+            let any = self.topology.as_any();
+            Arc::new(if let Some(star) = any.downcast_ref::<StarGraph>() {
+                TraversalSpectrum::star(star.symbols())
+            } else if let Some(cube) = any.downcast_ref::<Hypercube>() {
+                TraversalSpectrum::hypercube(cube.dims())
+            } else {
+                TraversalSpectrum::new(self.topology.as_ref())
+            })
+        })
     }
 
     /// Instantiates the routing algorithm on this scenario's topology.

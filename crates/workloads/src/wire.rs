@@ -24,14 +24,13 @@
 //! just cannot be requested remotely.
 
 use std::fmt;
-use std::sync::Arc;
 
 use serde_json::Value;
 use star_core::SaturationSearch;
 use star_exec::RunFingerprint;
-use star_graph::{Hypercube, StarGraph, Topology};
+use star_graph::{Hypercube, StarGraph};
 
-use crate::evaluator::{PointEstimate, ScenarioSpectrum};
+use crate::evaluator::PointEstimate;
 use crate::scenario::{Discipline, Scenario, TopologyKind};
 
 /// Why a wire query (or a scenario headed for the wire) was rejected.
@@ -234,31 +233,38 @@ impl WireScenario {
         self.kind.label(self.size)
     }
 
-    /// Rebuilds the batch scenario, constructing a fresh topology.
+    /// Rebuilds the batch scenario, constructing a fresh topology (with a
+    /// spectrum of its own, built on first use).
     ///
     /// # Panics
     /// Never for values built by the checked constructors above — the size
     /// was validated against the family's constructible range.
     #[must_use]
     pub fn scenario(&self) -> Scenario {
-        self.scenario_on(self.kind.topology(self.size))
+        self.scenario_on(&Scenario::on(self.kind.topology(self.size)))
     }
 
-    /// Rebuilds the batch scenario on an existing topology value — the hook
-    /// the daemon's topology cache injects through, so a thousand queries
-    /// against `S7` share one neighbour table.
+    /// Rebuilds the batch scenario as a variant of `base`, a scenario on the
+    /// same network — the hook the daemon's configuration cache derives
+    /// through, so a thousand queries against `S7` share one neighbour table
+    /// and one spectrum build.  Only the topology and spectrum come from
+    /// `base`; every other field is this wire scenario's (uniform traffic,
+    /// one replicate off seed base 0, as [`Self::scenario`] builds).
     ///
     /// # Panics
-    /// Panics if the supplied topology is not this wire scenario's network
-    /// (compared by name).
+    /// Panics if `base` is not on this wire scenario's network (compared by
+    /// name).
     #[must_use]
-    pub fn scenario_on(&self, topology: Arc<dyn Topology>) -> Scenario {
+    pub fn scenario_on(&self, base: &Scenario) -> Scenario {
         assert_eq!(
-            topology.name(),
+            base.network_label(),
             self.network_label(),
-            "topology value does not match the wire scenario"
+            "base scenario is not on the wire scenario's network"
         );
-        Scenario::on(topology)
+        base.clone()
+            .with_pattern(star_sim::TrafficPattern::Uniform)
+            .with_replicates(1)
+            .with_seed_base(0)
             .with_discipline(self.discipline)
             .with_virtual_channels(self.virtual_channels)
             .with_message_length(self.message_length)
@@ -354,7 +360,7 @@ pub fn model_saturation_search(scenario: &Scenario, tolerance: f64) -> Saturatio
             panic!("the analytical model does not cover scenario {}", scenario.label())
         }
     };
-    star_core::saturation_search(params, ScenarioSpectrum::build(scenario).spectrum(), tolerance)
+    star_core::saturation_search(params, scenario.spectrum(), tolerance)
 }
 
 /// The saturation-scaled serving rate grid of a scenario: `steps` rates
@@ -402,8 +408,10 @@ pub fn encode_estimate(estimate: &PointEstimate) -> String {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::evaluator::{Evaluator, ModelBackend};
+    use crate::evaluator::{Evaluator, ModelBackend, ScenarioSpectrum};
 
     fn decode(json: &str) -> Result<WireScenario, WireError> {
         WireScenario::from_value(&serde_json::from_str(json).unwrap())
@@ -567,14 +575,20 @@ mod tests {
 
     #[test]
     fn scenario_on_shares_the_injected_topology_and_checks_it() {
-        let wire = decode(r#"{"topology":"torus","size":8}"#).unwrap();
-        let topology = TopologyKind::Torus.topology(8);
-        let scenario = wire.scenario_on(Arc::clone(&topology));
-        assert!(Arc::ptr_eq(&topology, &scenario.topology()));
+        let wire = decode(r#"{"topology":"torus","size":8,"vc":7}"#).unwrap();
+        let base = Scenario::torus(8).with_replicates(3).with_seed_base(9);
+        let scenario = wire.scenario_on(&base);
+        assert!(Arc::ptr_eq(&base.topology(), &scenario.topology()));
+        assert!(Arc::ptr_eq(
+            ScenarioSpectrum::build(&base).spectrum(),
+            ScenarioSpectrum::build(&scenario).spectrum()
+        ));
+        // the knobs are the wire scenario's, whatever the base held
+        assert_eq!(scenario, wire.scenario());
         let wrong = std::panic::catch_unwind(|| {
-            let _ = wire.scenario_on(TopologyKind::Ring.topology(8));
+            let _ = wire.scenario_on(&Scenario::ring(8));
         });
-        assert!(wrong.is_err(), "a mismatched topology must be refused");
+        assert!(wrong.is_err(), "a mismatched base must be refused");
     }
 
     #[test]

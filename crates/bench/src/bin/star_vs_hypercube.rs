@@ -54,12 +54,12 @@
 //! reassembles byte-identically.
 
 use star_bench::cli::HarnessArgs;
-use star_bench::{experiments_dir, log_replicate_consumption, model_saturation_rate};
+use star_bench::{experiments_dir, log_replicate_consumption};
 use star_core::{ModelDiscipline, ModelParams};
 use star_graph::Hypercube;
 use star_workloads::{
-    ascii_plot, markdown_table, Evaluator, ModelBackend, ReportSink, Scenario, SweepSpec,
-    TopologyKind,
+    ascii_plot, markdown_table, model_saturation_rate, Evaluator, ModelBackend, ReportSink,
+    Scenario, SweepSpec, TopologyKind,
 };
 
 /// Parses a comma-separated `--flag 12,16` size list.

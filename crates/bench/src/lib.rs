@@ -69,22 +69,6 @@ pub fn pair_into_validation_rows(model: &SweepReport, sim: &SweepReport) -> Vec<
         .collect()
 }
 
-/// The model-predicted saturation rate of a scenario, on any topology —
-/// the bisection the model-only harness binaries use to pick rate grids that
-/// cover the whole latency curve up to the knee.
-///
-/// # Panics
-/// Panics if the analytical model does not cover the scenario, or if the
-/// scenario's parameters are out of the model's range (the panic message
-/// carries the underlying config error, e.g. too few virtual channels for
-/// the topology's escape-level minimum).
-#[must_use]
-pub fn model_saturation_rate(scenario: &star_workloads::Scenario, tolerance: f64) -> f64 {
-    // the shared implementation lives next to the wire vocabulary so the
-    // daemon's prewarmer and the load generator agree bit for bit
-    star_workloads::model_saturation_rate(scenario, tolerance)
-}
-
 /// Prints the per-point replicate consumption of a simulated sweep — the
 /// log the adaptive `--ci-target` stopping rule owes the user (for fixed
 /// fan-outs it is a one-line confirmation).

@@ -28,12 +28,10 @@
 //! write-heavy (every miss inserts), so [`ShardedSolveCache`] splits it into
 //! independently locked shards keyed by the fingerprint hash — all rates of
 //! one configuration land on one shard — each with its own byte budget and
-//! counters that [`ShardedSolveCache::stats`] aggregates losslessly.  Shards
-//! also run **single-flight admission** ([`ShardedSolveCache::admit`]): the
-//! first miss on a (configuration, rate) key becomes the *leader* and owes
-//! the solve; concurrent misses on the same key become *followers* that wait
-//! on the leader's [`Flight`] instead of racing redundant solves through the
-//! shard lock.
+//! counters that [`ShardedSolveCache::stats`] aggregates losslessly.  A miss
+//! is a [`ShardedSolveCache::lookup`] then a [`ShardedSolveCache::insert`]
+//! of the solved answer; two connections missing the same key at once each
+//! solve it and store the same bytes, since the cold solve is deterministic.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -41,7 +39,7 @@ use serde_json::Value;
 use star_workloads::{Scenario, ScenarioModel, ScenarioSpectrum, WireScenario};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 /// One resolved configuration: the rebuilt scenario and its model, ready to
 /// answer any rate.
@@ -310,7 +308,7 @@ pub struct SolveCounters {
     pub budget_bytes: u64,
     /// Lookups answered verbatim.
     pub hits: u64,
-    /// Lookups that missed (including ones later coalesced onto a flight).
+    /// Lookups that missed.
     pub misses: u64,
     /// Entries evicted by the byte budget.
     pub evictions: u64,
@@ -344,116 +342,12 @@ impl SolveCounters {
     }
 }
 
-/// One in-flight solve's key: (fingerprint hex, rate bits).
-type FlightKey = (String, u64);
-
-#[derive(Debug)]
-enum FlightState {
-    /// The leader is still solving.
-    Pending,
-    /// The leader published its canonical encoded answer.
-    Done(String),
-    /// The leader died (panic / dropped token) without an answer.
-    Aborted,
-}
-
-/// A single-flight rendezvous: one leader solves, any number of followers
-/// [`wait`](Self::wait) for the published answer instead of re-solving.
-#[derive(Debug)]
-pub struct Flight {
-    state: Mutex<FlightState>,
-    cv: Condvar,
-}
-
-impl Flight {
-    fn new() -> Self {
-        Self { state: Mutex::new(FlightState::Pending), cv: Condvar::new() }
-    }
-
-    fn is_pending(&self) -> bool {
-        matches!(*self.state.lock().expect("flight poisoned"), FlightState::Pending)
-    }
-
-    /// Resolves the flight exactly once; later calls are no-ops.
-    fn publish(&self, payload: Option<String>) {
-        let mut state = self.state.lock().expect("flight poisoned");
-        if matches!(*state, FlightState::Pending) {
-            *state = match payload {
-                Some(payload) => FlightState::Done(payload),
-                None => FlightState::Aborted,
-            };
-            self.cv.notify_all();
-        }
-    }
-
-    /// Blocks until the leader resolves the flight.  `None` means the
-    /// leader aborted: the follower must fall back to solving itself.
-    #[must_use]
-    pub fn wait(&self) -> Option<String> {
-        let mut state = self.state.lock().expect("flight poisoned");
-        loop {
-            match &*state {
-                FlightState::Pending => state = self.cv.wait(state).expect("flight poisoned"),
-                FlightState::Done(payload) => return Some(payload.clone()),
-                FlightState::Aborted => return None,
-            }
-        }
-    }
-}
-
-/// The leader's obligation to resolve its [`Flight`].  Pass it back to
-/// [`ShardedSolveCache::complete`] with the solved answer; dropping it
-/// without completing (a panicking solve, say) aborts the flight so
-/// followers unblock and self-solve instead of hanging forever.
-#[derive(Debug)]
-pub struct FlightToken {
-    key: FlightKey,
-    flight: Arc<Flight>,
-    done: bool,
-}
-
-impl Drop for FlightToken {
-    fn drop(&mut self) {
-        if !self.done {
-            self.flight.publish(None);
-        }
-    }
-}
-
-/// What [`ShardedSolveCache::admit`] decided for one query.
-#[derive(Debug)]
-pub enum Admission {
-    /// Cached: the stored answer, verbatim.
-    Hit {
-        /// The canonical encoded answer.
-        payload: String,
-        /// Times this entry has been served, including now.
-        hits: u64,
-    },
-    /// First miss on this (configuration, rate): the caller owes the solve
-    /// and must [`complete`](ShardedSolveCache::complete) the token.
-    Lead {
-        /// The obligation to publish the answer (or abort on drop).
-        token: FlightToken,
-    },
-    /// Another caller is already solving this exact key: wait on its
-    /// flight instead of re-solving.
-    Follow {
-        /// The leader's flight; [`Flight::wait`] yields the answer.
-        flight: Arc<Flight>,
-    },
-}
-
-/// One shard: a [`SolveCache`] plus its in-flight solves, under one lock,
-/// with admission counters.
+/// One shard: a [`SolveCache`] and its insert counter, under one lock.
 #[derive(Debug)]
 struct ShardInner {
     cache: SolveCache,
-    flights: HashMap<FlightKey, Arc<Flight>>,
-    /// Answers stored (via flights, prewarming, or fallback inserts).
+    /// Answers stored (by misses and by prewarming).
     inserted: u64,
-    /// Misses that joined an existing flight instead of re-solving.
-    coalesced: u64,
 }
 
 #[derive(Debug)]
@@ -466,12 +360,7 @@ struct Shard {
 impl Shard {
     fn new(budget_bytes: usize) -> Self {
         Self {
-            inner: Mutex::new(ShardInner {
-                cache: SolveCache::new(budget_bytes),
-                flights: HashMap::new(),
-                inserted: 0,
-                coalesced: 0,
-            }),
+            inner: Mutex::new(ShardInner { cache: SolveCache::new(budget_bytes), inserted: 0 }),
             contended: AtomicU64::new(0),
         }
     }
@@ -490,10 +379,11 @@ impl Shard {
     }
 }
 
-/// Level 2, scaled out: N independently locked [`SolveCache`] shards with
-/// single-flight admission.  The fingerprint hash picks the shard, so all
-/// rates of one configuration share a shard; the total byte budget splits
-/// evenly across shards (each shard runs its own LRU within `budget / N`).  See the [module docs](self).
+/// Level 2, scaled out: N independently locked [`SolveCache`] shards.  The
+/// fingerprint hash picks the shard, so all rates of one configuration
+/// share a shard; the total byte budget splits evenly across shards (each
+/// shard runs its own LRU within `budget / N`).  See the
+/// [module docs](self).
 #[derive(Debug)]
 pub struct ShardedSolveCache {
     shards: Vec<Shard>,
@@ -530,49 +420,13 @@ impl ShardedSolveCache {
         &self.shards[self.shard_index(fingerprint)]
     }
 
-    /// Admits one query: a cache hit answers verbatim; the first miss on a
-    /// (configuration, rate) key becomes the leader and owes the solve;
-    /// concurrent misses on the same key follow the leader's flight.
-    /// Atomic per key — exactly one caller holds a live [`FlightToken`] at
-    /// a time.
-    pub fn admit(&self, fingerprint: &str, rate: f64) -> Admission {
-        let mut inner = self.shard(fingerprint).lock();
-        if let Lookup::Hit { payload, hits } = inner.cache.lookup(fingerprint, rate) {
-            return Admission::Hit { payload, hits };
-        }
-        let key: FlightKey = (fingerprint.to_string(), rate.to_bits());
-        if let Some(flight) = inner.flights.get(&key) {
-            // a flight whose leader aborted stays in the map until someone
-            // re-misses; that someone replaces it below
-            if flight.is_pending() {
-                let flight = Arc::clone(flight);
-                inner.coalesced += 1;
-                return Admission::Follow { flight };
-            }
-        }
-        let flight = Arc::new(Flight::new());
-        inner.flights.insert(key.clone(), Arc::clone(&flight));
-        Admission::Lead { token: FlightToken { key, flight, done: false } }
+    /// Looks up (configuration, rate) on its shard: a hit answers
+    /// verbatim, a miss is the caller's to solve and [`Self::insert`].
+    pub fn lookup(&self, fingerprint: &str, rate: f64) -> Lookup {
+        self.shard(fingerprint).lock().cache.lookup(fingerprint, rate)
     }
 
-    /// Stores the leader's answer, retires its flight, and wakes every
-    /// follower with the same payload.
-    pub fn complete(&self, mut token: FlightToken, payload: String) {
-        {
-            let mut inner = self.shard(&token.key.0).lock();
-            let rate = f64::from_bits(token.key.1);
-            inner.cache.insert(&token.key.0, rate, payload.clone());
-            inner.inserted += 1;
-            if inner.flights.get(&token.key).is_some_and(|f| Arc::ptr_eq(f, &token.flight)) {
-                inner.flights.remove(&token.key);
-            }
-        }
-        token.done = true;
-        token.flight.publish(Some(payload));
-    }
-
-    /// Stores an answer outside any flight — prewarming, and followers
-    /// falling back after an aborted flight.
+    /// Stores a solved answer (a miss's, or prewarming's).
     pub fn insert(&self, fingerprint: &str, rate: f64, payload: String) {
         let mut inner = self.shard(fingerprint).lock();
         inner.cache.insert(fingerprint, rate, payload);
@@ -601,17 +455,15 @@ impl ShardedSolveCache {
     /// counters, and runs `with` while all shards are pinned — so a stats
     /// reply can combine this level with others without interleaving
     /// mid-update counts.  The JSON keeps the flat [`SolveCounters`]
-    /// fields and adds `shards` / `inserted` / `coalesced` / `contended`.
+    /// fields and adds `shards` / `inserted` / `contended`.
     pub fn snapshot<T>(&self, with: impl FnOnce() -> T) -> (Value, T) {
         let guards: Vec<MutexGuard<'_, ShardInner>> = self.shards.iter().map(Shard::lock).collect();
         let extra = with();
         let mut total = SolveCounters::default();
         let mut inserted = 0u64;
-        let mut coalesced = 0u64;
         for guard in &guards {
             total = total.merge(guard.cache.counters());
             inserted += guard.inserted;
-            coalesced += guard.coalesced;
         }
         drop(guards);
         let contended: u64 =
@@ -621,7 +473,6 @@ impl ShardedSolveCache {
         };
         fields.push(("shards".to_string(), Value::from(self.shards.len())));
         fields.push(("inserted".to_string(), Value::from(inserted)));
-        fields.push(("coalesced".to_string(), Value::from(coalesced)));
         fields.push(("contended".to_string(), Value::from(contended)));
         (Value::Object(fields), extra)
     }
@@ -795,7 +646,7 @@ mod tests {
         assert_eq!(per_shard[loaded].entries, 2, "per-shard LRU holds ~2 entries");
         assert!(per_shard[loaded].evictions >= 2);
         cache.insert(&fps[1], 0.001, "x".to_string());
-        assert!(matches!(cache.admit(&fps[1], 0.001), Admission::Hit { hits: 1, .. }));
+        assert!(matches!(cache.lookup(&fps[1], 0.001), Lookup::Hit { hits: 1, .. }));
         // aggregate stats are exactly the field-by-field sum of the shards
         let sum =
             cache.shard_stats().into_iter().fold(SolveCounters::default(), SolveCounters::merge);
@@ -817,47 +668,30 @@ mod tests {
     }
 
     #[test]
-    fn single_flight_race_two_threads_one_solve() {
-        let cache = Arc::new(ShardedSolveCache::new(1 << 20, 4));
+    fn lookups_and_inserts_keep_a_configuration_on_one_shard() {
+        let cache = ShardedSolveCache::new(1 << 20, 4);
         let fp = "00000000000000aa";
-        // leader admits first and holds its token across the follower's
-        // admission — the deterministic version of two connections racing
-        let Admission::Lead { token } = cache.admit(fp, 0.004) else {
-            panic!("first miss must lead");
-        };
-        let follower = {
-            let cache = Arc::clone(&cache);
-            let Admission::Follow { flight } = cache.admit(fp, 0.004) else {
-                panic!("concurrent same-key miss must follow, not re-solve");
-            };
-            std::thread::spawn(move || flight.wait())
-        };
-        cache.complete(token, "{\"answer\":1}".to_string());
-        assert_eq!(follower.join().unwrap(), Some("{\"answer\":1}".to_string()));
-        let stats = cache.stats();
-        assert_eq!(stats.get("inserted").unwrap().as_u64(), Some(1), "exactly one solve stored");
-        assert_eq!(stats.get("coalesced").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("entries").unwrap().as_u64(), Some(1));
-        // and the answer now serves hits verbatim
-        let Admission::Hit { payload, hits } = cache.admit(fp, 0.004) else {
-            panic!("completed flight must have populated the cache");
-        };
-        assert_eq!((payload.as_str(), hits), ("{\"answer\":1}", 1));
-    }
-
-    #[test]
-    fn aborted_leaders_unblock_followers_and_are_replaced() {
-        let cache = ShardedSolveCache::new(1 << 20, 2);
-        let fp = "00000000000000bb";
-        let Admission::Lead { token } = cache.admit(fp, 0.004) else {
-            panic!("first miss must lead");
-        };
-        let Admission::Follow { flight } = cache.admit(fp, 0.004) else {
-            panic!("second miss must follow");
-        };
-        drop(token); // leader dies without an answer
-        assert_eq!(flight.wait(), None, "followers get the abort, not a hang");
-        // the stale aborted flight is replaced: the next miss leads again
-        assert!(matches!(cache.admit(fp, 0.004), Admission::Lead { .. }));
+        let home = cache.shard_index(fp);
+        let rates = [0.001, 0.002, 0.003];
+        for rate in rates {
+            assert_eq!(cache.lookup(fp, rate), Lookup::Miss);
+            cache.insert(fp, rate, format!("{{\"rate\":{rate}}}"));
+        }
+        // every rate of the configuration landed on its home shard…
+        let per_shard = cache.shard_stats();
+        for (index, shard) in per_shard.iter().enumerate() {
+            let (entries, misses) = if index == home { (3, 3) } else { (0, 0) };
+            assert_eq!((shard.entries, shard.misses), (entries, misses), "shard {index}");
+        }
+        // …and re-inserting a key, as two connections racing the same miss
+        // do, keeps a single entry serving the same bytes
+        cache.insert(fp, 0.002, "{\"rate\":0.002}".to_string());
+        assert_eq!(cache.len(), 3);
+        assert_eq!(
+            cache.lookup(fp, 0.002),
+            Lookup::Hit { payload: "{\"rate\":0.002}".to_string(), hits: 1 }
+        );
+        assert_eq!(cache.shard_stats()[home].hits, 1);
+        assert_eq!(cache.stats().get("inserted").unwrap().as_u64(), Some(4));
     }
 }

@@ -1,6 +1,5 @@
 //! The daemon proper: accept loop with a connection budget, per-connection
-//! pipelining, single-flight admission, pool-backed evaluation, graceful
-//! drain.
+//! pipelining, pool-backed evaluation, graceful drain.
 //!
 //! One [`Daemon`] owns a non-blocking TCP listener and a shared
 //! [`ServerState`] (the model backend, the two cache levels and the traffic
@@ -15,13 +14,11 @@
 //! one-query-at-a-time client still gets sub-millisecond turnarounds.
 //! Responses always come back in request order.
 //!
-//! Cache misses go through the sharded cache's **single-flight admission**
-//! ([`ShardedSolveCache::admit`]): the first miss on a (configuration,
-//! rate) key leads and owes the solve; duplicate misses — in the same
-//! window or racing in from other connections — follow that flight and
-//! reuse its answer instead of re-solving.  Every window publishes all the
-//! flights it leads *before* waiting on any flight it follows, so no two
-//! connections can deadlock waiting on each other.
+//! Each query line is a [`ShardedSolveCache::lookup`]: a hit answers
+//! verbatim, and a miss is solved cold with the rest of its window and
+//! [inserted](ShardedSolveCache::insert).  Duplicate misses — in one window
+//! or racing in from other connections — each solve and store the same
+//! bytes, so no connection ever waits on another's solve.
 //!
 //! Shutdown is cooperative and draining: a SIGINT (via
 //! [`crate::signal::install`]) or a wire `shutdown` request trips one flag;
@@ -40,7 +37,7 @@ use serde_json::Value;
 use star_exec::ExecPool;
 use star_workloads::{encode_estimate, ModelBackend, OperatingPoint, PointEstimate, WireScenario};
 
-use crate::cache::{Admission, ConfigCache, ConfigEntry, Flight, FlightToken, ShardedSolveCache};
+use crate::cache::{ConfigCache, ConfigEntry, Lookup, ShardedSolveCache};
 use crate::prewarm::{self, PrewarmReport};
 use crate::protocol::{self, CacheOutcome, Request, RequestError};
 use crate::signal;
@@ -142,17 +139,9 @@ impl ServerState {
     }
 }
 
-/// One solve this window leads: the point and its configuration,
-/// pre-resolved so the hot closure only computes, plus the flight token
-/// that publishes the answer to any followers.
+/// One miss this window solves: the point and its configuration,
+/// pre-resolved so the hot closure only computes.
 struct SolveJob {
-    point: OperatingPoint,
-    entry: Arc<ConfigEntry>,
-    token: FlightToken,
-}
-
-/// The self-solve a follower falls back to if its leader aborts.
-struct Fallback {
     point: OperatingPoint,
     entry: Arc<ConfigEntry>,
 }
@@ -176,10 +165,8 @@ enum Planned {
     Ready(String),
     /// Stats snapshot, taken after the window's solves land.
     Stats { id: u64 },
-    /// Awaiting solve job `index`'s estimate (this window leads it).
+    /// Awaiting solve job `index`'s estimate.
     Pending { id: u64, index: usize },
-    /// Awaiting another leader's flight (coalesced duplicate miss).
-    Follow { id: u64, flight: Arc<Flight>, fallback: Fallback },
 }
 
 /// The serving daemon.  [`Daemon::bind`] then [`Daemon::run`]; the run
@@ -455,12 +442,9 @@ fn serve_connection(
 /// Evaluates one window of request lines and writes one response line per
 /// request, in order.  Returns whether a shutdown request was seen.
 ///
-/// Ordering discipline: admission happens line by line (hits answer
-/// verbatim, first misses lead, duplicates follow), then *every* led
-/// flight is solved and published, and only then does the response loop
-/// wait on followed flights.  A follower can therefore only ever wait on
-/// a flight whose leader — this window or another connection — publishes
-/// without waiting on anyone, so cross-connection waits cannot cycle.
+/// Each line is parsed, resolved and looked up (hits answer verbatim); the
+/// window's misses are then solved as one ordered batch and inserted, and
+/// the responses are written in request order.
 fn process_window(
     state: &ServerState,
     width: usize,
@@ -511,46 +495,35 @@ fn process_window(
                             ),
                         ))
                     }
-                    Ok(Some(_)) => match state.solves.admit(&entry.fingerprint, query.rate) {
-                        Admission::Hit { payload, hits } => Planned::Ready(protocol::ok_query(
+                    Ok(Some(_)) => match state.solves.lookup(&entry.fingerprint, query.rate) {
+                        Lookup::Hit { payload, hits } => Planned::Ready(protocol::ok_query(
                             query.id,
                             CacheOutcome::Exact,
                             hits,
                             &payload,
                         )),
-                        Admission::Lead { token } => {
-                            jobs.push(SolveJob {
-                                point: entry.scenario.at(query.rate),
-                                entry: Arc::clone(&entry),
-                                token,
-                            });
+                        Lookup::Miss => {
+                            jobs.push(SolveJob { point: entry.scenario.at(query.rate), entry });
                             Planned::Pending { id: query.id, index: jobs.len() - 1 }
                         }
-                        Admission::Follow { flight } => Planned::Follow {
-                            id: query.id,
-                            flight,
-                            fallback: Fallback {
-                                point: entry.scenario.at(query.rate),
-                                entry: Arc::clone(&entry),
-                            },
-                        },
                     },
                 }
             }
         });
     }
 
-    // the window's led misses, solved as one deterministic ordered batch…
+    // the window's misses, solved as one deterministic ordered batch
     let estimates =
         ExecPool::global_ordered(width, &jobs, |_, job| solve_cold(state, &job.point, &job.entry));
-    // …then published (cache insert + follower wake-up) before any Follow
-    // below is waited on
-    let mut payloads: Vec<String> = Vec::with_capacity(estimates.len());
-    for (job, estimate) in jobs.into_iter().zip(&estimates) {
-        let payload = encode_estimate(estimate);
-        state.solves.complete(job.token, payload.clone());
-        payloads.push(payload);
-    }
+    let payloads: Vec<String> = jobs
+        .iter()
+        .zip(&estimates)
+        .map(|(job, estimate)| {
+            let payload = encode_estimate(estimate);
+            state.solves.insert(&job.entry.fingerprint, job.point.traffic_rate, payload.clone());
+            payload
+        })
+        .collect();
 
     for plan in planned {
         let response = match plan {
@@ -558,20 +531,6 @@ fn process_window(
             Planned::Stats { id } => protocol::ok_stats(id, &state.stats()),
             Planned::Pending { id, index } => {
                 protocol::ok_query(id, CacheOutcome::Cold, 0, &payloads[index])
-            }
-            Planned::Follow { id, flight, fallback } => {
-                let payload = flight.wait().unwrap_or_else(|| {
-                    // the leader died mid-solve: solve it ourselves
-                    let estimate = solve_cold(state, &fallback.point, &fallback.entry);
-                    let payload = encode_estimate(&estimate);
-                    state.solves.insert(
-                        &fallback.entry.fingerprint,
-                        fallback.point.traffic_rate,
-                        payload.clone(),
-                    );
-                    payload
-                });
-                protocol::ok_query(id, CacheOutcome::Cold, 0, &payload)
             }
         };
         writer.write_all(response.as_bytes())?;

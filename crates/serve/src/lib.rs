@@ -18,9 +18,8 @@
 //!   (fingerprint, exact rate bits) under an LRU byte budget with per-entry
 //!   hit counters.  The level is **sharded**: the fingerprint hash picks
 //!   one of N independently locked [`cache::SolveCache`] shards (all rates
-//!   of a configuration share a shard), and each shard runs
-//!   **single-flight admission** — concurrent misses on one
-//!   (configuration, rate) coalesce into one solve instead of racing.
+//!   of a configuration share a shard).  A miss is a lookup, one cold
+//!   solve and an insert.
 //!
 //! Around the caches, the daemon scales out instead of serialising:
 //! hot configurations can be **prewarmed** ([`prewarm`]) across the whole
@@ -57,10 +56,7 @@ pub mod prewarm;
 pub mod protocol;
 pub mod signal;
 
-pub use cache::{
-    Admission, ConfigCache, Flight, FlightToken, Lookup, ShardedSolveCache, SolveCache,
-    SolveCounters,
-};
+pub use cache::{ConfigCache, Lookup, ShardedSolveCache, SolveCache, SolveCounters};
 pub use daemon::{Daemon, ServeConfig, ServerState};
 pub use prewarm::{parse_prewarm_list, PrewarmReport};
 pub use protocol::{CacheOutcome, Query, Request, RequestError, SolveMode};

@@ -21,13 +21,10 @@
 //! Replicates are mutually independent, so callers that want parallelism
 //! (the sweep-running layer) can execute [`ReplicateRun::run_replicate`] for
 //! each index on any worker and reassemble by index; [`ReplicateRun::run`]
-//! is the sequential convenience form and [`ReplicateRun::run_parallel`]
-//! fans the indices across the shared [`star_exec::ExecPool`] with a
-//! byte-identical index-order fold for any width.
+//! is the sequential form.
 
 use std::sync::Arc;
 
-use star_exec::ExecPool;
 use star_graph::Topology;
 use star_queueing::replicate_seed;
 use star_routing::RoutingAlgorithm;
@@ -100,22 +97,6 @@ impl ReplicateRun {
         let runs = (0..self.replicates as u64).map(|i| self.run_replicate(i)).collect();
         ReplicateReport::from_runs(runs)
     }
-
-    /// Runs all replicates fanned across the shared [`ExecPool`] with up to
-    /// `width` executors (`0` means all pool workers) and folds them in
-    /// index order.
-    ///
-    /// Byte-identical to [`Self::run`] for any width: replicates are seeded
-    /// independently, executed without shared mutable state, reassembled by
-    /// index, and folded in the same order as the sequential form — the
-    /// [`ExecPool`] determinism contract does the rest.  `width == 1`
-    /// executes inline on the calling thread without waking the pool.
-    #[must_use]
-    pub fn run_parallel(&self, width: usize) -> ReplicateReport {
-        let indices: Vec<u64> = (0..self.replicates as u64).collect();
-        let runs = ExecPool::global_ordered(width, &indices, |_worker, &i| self.run_replicate(i));
-        ReplicateReport::from_runs(runs)
-    }
 }
 
 #[cfg(test)]
@@ -184,19 +165,6 @@ mod tests {
             .map(Option::unwrap)
             .collect();
         assert_eq!(ReplicateReport::from_runs(scattered), run.run());
-    }
-
-    #[test]
-    fn parallel_run_is_byte_identical_to_sequential_for_any_width() {
-        let run = s4_run(0.006, 55, 3);
-        let sequential = run.run();
-        for width in [0, 1, 2, 8] {
-            assert_eq!(
-                run.run_parallel(width),
-                sequential,
-                "width {width} must reproduce the sequential fold byte for byte"
-            );
-        }
     }
 
     #[test]

@@ -325,6 +325,10 @@ impl ScenarioModel {
 /// dimension-order), under uniform traffic, through [`SpectrumModel`] on the
 /// scenario's [`ScenarioSpectrum`].
 ///
+/// [`Evaluator::evaluate_sweep`] warm-starts each rate of a sweep from the
+/// previous rate's converged fixed point, which matches a cold start to
+/// solver tolerance; every other entry point solves cold.
+///
 /// ```
 /// use star_workloads::{Evaluator, ModelBackend, Scenario};
 ///
@@ -343,31 +347,14 @@ impl ScenarioModel {
 /// assert!(cube.mean_latency > 32.0);
 /// assert!(torus.mean_latency > 32.0);
 /// ```
-#[derive(Debug, Clone)]
-pub struct ModelBackend {
-    /// Warm-start each rate of a sweep from the previous rate's converged
-    /// fixed point (on by default; matches cold starts to solver tolerance).
-    pub warm_start: bool,
-}
-
-impl Default for ModelBackend {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct ModelBackend;
 
 impl ModelBackend {
-    /// A warm-starting model backend (the default).
+    /// The model backend.
     #[must_use]
     pub fn new() -> Self {
-        Self { warm_start: true }
-    }
-
-    /// A backend that solves every rate from the cold zero-load state
-    /// (for iteration-count comparisons and benchmarks).
-    #[must_use]
-    pub fn cold() -> Self {
-        Self { warm_start: false }
+        Self
     }
 
     /// The model of `scenario` on its spectrum, built at `traffic_rate`.
@@ -505,10 +492,8 @@ impl Evaluator for ModelBackend {
             .iter()
             .map(|&rate| {
                 let estimate = self.estimate(&scenario.at(rate), &model, &warm_state);
-                if self.warm_start {
-                    if let Some(seed) = Self::warm_seed(&estimate) {
-                        warm_state = vec![seed];
-                    }
+                if let Some(seed) = Self::warm_seed(&estimate) {
+                    warm_state = vec![seed];
                 }
                 estimate
             })
@@ -516,7 +501,7 @@ impl Evaluator for ModelBackend {
     }
 
     fn chains_rates(&self) -> bool {
-        self.warm_start
+        true
     }
 }
 
@@ -881,7 +866,6 @@ mod tests {
         let rates = [0.002, 0.008, 0.014];
         let swept = backend.evaluate_sweep(&scenario, &rates);
         assert!(backend.chains_rates());
-        assert!(!ModelBackend::cold().chains_rates());
         for (est, &rate) in swept.iter().zip(&rates) {
             let solo = backend.evaluate(&scenario.at(rate));
             assert_eq!(est.saturated, solo.saturated);

@@ -102,14 +102,26 @@ pub struct WireScenario {
     pub message_length: usize,
 }
 
+/// Largest torus side the wire accepts: a `T64` distance census builds in
+/// tens of milliseconds, and the cost grows about `k⁴`.
+const MAX_WIRE_TORUS_SIDE: u64 = 64;
+
+/// Largest ring the wire accepts: an `R1024` census costs about what a
+/// `T64` one does, and the cost grows about `k²`.
+const MAX_WIRE_RING_SIZE: u64 = 1_024;
+
 /// Whether a family can construct the size at all (the topology
 /// constructors `panic!` out of range, which a daemon must never do on
-/// behalf of a remote caller).
+/// behalf of a remote caller), and cheaply enough that one query cannot
+/// stall the daemon on a census build: tori and rings are capped well
+/// below what their constructors accept.
 fn size_in_range(kind: TopologyKind, size: u64) -> bool {
+    let even = size % 2 == 0;
     match kind {
         TopologyKind::Star => (2..=StarGraph::MAX_TABLED_SYMBOLS as u64).contains(&size),
         TopologyKind::Hypercube => (1..=Hypercube::MAX_DIMS as u64).contains(&size),
-        TopologyKind::Torus | TopologyKind::Ring => size >= 4 && size % 2 == 0,
+        TopologyKind::Torus => even && (4..=MAX_WIRE_TORUS_SIDE).contains(&size),
+        TopologyKind::Ring => even && (4..=MAX_WIRE_RING_SIZE).contains(&size),
     }
 }
 
@@ -464,6 +476,19 @@ mod tests {
             decode(r#"{"topology":"ring","size":7}"#),
             Err(WireError::SizeOutOfRange { kind: TopologyKind::Ring, size: 7 })
         );
+        // tori and rings stop where one census build would stall the daemon
+        for (topology, size, kind) in [
+            ("ring", 1_000_000_000, TopologyKind::Ring),
+            ("ring", 1_026, TopologyKind::Ring),
+            ("torus", 66, TopologyKind::Torus),
+        ] {
+            assert_eq!(
+                decode(&format!(r#"{{"topology":"{topology}","size":{size}}}"#)),
+                Err(WireError::SizeOutOfRange { kind, size })
+            );
+        }
+        assert_eq!(decode(r#"{"topology":"torus","size":64}"#).map(|w| w.size), Ok(64));
+        assert_eq!(decode(r#"{"topology":"ring","size":1024}"#).map(|w| w.size), Ok(1_024));
         // every error renders a human-readable message
         for e in [
             decode(r#"{}"#).unwrap_err(),
@@ -506,6 +531,14 @@ mod tests {
         assert_eq!(
             WireScenario::checked(TopologyKind::Star, 40, Discipline::Nbc, 6, 32),
             Err(WireError::SizeOutOfRange { kind: TopologyKind::Star, size: 40 })
+        );
+        assert_eq!(
+            WireScenario::checked(TopologyKind::Torus, 66, Discipline::Nbc, 6, 32),
+            Err(WireError::SizeOutOfRange { kind: TopologyKind::Torus, size: 66 })
+        );
+        assert_eq!(
+            WireScenario::checked(TopologyKind::Ring, 1_026, Discipline::Nbc, 6, 32),
+            Err(WireError::SizeOutOfRange { kind: TopologyKind::Ring, size: 1_026 })
         );
         assert_eq!(
             WireScenario::checked(TopologyKind::Ring, 8, Discipline::NHop, 0, 32),

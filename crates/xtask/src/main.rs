@@ -387,9 +387,12 @@ fn spawn_daemon(extra: &[&str]) -> Result<ServeDaemon, String> {
 ///
 /// **Cold:** a deterministic query mix replayed twice, every other query
 /// in the retired `warm` mode; every `result` payload byte-identical to a
-/// batch [`star_workloads::ModelBackend`] solve whatever the mode, the
-/// whole second pass served from the solve cache, and a clean drain
-/// through the wire `shutdown` op.
+/// batch [`star_workloads::ModelBackend`] solve whatever the mode, and the
+/// whole second pass served from the solve cache.  Then a
+/// `star-load --connections 4` replay against the same still-cold grid,
+/// whose concurrent connections miss the same keys at once, must finish
+/// with zero error responses, and the daemon must drain cleanly through
+/// the wire `shutdown` op.
 ///
 /// **Prewarmed:** a daemon launched with `--shards 4 --prewarm pool` must
 /// answer its *first* query per pool configuration as an `exact` cache hit
@@ -481,6 +484,9 @@ fn cold_serve_smoke() -> Result<(), String> {
                 }
             }
         }
+        // concurrent duplicate misses, end to end: the replay's four
+        // connections draw from the same still-cold rate grid
+        star_load(&daemon.addr, &[])?;
         writer
             .write_all(b"{\"op\":\"stats\",\"id\":900}\n{\"op\":\"shutdown\",\"id\":901}\n")
             .map_err(|e| format!("writing stats/shutdown: {e}"))?;
@@ -504,7 +510,7 @@ fn cold_serve_smoke() -> Result<(), String> {
     }
     println!(
         "==> serve-smoke: {} exact- and warm-mode queries byte-identical to batch, second pass \
-         cached, clean drain ({:.1}s)",
+         cached, cold 4-connection replay clean ({:.1}s)",
         cases.len() * 2,
         started.elapsed().as_secs_f64()
     );
@@ -574,33 +580,7 @@ fn prewarmed_serve_smoke() -> Result<(), String> {
         }
         drop(reader);
         drop(stream);
-        // a multi-connection replay over the same grid: star-load exits
-        // non-zero on any error response, and --shutdown drains the daemon
-        let load = release_bin("star-load");
-        let args = [
-            "--addr",
-            &daemon.addr,
-            "--queries",
-            "800",
-            "--seed",
-            "7",
-            "--pipeline",
-            "8",
-            "--connections",
-            "4",
-            "--rates",
-            &PREWARM_RATES.to_string(),
-            "--shutdown",
-        ];
-        println!("==> star-load {}", args.join(" "));
-        let status = Command::new(&load)
-            .args(args)
-            .status()
-            .map_err(|e| format!("spawning {}: {e}", load.display()))?;
-        if !status.success() {
-            return Err(format!("star-load --connections 4 exited with {status}"));
-        }
-        Ok(())
+        star_load(&daemon.addr, &["--rates", &PREWARM_RATES.to_string(), "--shutdown"])
     })();
     if outcome.is_err() {
         let _ = daemon.child.kill();
@@ -615,6 +595,35 @@ fn prewarmed_serve_smoke() -> Result<(), String> {
          4-connection replay clean ({:.1}s)",
         started.elapsed().as_secs_f64()
     );
+    Ok(())
+}
+
+/// Replays an 800-query, 8-deep pipelined `star-load` stream on four
+/// connections against the daemon at `addr`, plus any `extra` flags.
+/// `star-load` exits non-zero on any error response.
+fn star_load(addr: &str, extra: &[&str]) -> Result<(), String> {
+    let load = release_bin("star-load");
+    let mut args = vec![
+        "--addr",
+        addr,
+        "--queries",
+        "800",
+        "--seed",
+        "7",
+        "--pipeline",
+        "8",
+        "--connections",
+        "4",
+    ];
+    args.extend_from_slice(extra);
+    println!("==> star-load {}", args.join(" "));
+    let status = Command::new(&load)
+        .args(&args)
+        .status()
+        .map_err(|e| format!("spawning {}: {e}", load.display()))?;
+    if !status.success() {
+        return Err(format!("star-load --connections 4 exited with {status}"));
+    }
     Ok(())
 }
 

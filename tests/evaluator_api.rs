@@ -9,8 +9,8 @@ use std::sync::{Arc, Barrier};
 
 use star_wormhole::{
     encode_estimate, load_rate_grid, replicate_seed, Discipline, Evaluator as _, ModelBackend,
-    ModelParams, PointEstimate, Scenario, ScenarioSpectrum, SimBackend, SimBudget, SpectrumModel,
-    SweepRunner, SweepSpec, TopologyKind, TraversalSpectrum,
+    ModelParams, PointEstimate, Scenario, ScenarioModel, ScenarioSpectrum, SimBackend, SimBudget,
+    SpectrumModel, SweepRunner, SweepSpec, TopologyKind, TraversalSpectrum,
 };
 
 /// The acceptance sweep: the paper's `S5`, `V = 6`, `M = 32` curve sampled
@@ -24,12 +24,15 @@ fn s5_scenario() -> Scenario {
     Scenario::star(5).with_virtual_channels(6).with_message_length(32)
 }
 
-/// The S5 curve solved warm-started and cold-started, point for point.
+/// The S5 curve solved warm-started and cold-started (each rate on one
+/// prebuilt model), point for point.
 fn warm_and_cold() -> (Vec<PointEstimate>, Vec<PointEstimate>) {
-    let rates = s5_rates();
+    let (scenario, rates) = (s5_scenario(), s5_rates());
+    let backend = ModelBackend::new();
+    let model = ScenarioModel::build(&scenario, &ScenarioSpectrum::build(&scenario)).unwrap();
     (
-        ModelBackend::new().evaluate_sweep(&s5_scenario(), &rates),
-        ModelBackend::cold().evaluate_sweep(&s5_scenario(), &rates),
+        backend.evaluate_sweep(&scenario, &rates),
+        rates.iter().map(|&rate| backend.estimate_on(&scenario.at(rate), &model)).collect(),
     )
 }
 

@@ -7,8 +7,8 @@
 //! dimension-order baseline.
 
 use star_wormhole::{
-    Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario, SimBackend, SimBudget,
-    SweepRunner, SweepSpec,
+    Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario, ScenarioModel,
+    ScenarioSpectrum, SimBackend, SimBudget, SweepRunner, SweepSpec,
 };
 
 /// A `Q_d` scenario with short messages so the simulated points stay fast in
@@ -156,13 +156,16 @@ fn warm_started_hypercube_sweep_equals_cold_start() {
     let scenario = cube(6, Discipline::EnhancedNbc);
     let rates: Vec<f64> =
         (1..=8).map(|i| rate_at_utilisation(&scenario, 0.08 * i as f64)).collect();
+    let model = ScenarioModel::build(&scenario, &ScenarioSpectrum::build(&scenario)).unwrap();
+    let cold: Vec<_> = rates
+        .iter()
+        .map(|&rate| ModelBackend::new().estimate_on(&scenario.at(rate), &model))
+        .collect();
     let spec = SweepSpec::new("q6", scenario, rates);
-    let runner = SweepRunner::with_threads(1);
-    let warm = runner.run_one(&ModelBackend::new(), &spec);
-    let cold = runner.run_one(&ModelBackend::cold(), &spec);
+    let warm = SweepRunner::with_threads(1).run_one(&ModelBackend::new(), &spec);
     let mut warm_iterations = 0;
     let mut cold_iterations = 0;
-    for (w, c) in warm.estimates.iter().zip(&cold.estimates) {
+    for (w, c) in warm.estimates.iter().zip(&cold) {
         assert_eq!(w.saturated, c.saturated);
         if !w.saturated {
             let rel = (w.mean_latency - c.mean_latency).abs() / c.mean_latency;

@@ -10,8 +10,9 @@
 use std::sync::Arc;
 
 use star_wormhole::{
-    saturation_rate, Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario, SimBackend,
-    SimBudget, SweepRunner, SweepSpec, TraversalSpectrum,
+    saturation_rate, Discipline, Evaluator as _, ModelBackend, PointEstimate, Scenario,
+    ScenarioModel, ScenarioSpectrum, SimBackend, SimBudget, SweepRunner, SweepSpec,
+    TraversalSpectrum,
 };
 
 /// A `T_k` scenario with short messages so the simulated points stay fast in
@@ -113,13 +114,16 @@ fn warm_started_torus_sweep_equals_cold_start() {
     let spectrum = Arc::new(TraversalSpectrum::new(scenario.topology().as_ref()));
     let knee = saturation_rate(params, &spectrum, 0.02);
     let rates: Vec<f64> = (1..=8).map(|i| knee * (0.60 + 0.04 * i as f64)).collect();
+    let model = ScenarioModel::build(&scenario, &ScenarioSpectrum::build(&scenario)).unwrap();
+    let cold: Vec<_> = rates
+        .iter()
+        .map(|&rate| ModelBackend::new().estimate_on(&scenario.at(rate), &model))
+        .collect();
     let spec = SweepSpec::new("t6", scenario, rates);
-    let runner = SweepRunner::with_threads(1);
-    let warm = runner.run_one(&ModelBackend::new(), &spec);
-    let cold = runner.run_one(&ModelBackend::cold(), &spec);
+    let warm = SweepRunner::with_threads(1).run_one(&ModelBackend::new(), &spec);
     let mut warm_iterations = 0;
     let mut cold_iterations = 0;
-    for (w, c) in warm.estimates.iter().zip(&cold.estimates) {
+    for (w, c) in warm.estimates.iter().zip(&cold) {
         assert_eq!(w.saturated, c.saturated);
         if !w.saturated {
             let rel = (w.mean_latency - c.mean_latency).abs() / c.mean_latency;

@@ -2,8 +2,10 @@
 //!
 //! A SplitMix64 mutator turns valid request lines into hostile ones:
 //! truncations, byte flips, huge exponents (`1e400`), bare `NaN`/`Infinity`,
-//! nesting deeper than the JSON parser's 128-level cap, invalid UTF-8 and
-//! unknown `mode` values, stacked one to three per line.  `Request::parse`
+//! nesting deeper than the JSON parser's 128-level cap, invalid UTF-8,
+//! unknown `mode` values and sizes past every family's wire cap (a
+//! billion-node ring would otherwise start a census allocation), stacked
+//! one to three per line.  `Request::parse`
 //! must never panic on any of them, and an in-process daemon must answer each
 //! line with exactly one JSON response line and still answer a valid query
 //! byte-identically to the batch solve afterwards.
@@ -90,7 +92,7 @@ fn replace_field(line: &mut Vec<u8>, field: &str, value: &[u8]) {
 
 /// One hostile mutation of `line`.
 fn mutate(rng: &mut SplitMix64, line: &mut Vec<u8>) {
-    match rng.below(7) {
+    match rng.below(8) {
         0 => {
             let keep = rng.below(line.len() + 1);
             line.truncate(keep);
@@ -128,6 +130,10 @@ fn mutate(rng: &mut SplitMix64, line: &mut Vec<u8>) {
             let bad = *rng.pick(&bad);
             let at = rng.below(line.len() + 1);
             line.splice(at..at, bad.iter().copied());
+        }
+        6 => {
+            let huge = rng.pick(&["66", "1026", "100000", "1000000000", "18446744073709551615"]);
+            replace_field(line, "size", huge.as_bytes());
         }
         _ => {
             let mode = rng.pick(&[

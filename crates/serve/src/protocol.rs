@@ -22,8 +22,8 @@
 //! when the request was too broken to carry one; a malformed line is an
 //! error *response*, never a dropped connection.
 
-use serde_json::Value;
-use star_workloads::WireScenario;
+use serde_json::{push_number, push_string, Value, ValueRef};
+use star_workloads::{ScenarioFields, WireScenario};
 
 /// The wire `mode` field, kept for compatibility with clients that send
 /// it.  Every answer is a cold fixed-point solve, byte-identical to the
@@ -105,22 +105,49 @@ pub struct RequestError {
     pub message: String,
 }
 
+/// The fields a request line can carry: the first occurrence of each key,
+/// borrowed from the line.
+#[derive(Default)]
+struct RequestFields<'a> {
+    id: Option<ValueRef<'a>>,
+    op: Option<ValueRef<'a>>,
+    rate: Option<ValueRef<'a>>,
+    mode: Option<ValueRef<'a>>,
+    scenario: ScenarioFields<'a>,
+}
+
+impl<'a> RequestFields<'a> {
+    fn offer(&mut self, key: &str, value: ValueRef<'a>) {
+        let slot = match key {
+            "id" => &mut self.id,
+            "op" => &mut self.op,
+            "rate" => &mut self.rate,
+            "mode" => &mut self.mode,
+            _ => return self.scenario.offer(key, value),
+        };
+        slot.get_or_insert(value);
+    }
+}
+
 impl Request {
-    /// Parses one request line.  Never panics, whatever the bytes say.
+    /// Parses one request line in a single pass over its bytes, allocating
+    /// nothing for a well-formed query.  Never panics, whatever the bytes
+    /// say.
     ///
     /// # Errors
     /// Malformed JSON, unknown operations, missing/misshapen fields and
     /// out-of-range parameters all come back as a [`RequestError`].
     pub fn parse(line: &str) -> Result<Self, RequestError> {
-        let value = serde_json::from_str(line)
+        let mut fields = RequestFields::default();
+        serde_json::for_each_field(line, |key, value| fields.offer(&key, value))
             .map_err(|e| RequestError { id: None, message: e.to_string() })?;
-        let id = value.get("id").and_then(Value::as_u64);
+        let id = fields.id.as_ref().and_then(ValueRef::as_u64);
         let fail = |message: String| RequestError { id, message };
         let id = id.ok_or_else(|| RequestError {
             id: None,
             message: "missing field `id` (a non-negative integer)".to_string(),
         })?;
-        let op = match value.get("op") {
+        let op = match &fields.op {
             None => "query",
             Some(v) => v.as_str().ok_or_else(|| fail("field `op` must be a string".to_string()))?,
         };
@@ -128,16 +155,17 @@ impl Request {
             "stats" => Ok(Self::Stats { id }),
             "shutdown" => Ok(Self::Shutdown { id }),
             "query" => {
-                let wire = WireScenario::from_value(&value).map_err(|e| fail(e.to_string()))?;
-                let rate = value
-                    .get("rate")
+                let wire = fields.scenario.decode().map_err(|e| fail(e.to_string()))?;
+                let rate = fields
+                    .rate
+                    .as_ref()
                     .ok_or_else(|| fail("missing field `rate`".to_string()))?
                     .as_f64()
                     .filter(|r| r.is_finite() && *r > 0.0)
                     .ok_or_else(|| {
                         fail("field `rate` must be a finite positive number".to_string())
                     })?;
-                match value.get("mode").map(Value::as_str) {
+                match fields.mode.as_ref().map(ValueRef::as_str) {
                     None | Some(Some("exact" | "warm")) => {}
                     Some(_) => {
                         return Err(fail("field `mode` must be \"exact\" or \"warm\"".to_string()))
@@ -151,18 +179,37 @@ impl Request {
 }
 
 /// A query's JSON request line — the inverse of [`Request::parse`], used by
-/// the load generator and the smoke tests.
+/// the load generator and the smoke tests: the fields `id`, `op`,
+/// `topology`, `size`, `discipline`, `vc`, `m`, `rate` and `mode`, in that
+/// order, written into one allocation.
 #[must_use]
 pub fn query_line(query: &Query) -> String {
-    let Value::Object(mut fields) = query.wire.to_value() else {
-        unreachable!("WireScenario::to_value always yields an object")
-    };
-    fields.insert(0, ("id".to_string(), Value::from(query.id)));
-    fields.insert(1, ("op".to_string(), Value::from("query")));
-    fields.push(("rate".to_string(), Value::from(query.rate)));
-    fields.push(("mode".to_string(), Value::from(query.mode.name())));
-    Value::Object(fields).to_string()
+    let wire = &query.wire;
+    let mut line = String::with_capacity(QUERY_LINE_BYTES);
+    line.push_str("{\"id\":");
+    push_number(&mut line, query.id as f64);
+    line.push_str(",\"op\":\"query\",\"topology\":");
+    push_string(&mut line, wire.kind.name());
+    line.push_str(",\"size\":");
+    push_number(&mut line, wire.size as f64);
+    line.push_str(",\"discipline\":");
+    push_string(&mut line, wire.discipline.name());
+    line.push_str(",\"vc\":");
+    push_number(&mut line, wire.virtual_channels as f64);
+    line.push_str(",\"m\":");
+    push_number(&mut line, wire.message_length as f64);
+    line.push_str(",\"rate\":");
+    push_number(&mut line, query.rate);
+    line.push_str(",\"mode\":");
+    push_string(&mut line, query.mode.name());
+    line.push('}');
+    line
 }
+
+/// Room for the longest [`query_line`] (20-digit numbers, a 24-character
+/// rate, the longest names come to about 190 bytes), so the line allocates
+/// once.
+const QUERY_LINE_BYTES: usize = 224;
 
 /// A successful query response.  `payload` is a pre-encoded JSON object
 /// (the canonical estimate encoding) and is spliced in verbatim.
@@ -199,13 +246,16 @@ pub fn busy_response(limit: usize) -> String {
 /// An error response (JSON-escaping the message; `id` null when unknown).
 #[must_use]
 pub fn error_response(id: Option<u64>, message: &str) -> String {
-    let id = id.map_or(Value::Null, Value::from);
-    Value::Object(vec![
-        ("id".to_string(), id),
-        ("status".to_string(), Value::from("error")),
-        ("error".to_string(), Value::from(message)),
-    ])
-    .to_string()
+    let mut out = String::with_capacity(48 + message.len());
+    out.push_str("{\"id\":");
+    match id {
+        Some(id) => push_number(&mut out, id as f64),
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"status\":\"error\",\"error\":");
+    push_string(&mut out, message);
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
@@ -252,7 +302,24 @@ mod tests {
             rate: 0.0125,
             mode: SolveMode::Exact,
         };
-        assert_eq!(Request::parse(&query_line(&query)), Ok(Request::Query(query)));
+        assert_eq!(Request::parse(&query_line(&query)), Ok(Request::Query(query.clone())));
+        // the bytes are those of the object the line spells, built as a tree
+        for (id, rate) in [(41, 0.0125), (0, 1e-300), (u64::MAX, 7.0), (9, f64::NAN)] {
+            let query = Query { id, rate, ..query.clone() };
+            let wire = query.wire;
+            let tree = Value::Object(vec![
+                ("id".to_string(), Value::from(id)),
+                ("op".to_string(), Value::from("query")),
+                ("topology".to_string(), Value::from(wire.kind.name())),
+                ("size".to_string(), Value::from(wire.size)),
+                ("discipline".to_string(), Value::from(wire.discipline.name())),
+                ("vc".to_string(), Value::from(wire.virtual_channels)),
+                ("m".to_string(), Value::from(wire.message_length)),
+                ("rate".to_string(), Value::from(rate)),
+                ("mode".to_string(), Value::from(query.mode.name())),
+            ]);
+            assert_eq!(query_line(&query), tree.to_string());
+        }
     }
 
     #[test]
@@ -289,6 +356,14 @@ mod tests {
         assert_eq!(value.get("cached").unwrap().as_str(), Some("exact"));
         assert_eq!(value.get("hits").unwrap().as_u64(), Some(2));
         assert_eq!(value.get("result").unwrap().get("latency").unwrap().as_f64(), Some(74.5));
+        for (id, message) in [(None, "plain"), (Some(7), "a\\b\n\u{1}"), (Some(u64::MAX), "")] {
+            let tree = Value::Object(vec![
+                ("id".to_string(), id.map_or(Value::Null, Value::from)),
+                ("status".to_string(), Value::from("error")),
+                ("error".to_string(), Value::from(message)),
+            ]);
+            assert_eq!(error_response(id, message), tree.to_string());
+        }
         let err = error_response(None, "bad \"quoted\" thing");
         let value = serde_json::from_str(&err).unwrap();
         assert!(value.get("id").unwrap().is_null());

@@ -25,7 +25,7 @@
 
 use std::fmt;
 
-use serde_json::Value;
+use serde_json::{push_number, Value, ValueRef};
 use star_core::SaturationSearch;
 use star_exec::RunFingerprint;
 use star_graph::{Hypercube, StarGraph};
@@ -126,9 +126,10 @@ fn size_in_range(kind: TopologyKind, size: u64) -> bool {
 }
 
 impl WireScenario {
-    /// A range-checked constructor: the same validation [`Self::from_value`]
-    /// applies to remote queries, for callers assembling wire scenarios
-    /// programmatically (the daemon's `--prewarm` list parser).
+    /// A range-checked constructor: the same validation
+    /// [`ScenarioFields::decode`] applies to remote queries, for callers
+    /// assembling wire scenarios programmatically (the daemon's `--prewarm`
+    /// list parser).
     ///
     /// # Errors
     /// [`WireError::SizeOutOfRange`] outside the family's constructible
@@ -152,57 +153,17 @@ impl WireScenario {
         Ok(Self { kind, size, discipline, virtual_channels, message_length })
     }
 
-    /// Decodes the scenario fields of a query object: `topology` (required),
-    /// `size` (defaults to the family's conventional size), `discipline`
-    /// (defaults to `enhanced-nbc`), `vc` (defaults to 6) and `m` (defaults
-    /// to 32).
+    /// Decodes the scenario fields of a query object, as
+    /// [`ScenarioFields::decode`] does for a request line.
     ///
     /// # Errors
-    /// Any missing/misshapen field, unknown name, or out-of-range size is a
-    /// [`WireError`] — never a panic, whatever the remote caller sent.
+    /// As [`ScenarioFields::decode`].
     pub fn from_value(value: &Value) -> Result<Self, WireError> {
-        let topology = value
-            .get("topology")
-            .ok_or(WireError::MissingField("topology"))?
-            .as_str()
-            .ok_or(WireError::BadField { field: "topology", expected: "a string" })?;
-        let kind = TopologyKind::parse(topology)
-            .ok_or_else(|| WireError::UnknownTopology(topology.to_string()))?;
-        let size = match value.get("size") {
-            None => kind.default_size() as u64,
-            Some(v) => v
-                .as_u64()
-                .ok_or(WireError::BadField { field: "size", expected: "a non-negative integer" })?,
-        };
-        if !size_in_range(kind, size) {
-            return Err(WireError::SizeOutOfRange { kind, size });
+        let mut fields = ScenarioFields::default();
+        for (key, item) in value.as_object().unwrap_or_default() {
+            fields.offer(key, item.as_value_ref());
         }
-        let discipline = match value.get("discipline") {
-            None => Discipline::EnhancedNbc,
-            Some(v) => {
-                let name = v
-                    .as_str()
-                    .ok_or(WireError::BadField { field: "discipline", expected: "a string" })?;
-                Discipline::parse(name)
-                    .ok_or_else(|| WireError::UnknownDiscipline(name.to_string()))?
-            }
-        };
-        let positive = |field: &'static str, default: u64| -> Result<u64, WireError> {
-            match value.get(field) {
-                None => Ok(default),
-                Some(v) => match v.as_u64() {
-                    Some(n) if n >= 1 => Ok(n),
-                    _ => Err(WireError::BadField { field, expected: "a positive integer" }),
-                },
-            }
-        };
-        Ok(Self {
-            kind,
-            size: size as usize,
-            discipline,
-            virtual_channels: positive("vc", 6)? as usize,
-            message_length: positive("m", 32)? as usize,
-        })
+        fields.decode()
     }
 
     /// The wire spelling of a batch scenario.
@@ -296,18 +257,88 @@ impl WireScenario {
         fp.add_u64(self.message_length as u64);
         fp
     }
+}
 
-    /// The scenario fields as a JSON object fragment, in canonical order —
-    /// what the load generator splices into its query lines.
-    #[must_use]
-    pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("topology".to_string(), Value::from(self.kind.name())),
-            ("size".to_string(), Value::from(self.size)),
-            ("discipline".to_string(), Value::from(self.discipline.name())),
-            ("vc".to_string(), Value::from(self.virtual_channels)),
-            ("m".to_string(), Value::from(self.message_length)),
-        ])
+/// The scenario fields of a query object as the wire spelled them: the
+/// first occurrence of each key, borrowed from the request.  [`Self::decode`]
+/// holds the wire's scenario rules once, for request lines walked with
+/// [`serde_json::for_each_field`] and for [`WireScenario::from_value`].
+#[derive(Debug, Default)]
+pub struct ScenarioFields<'a> {
+    topology: Option<ValueRef<'a>>,
+    size: Option<ValueRef<'a>>,
+    discipline: Option<ValueRef<'a>>,
+    vc: Option<ValueRef<'a>>,
+    m: Option<ValueRef<'a>>,
+}
+
+impl<'a> ScenarioFields<'a> {
+    /// Keeps `value` if `key` is a scenario field not seen before; any other
+    /// key, or a repeated one, is ignored (the first occurrence wins, as
+    /// [`Value::get`] finds it).
+    pub fn offer(&mut self, key: &str, value: ValueRef<'a>) {
+        let slot = match key {
+            "topology" => &mut self.topology,
+            "size" => &mut self.size,
+            "discipline" => &mut self.discipline,
+            "vc" => &mut self.vc,
+            "m" => &mut self.m,
+            _ => return,
+        };
+        slot.get_or_insert(value);
+    }
+
+    /// Decodes the scenario: `topology` (required), `size` (defaults to the
+    /// family's conventional size), `discipline` (defaults to
+    /// `enhanced-nbc`), `vc` (defaults to 6) and `m` (defaults to 32),
+    /// checked in that order.
+    ///
+    /// # Errors
+    /// Any missing/misshapen field, unknown name, or out-of-range size is a
+    /// [`WireError`] — never a panic, whatever the remote caller sent.
+    pub fn decode(&self) -> Result<WireScenario, WireError> {
+        let topology = self
+            .topology
+            .as_ref()
+            .ok_or(WireError::MissingField("topology"))?
+            .as_str()
+            .ok_or(WireError::BadField { field: "topology", expected: "a string" })?;
+        let kind = TopologyKind::parse(topology)
+            .ok_or_else(|| WireError::UnknownTopology(topology.to_string()))?;
+        let size = match &self.size {
+            None => kind.default_size() as u64,
+            Some(v) => v
+                .as_u64()
+                .ok_or(WireError::BadField { field: "size", expected: "a non-negative integer" })?,
+        };
+        if !size_in_range(kind, size) {
+            return Err(WireError::SizeOutOfRange { kind, size });
+        }
+        let discipline = match &self.discipline {
+            None => Discipline::EnhancedNbc,
+            Some(v) => {
+                let name = v
+                    .as_str()
+                    .ok_or(WireError::BadField { field: "discipline", expected: "a string" })?;
+                Discipline::parse(name)
+                    .ok_or_else(|| WireError::UnknownDiscipline(name.to_string()))?
+            }
+        };
+        let positive = |field: &'static str, value: &Option<ValueRef<'_>>, default: u64| match value
+        {
+            None => Ok(default),
+            Some(v) => match v.as_u64() {
+                Some(n) if n >= 1 => Ok(n),
+                _ => Err(WireError::BadField { field, expected: "a positive integer" }),
+            },
+        };
+        Ok(WireScenario {
+            kind,
+            size: size as usize,
+            discipline,
+            virtual_channels: positive("vc", &self.vc, 6)? as usize,
+            message_length: positive("m", &self.m, 32)? as usize,
+        })
     }
 }
 
@@ -406,17 +437,30 @@ pub fn load_rate_grid(scenario: &Scenario, steps: usize) -> Vec<f64> {
 /// bit-equal — the string the daemon's byte-identity contract is stated on.
 #[must_use]
 pub fn encode_estimate(estimate: &PointEstimate) -> String {
-    let latency = estimate.latency().map_or(Value::Null, Value::from);
-    let iterations = estimate.iterations().map_or(Value::Null, Value::from);
-    let converged = estimate.converged().map_or(Value::Null, Value::from);
-    Value::Object(vec![
-        ("latency".to_string(), latency),
-        ("saturated".to_string(), Value::from(estimate.saturated)),
-        ("iterations".to_string(), iterations),
-        ("converged".to_string(), converged),
-    ])
-    .to_string()
+    let mut out = String::with_capacity(ENCODED_ESTIMATE_BYTES);
+    out.push_str("{\"latency\":");
+    match estimate.latency() {
+        Some(latency) => push_number(&mut out, latency),
+        None => out.push_str("null"),
+    }
+    out.push_str(if estimate.saturated { ",\"saturated\":true" } else { ",\"saturated\":false" });
+    out.push_str(",\"iterations\":");
+    match estimate.iterations() {
+        Some(iterations) => push_number(&mut out, iterations as f64),
+        None => out.push_str("null"),
+    }
+    out.push_str(match estimate.converged() {
+        Some(true) => ",\"converged\":true}",
+        Some(false) => ",\"converged\":false}",
+        None => ",\"converged\":null}",
+    });
+    out
 }
+
+/// Room for the longest [`encode_estimate`] payload (a 24-character
+/// latency and a 20-digit iteration count come to 110 bytes), so the
+/// encoding allocates once.
+const ENCODED_ESTIMATE_BYTES: usize = 128;
 
 #[cfg(test)]
 mod tests {
@@ -510,7 +554,12 @@ mod tests {
                 message_length: 16,
             };
             assert_eq!(WireScenario::from_scenario(&wire.scenario()), Ok(wire));
-            assert_eq!(WireScenario::from_value(&wire.to_value()), Ok(wire));
+            let json = format!(
+                r#"{{"topology":"{}","size":{},"discipline":"nbc","vc":7,"m":16}}"#,
+                kind.name(),
+                kind.default_size()
+            );
+            assert_eq!(decode(&json), Ok(wire));
         }
     }
 
@@ -649,5 +698,15 @@ mod tests {
         let encoded = encode_estimate(&knee);
         assert!(encoded.starts_with("{\"latency\":null,\"saturated\":false,"), "{encoded}");
         assert!(encoded.ends_with(",\"converged\":false}"), "{encoded}");
+        // the bytes are those of the object the payload spells, built as a tree
+        for estimate in [&fine, &sat, &knee] {
+            let tree = Value::Object(vec![
+                ("latency".to_string(), estimate.latency().map_or(Value::Null, Value::from)),
+                ("saturated".to_string(), Value::from(estimate.saturated)),
+                ("iterations".to_string(), estimate.iterations().map_or(Value::Null, Value::from)),
+                ("converged".to_string(), estimate.converged().map_or(Value::Null, Value::from)),
+            ]);
+            assert_eq!(encode_estimate(estimate), tree.to_string());
+        }
     }
 }

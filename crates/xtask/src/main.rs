@@ -44,6 +44,12 @@
 //!   the partial CSVs written by `--shard K/N` harness runs into one CSV
 //!   byte-identical to an unsharded run (validating that the shard set is
 //!   complete and consistent).
+//! * `cargo xtask bench-record --workload W [--seed S] [--seconds T]` —
+//!   runs the repository benchmark (`perfbench/run.sh`, unchanged; seed 42
+//!   and 25 s by default) on one workload, untraced and then traced, and
+//!   appends one point with both final result lines, the git rev, a dirty
+//!   flag and `available_parallelism` to `BENCH_<W>.json` at the repository
+//!   root.
 //! * `cargo xtask serve-bench` — launches `star-serve` on an ephemeral port
 //!   (8 shards, the `pool` prewarm list) and replays the pinned `star-load`
 //!   stream against it (2000 queries, seed 7, pipeline 8, 4 connections), appending the measurement to `BENCH_serve.json` at the
@@ -64,6 +70,9 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Instant;
 
+use serde_json::Value;
+use star_bench::loadgen::append_trajectory;
+
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let (command, rest) = match args.split_first() {
@@ -74,6 +83,16 @@ fn main() -> ExitCode {
         "ci" => ci(),
         "figure1" => figure1(rest),
         "merge-shards" => merge_shards(rest),
+        "bench-record" => match bench_record(rest) {
+            Ok(path) => {
+                println!("\nbench-record: point appended to {path}");
+                ExitCode::SUCCESS
+            }
+            Err(e) => {
+                eprintln!("\nbench-record FAILED: {e}");
+                ExitCode::FAILURE
+            }
+        },
         "serve-bench" => serve_bench(rest),
         "sim-bench" => sim_bench(rest),
         "serve-smoke" => match serve_smoke() {
@@ -110,6 +129,10 @@ fn print_help() {
     eprintln!(
         "  merge-shards  --out <merged.csv> <partial.csv>... \
          merge --shard K/N partial CSVs into the unsharded bytes"
+    );
+    eprintln!(
+        "  bench-record  --workload W [--seed S] [--seconds T]: run perfbench/run.sh on W \
+         untraced and traced, append both result lines to BENCH_<W>.json with the git rev"
     );
     eprintln!(
         "  serve-bench   launch star-serve, replay the pinned star-load stream and \
@@ -625,6 +648,79 @@ fn star_load(addr: &str, extra: &[&str]) -> Result<(), String> {
         return Err(format!("star-load --connections 4 exited with {status}"));
     }
     Ok(())
+}
+
+/// `cargo xtask bench-record --workload W [--seed S] [--seconds T]`: runs the
+/// repository benchmark (`perfbench/run.sh`, unchanged) on one workload
+/// untraced, then traced, and appends one point holding both final result
+/// lines to `BENCH_<W>.json`, stamped with the git rev, whether tracked
+/// files differ from it, and the host's available parallelism.  Returns the
+/// trajectory file's name.
+fn bench_record(rest: &[String]) -> Result<String, String> {
+    let (mut workload, mut seed, mut seconds) = (None, "42".to_string(), "25".to_string());
+    let mut args = rest.iter().filter(|a| a.as_str() != "--");
+    while let Some(flag) = args.next() {
+        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?.clone();
+        match flag.as_str() {
+            "--workload" => workload = Some(value),
+            "--seed" => seed = value,
+            "--seconds" => seconds = value,
+            other => return Err(format!("unknown argument `{other}`")),
+        }
+    }
+    let workload = workload.ok_or("--workload is required")?;
+    // the name becomes a file name at the repository root
+    if workload.is_empty() || !workload.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
+        return Err(format!("--workload `{workload}` is not a workload name"));
+    }
+    let seed_value: u64 = seed.parse().map_err(|e| format!("--seed: {e}"))?;
+    let seconds_value: f64 = seconds.parse().map_err(|e| format!("--seconds: {e}"))?;
+    let run = |trace: &str| -> Result<Value, String> {
+        let args =
+            ["--workload", &workload, "--seed", &seed, "--seconds", &seconds, "--trace", trace];
+        println!("==> bash perfbench/run.sh {}", args.join(" "));
+        let output = Command::new("bash")
+            .arg("perfbench/run.sh")
+            .args(args)
+            .stderr(Stdio::inherit())
+            .output()
+            .map_err(|e| format!("spawning perfbench/run.sh: {e}"))?;
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        print!("{stdout}");
+        if !output.status.success() {
+            return Err(format!("perfbench/run.sh exited with {}", output.status));
+        }
+        let last = stdout.lines().last().ok_or("perfbench/run.sh printed nothing")?;
+        serde_json::from_str(last).map_err(|e| format!("perfbench's last line: {e}"))
+    };
+    let end_to_end = run("0")?;
+    let traced = run("1")?;
+    let git = |args: &[&str]| -> Result<String, String> {
+        let output = Command::new("git")
+            .args(args)
+            .output()
+            .map_err(|e| format!("spawning git {}: {e}", args.join(" ")))?;
+        if !output.status.success() {
+            return Err(format!("git {} exited with {}", args.join(" "), output.status));
+        }
+        Ok(String::from_utf8_lossy(&output.stdout).trim().to_string())
+    };
+    let rev = git(&["rev-parse", "HEAD"])?;
+    let dirty = !git(&["status", "--porcelain", "--untracked-files=no"])?.is_empty();
+    let parallelism = std::thread::available_parallelism().map_or(0, usize::from);
+    let point = Value::Object(vec![
+        ("workload".to_string(), Value::from(workload.as_str())),
+        ("rev".to_string(), Value::from(rev)),
+        ("dirty".to_string(), Value::from(dirty)),
+        ("available_parallelism".to_string(), Value::from(parallelism)),
+        ("seed".to_string(), Value::from(seed_value)),
+        ("seconds".to_string(), Value::from(seconds_value)),
+        ("end_to_end".to_string(), end_to_end),
+        ("traced".to_string(), traced),
+    ]);
+    let path = format!("BENCH_{workload}.json");
+    append_trajectory(Path::new(&path), &point).map_err(|e| format!("writing {path}: {e}"))?;
+    Ok(path)
 }
 
 /// `cargo xtask serve-bench`: build, launch the daemon, replay the pinned

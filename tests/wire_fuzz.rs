@@ -248,3 +248,70 @@ fn daemon_answers_every_hostile_line_once_and_stays_live() {
     assert_eq!(recv(), "{\"id\":4243,\"status\":\"ok\",\"shutdown\":true}");
     server.join().expect("daemon thread").expect("clean drain");
 }
+
+/// FNV-1a, folded over `bytes` from `hash`.
+fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
+    for &byte in bytes {
+        hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+    }
+    hash
+}
+
+/// Every outcome `Request::parse` gives on the seed lines and the hostile
+/// stream — each value, error message and JSON byte offset — folded into
+/// one digest, so a rewrite of the decoder must reproduce all of them.
+#[test]
+fn request_parse_outcomes_match_the_pinned_digest() {
+    let lines =
+        seed_lines().into_iter().map(String::into_bytes).chain(hostile_lines(0x5EED, 10_000));
+    let digest = lines.fold(0xCBF2_9CE4_8422_2325, |hash, line| {
+        let outcome = format!("{:?}\n", Request::parse(&String::from_utf8_lossy(&line)));
+        fnv1a(hash, outcome.as_bytes())
+    });
+    assert_eq!(
+        digest, 0x2E56_7E61_839F_FCC3,
+        "Request::parse outcomes moved: digest {digest:#018x}"
+    );
+}
+
+#[test]
+fn request_fields_decode_as_the_json_object_defines_them() {
+    // an escaped key is the key it spells
+    assert_eq!(Request::parse(r#"{"\u0069d":3,"op":"st\u0061ts"}"#), Ok(Request::Stats { id: 3 }));
+    // the first occurrence of a key wins, even when it is the malformed one
+    assert_eq!(Request::parse(r#"{"id":1,"id":2,"op":"stats"}"#), Ok(Request::Stats { id: 1 }));
+    let e = Request::parse(r#"{"id":"one","id":2,"op":"stats"}"#).unwrap_err();
+    assert_eq!((e.id, e.message.as_str()), (None, "missing field `id` (a non-negative integer)"));
+    let Ok(Request::Query(query)) = Request::parse(
+        r#"{"id":5,"size":4,"topology":"star","size":9,"rate":0.002,"rate":-1,"m":16}"#,
+    ) else {
+        panic!("the first size and rate decode");
+    };
+    assert_eq!((query.wire.size, query.rate), (4, 0.002));
+    // unknown fields are skipped whatever they nest, but must still be JSON
+    let nested =
+        r#"{"id":6,"extra":{"deep":[1,{"x":"\"y\""}],"e":null},"topology":"ring","rate":0.001}"#;
+    assert!(matches!(Request::parse(nested), Ok(Request::Query(q)) if q.wire.size == 8));
+    let e = Request::parse(r#"{"id":6,"extra":{"deep":[1,}],"topology":"ring","rate":0.001}"#)
+        .unwrap_err();
+    assert_eq!(
+        (e.id, e.message.as_str()),
+        (None, "invalid JSON at byte 27: expected a JSON value")
+    );
+}
+
+/// A string field's decode cost is linear in its length: eight lines with
+/// a 60 KiB field each parse well inside the time budget even unoptimised.
+#[test]
+fn long_string_fields_parse_in_linear_time() {
+    let filler = "x".repeat(60 << 10);
+    let lines: Vec<String> = (0..8)
+        .map(|id| format!(r#"{{"id":{id},"note":"{filler}","topology":"star","rate":0.001}}"#))
+        .collect();
+    let started = std::time::Instant::now();
+    for line in &lines {
+        assert!(matches!(Request::parse(line), Ok(Request::Query(_))));
+    }
+    let elapsed = started.elapsed();
+    assert!(elapsed.as_millis() < 100, "eight 60 KiB lines took {elapsed:?}");
+}

@@ -372,8 +372,6 @@ pub fn from_str(input: &str) -> Result<Value, Error> {
 /// visits nothing.  Nothing is allocated unless a string holds an escape.
 ///
 /// ```
-/// use serde_json::ValueRef;
-///
 /// let mut rate = None;
 /// serde_json::for_each_field(r#"{"id":1,"rate":0.004,"x":[true]}"#, |key, value| {
 ///     if key == "rate" {
@@ -392,14 +390,15 @@ pub fn for_each_field<'a>(
     mut visit: impl FnMut(Cow<'a, str>, ValueRef<'a>),
 ) -> Result<(), Error> {
     document(input, |parser| {
-        let top = parser.value(0, |parser, key| {
-            let value = parser.skip_value(1)?;
-            if let Some(key) = key {
-                visit(key, value);
-            }
-            Ok(())
-        });
-        top.map(drop)
+        parser
+            .value(0, |parser, key| {
+                let value = parser.skip_value(1)?;
+                if let Some(key) = key {
+                    visit(key, value);
+                }
+                Ok(())
+            })
+            .map(drop)
     })
 }
 

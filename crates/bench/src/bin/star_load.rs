@@ -4,21 +4,18 @@
 //!
 //! ```text
 //! star-load --addr HOST:PORT [--queries N] [--seed N] [--pipeline N]
-//!           [--connections K] [--rates N] [--json PATH] [--shutdown]
+//!           [--connections K] [--rates N] [--shutdown]
 //! ```
 //!
-//! With `--json PATH` the measurement is appended to the JSON trajectory
-//! file (how `cargo xtask serve-bench` maintains `BENCH_serve.json`); with
-//! `--shutdown` the daemon is asked to drain and exit afterwards.
+//! With `--shutdown` the daemon is asked to drain and exit afterwards.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
-use star_bench::loadgen::{append_trajectory, run_load, LoadConfig};
+use star_bench::loadgen::{run_load, LoadConfig};
 
 fn usage() -> &'static str {
     "usage: star-load --addr HOST:PORT [--queries N] [--seed N] [--pipeline N]\n\
-     \x20                [--connections K] [--rates N] [--json PATH] [--shutdown]\n\
+     \x20                [--connections K] [--rates N] [--shutdown]\n\
      \n\
      --addr HOST:PORT   the running star-serve daemon (required)\n\
      --queries N        total queries to issue (default 2000)\n\
@@ -26,13 +23,11 @@ fn usage() -> &'static str {
      --pipeline N       requests in flight per batch per connection (default 8)\n\
      --connections K    concurrent connections sharing the stream (default 1)\n\
      --rates N          distinct rates per configuration (default 24)\n\
-     --json PATH        append the measurement to this trajectory file\n\
      --shutdown         ask the daemon to drain and exit afterwards"
 }
 
-fn parse_args(args: &[String]) -> Result<(LoadConfig, Option<PathBuf>), String> {
+fn parse_args(args: &[String]) -> Result<LoadConfig, String> {
     let mut config = LoadConfig::default();
-    let mut json: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -58,7 +53,6 @@ fn parse_args(args: &[String]) -> Result<(LoadConfig, Option<PathBuf>), String> 
             "--rates" => {
                 config.rates = value("--rates")?.parse().map_err(|e| format!("--rates: {e}"))?;
             }
-            "--json" => json = Some(PathBuf::from(value("--json")?)),
             "--shutdown" => config.shutdown = true,
             "--help" | "-h" => return Err(usage().to_string()),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
@@ -67,12 +61,12 @@ fn parse_args(args: &[String]) -> Result<(LoadConfig, Option<PathBuf>), String> 
     if config.addr.is_empty() {
         return Err(format!("--addr is required\n{}", usage()));
     }
-    Ok((config, json))
+    Ok(config)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (config, json) = match parse_args(&args) {
+    let config = match parse_args(&args) {
         Ok(parsed) => parsed,
         Err(message) => {
             eprintln!("{message}");
@@ -87,14 +81,6 @@ fn main() -> ExitCode {
         }
     };
     println!("{}", report.summary());
-    if let Some(path) = json {
-        let point = report.trajectory_point(&config);
-        if let Err(e) = append_trajectory(&path, &point) {
-            eprintln!("star-load: writing {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!("trajectory  appended to {}", path.display());
-    }
     if report.errors > 0 {
         eprintln!("star-load: {} error response(s)", report.errors);
         return ExitCode::FAILURE;

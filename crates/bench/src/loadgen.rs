@@ -20,16 +20,10 @@
 //! samples.  Throughput is queries over total wall-clock.  The cache hit
 //! rate is the fraction of responses the daemon answered verbatim from its
 //! solve cache (`"cached":"exact"`).
-//!
-//! [`append_trajectory`] maintains `BENCH_serve.json`: a JSON array of
-//! measurement points, one appended per `cargo xtask serve-bench` run, so
-//! the serving path has a perf trajectory just like the figures have CSVs.
 
 use std::collections::BTreeMap;
-use std::fs;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::TcpStream;
-use std::path::Path;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -131,35 +125,6 @@ pub struct LoadReport {
 }
 
 impl LoadReport {
-    /// The report as a `BENCH_serve.json` trajectory point, carrying the
-    /// load config that produced it so points stay comparable.
-    #[must_use]
-    pub fn trajectory_point(&self, config: &LoadConfig) -> Value {
-        let outcomes =
-            self.outcomes.iter().map(|(name, count)| (name.clone(), Value::from(*count))).collect();
-        Value::Object(vec![
-            (
-                "config".to_string(),
-                Value::Object(vec![
-                    ("queries".to_string(), Value::from(config.queries)),
-                    ("seed".to_string(), Value::from(config.seed)),
-                    ("pipeline".to_string(), Value::from(config.pipeline)),
-                    ("connections".to_string(), Value::from(config.connections)),
-                    ("rates".to_string(), Value::from(config.rates)),
-                    ("pool".to_string(), Value::from(config_pool().len())),
-                ]),
-            ),
-            ("queries".to_string(), Value::from(self.queries)),
-            ("errors".to_string(), Value::from(self.errors)),
-            ("hit_rate".to_string(), Value::from(self.hit_rate)),
-            ("qps".to_string(), Value::from(round3(self.qps))),
-            ("p50_us".to_string(), Value::from(round3(self.p50_us))),
-            ("p99_us".to_string(), Value::from(round3(self.p99_us))),
-            ("outcomes".to_string(), Value::Object(outcomes)),
-            ("daemon_stats".to_string(), self.stats.clone()),
-        ])
-    }
-
     /// A human-readable summary block.
     #[must_use]
     pub fn summary(&self) -> String {
@@ -175,10 +140,6 @@ impl LoadReport {
             self.outcomes,
         )
     }
-}
-
-fn round3(v: f64) -> f64 {
-    (v * 1000.0).round() / 1000.0
 }
 
 fn percentile(sorted: &[f64], q: f64) -> f64 {
@@ -332,30 +293,6 @@ pub fn run_load(config: &LoadConfig) -> io::Result<LoadReport> {
     })
 }
 
-/// Appends a trajectory point to a `BENCH_serve.json`-style file (a JSON
-/// array; created when absent, replaced when unreadable).
-///
-/// # Errors
-/// Filesystem errors reading or writing the file.
-pub fn append_trajectory(path: &Path, point: &Value) -> io::Result<()> {
-    let mut points: Vec<Value> = match fs::read_to_string(path) {
-        Ok(existing) => serde_json::from_str(&existing)
-            .ok()
-            .and_then(|v: Value| v.as_array().map(<[Value]>::to_vec))
-            .unwrap_or_default(),
-        Err(_) => Vec::new(),
-    };
-    points.push(point.clone());
-    let mut out = String::from("[\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str("  ");
-        out.push_str(&p.to_string());
-        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    fs::write(path, out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -381,25 +318,6 @@ mod tests {
         // a different seed is a different stream
         let c = query_stream(&LoadConfig { seed: 8, queries: 400, ..LoadConfig::default() });
         assert_ne!(a, c);
-    }
-
-    #[test]
-    fn trajectory_files_append_and_survive_garbage() {
-        let dir = std::env::temp_dir().join("star-load-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_serve.json");
-        let _ = std::fs::remove_file(&path);
-        let point = Value::Object(vec![("qps".to_string(), Value::from(1000.0))]);
-        append_trajectory(&path, &point).unwrap();
-        append_trajectory(&path, &point).unwrap();
-        let parsed = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(parsed.as_array().unwrap().len(), 2);
-        // a corrupt file is replaced, not a crash
-        std::fs::write(&path, "not json").unwrap();
-        append_trajectory(&path, &point).unwrap();
-        let parsed = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        assert_eq!(parsed.as_array().unwrap().len(), 1);
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,10 +1,9 @@
 //! The daemon's two-level answer cache.
 //!
-//! **Level 1 — [`ConfigCache`].**  Keyed by the [`WireScenario`]
-//! fingerprint (the same [`star_exec::RunFingerprint`] hex that stamps
-//! shard partial headers): one entry per configuration ever queried,
-//! holding the rebuilt [`Scenario`] and the configuration's
-//! [`ScenarioModel`].  The cache keeps one base scenario per network and
+//! **Level 1 — [`ConfigCache`].**  Keyed by the [`WireScenario`] itself
+//! (every field of it is model-relevant): one entry per configuration ever
+//! queried, holding the rebuilt [`Scenario`], the configuration's
+//! [`ScenarioModel`] and its fingerprint digest.  The cache keeps one base scenario per network and
 //! derives every configuration on that network (`S7` under two
 //! disciplines, say) from it with [`WireScenario::scenario_on`], so they
 //! all share the base's topology value and the spectrum the base carries
@@ -14,7 +13,7 @@
 //! configuration space is small (four families × tabled sizes × four
 //! disciplines × a handful of `V`/`M` values), so this level is unbounded.
 //!
-//! **Level 2 — [`SolveCache`].**  Keyed by (fingerprint hex, exact rate
+//! **Level 2 — [`SolveCache`].**  Keyed by (fingerprint digest, exact rate
 //! bits): the canonical encoded answer of every solve, with a per-entry hit
 //! counter, under an LRU byte budget.  Every entry is a cold solve, the
 //! same bytes [`star_workloads::ModelBackend`] encodes for the point, so a
@@ -26,17 +25,17 @@
 //! so [`ConfigCache::resolve`] takes a shared read lock on the hit path and
 //! upgrades to a write lock only to build a new entry.  The solve cache is
 //! write-heavy (every miss inserts), so [`ShardedSolveCache`] splits it into
-//! independently locked shards keyed by the fingerprint hash — all rates of
-//! one configuration land on one shard — each with its own byte budget and
+//! independently locked shards picked by the fingerprint digest — all rates
+//! of one configuration land on one shard — each with its own byte budget and
 //! counters that [`ShardedSolveCache::stats`] aggregates losslessly.  A miss
 //! is a [`ShardedSolveCache::lookup`] then a [`ShardedSolveCache::insert`]
 //! of the solved answer; two connections missing the same key at once each
 //! solve it and store the same bytes, since the cold solve is deterministic.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use serde_json::Value;
-use star_workloads::{Scenario, ScenarioModel, ScenarioSpectrum, WireScenario};
+use star_workloads::{Scenario, ScenarioModel, ScenarioSpectrum, TopologyKind, WireScenario};
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, RwLock};
@@ -45,8 +44,9 @@ use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 /// answer any rate.
 #[derive(Debug)]
 pub struct ConfigEntry {
-    /// The configuration fingerprint, as the canonical 16-hex-digit string.
-    pub fingerprint: String,
+    /// The configuration's [`WireScenario::fingerprint`] digest, computed
+    /// once when the entry is built: the solve cache's key and shard pick.
+    pub fingerprint: u64,
     /// The batch scenario this configuration denotes, carrying the spectrum
     /// every configuration on the same network shares.
     pub scenario: Scenario,
@@ -59,14 +59,14 @@ pub struct ConfigEntry {
 /// The maps behind [`ConfigCache`], guarded together by one `RwLock`.
 #[derive(Debug, Default)]
 struct ConfigMaps {
-    by_fingerprint: HashMap<String, Arc<ConfigEntry>>,
-    /// One base scenario per network label, which every configuration on
-    /// the network is derived from: it holds the shared topology and
-    /// spectrum.
-    by_network: HashMap<String, Scenario>,
+    by_config: HashMap<WireScenario, Arc<ConfigEntry>>,
+    /// One base scenario per network (family and size), which every
+    /// configuration on the network is derived from: it holds the shared
+    /// topology and spectrum.
+    by_network: HashMap<(TopologyKind, usize), Scenario>,
 }
 
-/// Level 1: fingerprint → configuration, with per-network sharing of the
+/// Level 1: wire scenario → configuration, with per-network sharing of the
 /// topology value and spectrum build.
 ///
 /// Synchronisation is internal and read-mostly: a hit takes only a shared
@@ -92,26 +92,24 @@ impl ConfigCache {
     /// spectrum only on first sight of the network, and the model only on
     /// first sight of the configuration.
     pub fn resolve(&self, wire: &WireScenario) -> Arc<ConfigEntry> {
-        let fingerprint = wire.fingerprint().to_hex();
-        if let Some(entry) =
-            self.maps.read().expect("config cache poisoned").by_fingerprint.get(&fingerprint)
-        {
+        if let Some(entry) = self.maps.read().expect("config cache poisoned").by_config.get(wire) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(entry);
         }
         let mut maps = self.maps.write().expect("config cache poisoned");
         // double-check: another connection may have built it while this one
         // waited for the write lock
-        if let Some(entry) = maps.by_fingerprint.get(&fingerprint) {
+        if let Some(entry) = maps.by_config.get(wire) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(entry);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let base = maps.by_network.entry(wire.network_label()).or_insert_with(|| wire.scenario());
+        let base = maps.by_network.entry((wire.kind, wire.size)).or_insert_with(|| wire.scenario());
         let scenario = wire.scenario_on(base);
         let model = ScenarioModel::build(&scenario, &ScenarioSpectrum::build(&scenario));
-        let entry = Arc::new(ConfigEntry { fingerprint: fingerprint.clone(), scenario, model });
-        maps.by_fingerprint.insert(fingerprint, Arc::clone(&entry));
+        let fingerprint = wire.fingerprint().finish();
+        let entry = Arc::new(ConfigEntry { fingerprint, scenario, model });
+        maps.by_config.insert(*wire, Arc::clone(&entry));
         entry
     }
 
@@ -120,7 +118,7 @@ impl ConfigCache {
     pub fn stats(&self) -> Value {
         let maps = self.maps.read().expect("config cache poisoned");
         Value::Object(vec![
-            ("entries".to_string(), Value::from(maps.by_fingerprint.len())),
+            ("entries".to_string(), Value::from(maps.by_config.len())),
             ("networks".to_string(), Value::from(maps.by_network.len())),
             ("hits".to_string(), Value::from(self.hits.load(Ordering::Relaxed))),
             ("misses".to_string(), Value::from(self.misses.load(Ordering::Relaxed))),
@@ -150,9 +148,8 @@ struct SolveEntry {
     stamp: u64,
 }
 
-/// (interned fingerprint, rate bits): every key of one configuration
-/// shares the fingerprint's one allocation.
-type SolveKey = (Arc<str>, u64);
+/// (fingerprint digest, rate bits).
+type SolveKey = (u64, u64);
 
 /// Level 2: the LRU-budgeted answer cache.  See the [module docs](self).
 #[derive(Debug)]
@@ -162,19 +159,16 @@ pub struct SolveCache {
     entries: HashMap<SolveKey, SolveEntry>,
     /// Recency order: stamp → key (stamps are unique and monotonic).
     lru: BTreeMap<u64, SolveKey>,
-    /// Every fingerprint seen, shared by the keys above.  Bounded by the
-    /// configuration space, like the config cache.
-    fingerprints: HashSet<Arc<str>>,
     next_stamp: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-/// Approximate heap cost of one cached solve, for the byte budget: two
-/// fingerprint lengths, the payload and a fixed allowance for map overheads.
-fn entry_cost(fingerprint: &str, payload: &str) -> usize {
-    2 * fingerprint.len() + payload.len() + 96
+/// Approximate heap cost of one cached solve, for the byte budget: the
+/// payload and a fixed allowance for the keys and map overheads.
+fn entry_cost(payload: &str) -> usize {
+    payload.len() + 128
 }
 
 impl SolveCache {
@@ -188,26 +182,11 @@ impl SolveCache {
             used_bytes: 0,
             entries: HashMap::new(),
             lru: BTreeMap::new(),
-            fingerprints: HashSet::new(),
             next_stamp: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
         }
-    }
-
-    /// The key of (`fingerprint`, `rate`), holding the fingerprint's
-    /// interned copy (allocated on first sight).
-    fn key(&mut self, fingerprint: &str, rate: f64) -> SolveKey {
-        let shared = match self.fingerprints.get(fingerprint) {
-            Some(shared) => Arc::clone(shared),
-            None => {
-                let shared: Arc<str> = Arc::from(fingerprint);
-                self.fingerprints.insert(Arc::clone(&shared));
-                shared
-            }
-        };
-        (shared, rate.to_bits())
     }
 
     fn stamp(&mut self) -> u64 {
@@ -217,8 +196,8 @@ impl SolveCache {
 
     /// Looks up (configuration, rate), counting the outcome and refreshing
     /// recency on hits.
-    pub fn lookup(&mut self, fingerprint: &str, rate: f64) -> Lookup {
-        let key = self.key(fingerprint, rate);
+    pub fn lookup(&mut self, fingerprint: u64, rate: f64) -> Lookup {
+        let key = (fingerprint, rate.to_bits());
         let fresh = self.stamp();
         let Some(entry) = self.entries.get_mut(&key) else {
             self.misses += 1;
@@ -236,15 +215,15 @@ impl SolveCache {
 
     /// Stores a solved answer's canonical payload.  Re-inserting a key
     /// replaces the old entry.
-    pub fn insert(&mut self, fingerprint: &str, rate: f64, payload: String) {
-        let key = self.key(fingerprint, rate);
-        let cost = entry_cost(fingerprint, &payload);
+    pub fn insert(&mut self, fingerprint: u64, rate: f64, payload: String) {
+        let key = (fingerprint, rate.to_bits());
+        let cost = entry_cost(&payload);
         if let Some(old) = self.entries.remove(&key) {
             self.lru.remove(&old.stamp);
-            self.used_bytes -= entry_cost(fingerprint, &old.payload);
+            self.used_bytes -= entry_cost(&old.payload);
         }
         let stamp = self.stamp();
-        self.entries.insert(key.clone(), SolveEntry { payload, hits: 0, stamp });
+        self.entries.insert(key, SolveEntry { payload, hits: 0, stamp });
         self.lru.insert(stamp, key);
         self.used_bytes += cost;
         self.evict_to_budget();
@@ -255,7 +234,7 @@ impl SolveCache {
             let (&stamp, _) = self.lru.iter().next().expect("lru tracks every entry");
             let key = self.lru.remove(&stamp).expect("stamp just observed");
             let entry = self.entries.remove(&key).expect("entries track every lru stamp");
-            self.used_bytes -= entry_cost(&key.0, &entry.payload);
+            self.used_bytes -= entry_cost(&entry.payload);
             self.evictions += 1;
         }
     }
@@ -380,7 +359,7 @@ impl Shard {
 }
 
 /// Level 2, scaled out: N independently locked [`SolveCache`] shards.  The
-/// fingerprint hash picks the shard, so all rates of one configuration
+/// fingerprint digest picks the shard, so all rates of one configuration
 /// share a shard; the total byte budget splits evenly across shards (each
 /// shard runs its own LRU within `budget / N`).  See the
 /// [module docs](self).
@@ -405,29 +384,20 @@ impl ShardedSolveCache {
         self.shards.len()
     }
 
-    /// FNV-1a over the fingerprint hex — stable, dependency-free, and
-    /// well mixed over the 16-hex-digit alphabet.
-    fn shard_index(&self, fingerprint: &str) -> usize {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in fingerprint.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (hash % self.shards.len() as u64) as usize
-    }
-
-    fn shard(&self, fingerprint: &str) -> &Shard {
-        &self.shards[self.shard_index(fingerprint)]
+    /// The shard holding every rate of a configuration: the fingerprint is
+    /// already an FNV-1a digest, so its remainder spreads configurations.
+    fn shard(&self, fingerprint: u64) -> &Shard {
+        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
     }
 
     /// Looks up (configuration, rate) on its shard: a hit answers
     /// verbatim, a miss is the caller's to solve and [`Self::insert`].
-    pub fn lookup(&self, fingerprint: &str, rate: f64) -> Lookup {
+    pub fn lookup(&self, fingerprint: u64, rate: f64) -> Lookup {
         self.shard(fingerprint).lock().cache.lookup(fingerprint, rate)
     }
 
     /// Stores a solved answer (a miss's, or prewarming's).
-    pub fn insert(&self, fingerprint: &str, rate: f64, payload: String) {
+    pub fn insert(&self, fingerprint: u64, rate: f64, payload: String) {
         let mut inner = self.shard(fingerprint).lock();
         inner.cache.insert(fingerprint, rate, payload);
         inner.inserted += 1;
@@ -487,36 +457,6 @@ impl ShardedSolveCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use star_workloads::{Discipline, TopologyKind};
-
-    fn wire(discipline: Discipline, vc: usize) -> WireScenario {
-        WireScenario {
-            kind: TopologyKind::Star,
-            size: 5,
-            discipline,
-            virtual_channels: vc,
-            message_length: 32,
-        }
-    }
-
-    #[test]
-    fn config_cache_shares_spectra_per_network_and_hits_per_fingerprint() {
-        let cache = ConfigCache::new();
-        let a = cache.resolve(&wire(Discipline::EnhancedNbc, 6));
-        let b = cache.resolve(&wire(Discipline::EnhancedNbc, 6));
-        assert!(Arc::ptr_eq(&a, &b), "same fingerprint must be one entry");
-        let c = cache.resolve(&wire(Discipline::Nbc, 7));
-        assert_ne!(a.fingerprint, c.fingerprint);
-        // different configurations, one network: topology and spectrum shared
-        let spectrum = |entry: &ConfigEntry| ScenarioSpectrum::build(&entry.scenario);
-        assert!(Arc::ptr_eq(spectrum(&a).spectrum(), spectrum(&c).spectrum()));
-        assert!(Arc::ptr_eq(&a.scenario.topology(), &c.scenario.topology()));
-        let stats = cache.stats();
-        assert_eq!(stats.get("entries").unwrap().as_u64(), Some(2));
-        assert_eq!(stats.get("networks").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("hits").unwrap().as_u64(), Some(1));
-        assert_eq!(stats.get("misses").unwrap().as_u64(), Some(2));
-    }
 
     #[test]
     fn a_prewarmed_pool_builds_one_spectrum_per_network() {
@@ -528,9 +468,10 @@ mod tests {
         assert_eq!(daemon.prewarmed().map(|report| report.configs), Some(8));
         let state = daemon.state();
         let maps = state.configs.maps.read().unwrap();
-        assert_eq!((maps.by_fingerprint.len(), maps.by_network.len()), (8, 6));
-        for entry in maps.by_fingerprint.values() {
-            let base = &maps.by_network[&entry.scenario.network_label()];
+        assert_eq!((maps.by_config.len(), maps.by_network.len()), (8, 6));
+        for (wire, entry) in &maps.by_config {
+            assert_eq!(entry.fingerprint, wire.fingerprint().finish());
+            let base = &maps.by_network[&(wire.kind, wire.size)];
             assert!(
                 Arc::ptr_eq(
                     ScenarioSpectrum::build(base).spectrum(),
@@ -540,158 +481,5 @@ mod tests {
                 entry.scenario.label()
             );
         }
-    }
-
-    #[test]
-    fn hits_replay_the_stored_payload_and_reinserts_replace_it() {
-        let mut cache = SolveCache::new(1 << 20);
-        cache.insert("aaaa", 0.004, "{\"first\":1}".to_string());
-        assert_eq!(cache.lookup("aaaa", 0.005), Lookup::Miss);
-        // the hit counter climbs with every verbatim replay…
-        for hits in 1..=2 {
-            assert_eq!(
-                cache.lookup("aaaa", 0.004),
-                Lookup::Hit { payload: "{\"first\":1}".to_string(), hits }
-            );
-        }
-        // …and a re-insert replaces the entry, counter included
-        cache.insert("aaaa", 0.004, "{\"second\":2}".to_string());
-        assert_eq!(
-            cache.lookup("aaaa", 0.004),
-            Lookup::Hit { payload: "{\"second\":2}".to_string(), hits: 1 }
-        );
-        assert_eq!(cache.len(), 1);
-    }
-
-    #[test]
-    fn every_key_of_a_configuration_shares_one_fingerprint_allocation() {
-        let mut cache = SolveCache::new(1 << 20);
-        for rate in [0.001, 0.002, 0.003] {
-            cache.insert("f", rate, "x".to_string());
-        }
-        let _ = cache.lookup("f", 0.004);
-        cache.insert("g", 0.001, "x".to_string());
-        assert_eq!(cache.fingerprints.len(), 2);
-        let shared = cache.fingerprints.get("f").unwrap();
-        let of_f: Vec<&Arc<str>> = cache
-            .entries
-            .keys()
-            .map(|(f, _)| f)
-            .chain(cache.lru.values().map(|(f, _)| f))
-            .filter(|f| &***f == "f")
-            .collect();
-        // three entries and their three recency slots
-        assert_eq!(of_f.len(), 3 + 3);
-        assert!(of_f.iter().all(|f| Arc::ptr_eq(f, shared)));
-    }
-
-    #[test]
-    fn lru_budget_evicts_cold_entries_first_and_keeps_the_newest() {
-        let one = entry_cost("ffffffffffffffff", "x");
-        let mut cache = SolveCache::new(3 * one + one / 2);
-        cache.insert("ffffffffffffffff", 0.001, "x".to_string());
-        cache.insert("ffffffffffffffff", 0.002, "x".to_string());
-        cache.insert("ffffffffffffffff", 0.003, "x".to_string());
-        assert_eq!(cache.len(), 3);
-        // touch 0.001 so 0.002 is the least recently used…
-        assert!(matches!(cache.lookup("ffffffffffffffff", 0.001), Lookup::Hit { .. }));
-        cache.insert("ffffffffffffffff", 0.004, "x".to_string());
-        assert_eq!(cache.len(), 3);
-        // …and is the one evicted
-        assert_eq!(cache.lookup("ffffffffffffffff", 0.002), Lookup::Miss);
-        assert!(matches!(cache.lookup("ffffffffffffffff", 0.001), Lookup::Hit { .. }));
-        // a budget below one entry still holds exactly the newest answer
-        let mut tiny = SolveCache::new(1);
-        tiny.insert("ffffffffffffffff", 0.001, "x".to_string());
-        tiny.insert("ffffffffffffffff", 0.002, "y".to_string());
-        assert_eq!(tiny.len(), 1);
-        assert!(matches!(tiny.lookup("ffffffffffffffff", 0.002), Lookup::Hit { .. }));
-        assert!(tiny.stats().get("evictions").unwrap().as_u64().unwrap() >= 1);
-        assert!(!tiny.is_empty());
-    }
-
-    /// 16-hex-digit fingerprints (the real key shape) that land on
-    /// distinct shards of a 4-shard cache.
-    fn distinct_shard_fingerprints(cache: &ShardedSolveCache, want: usize) -> Vec<String> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for i in 0..10_000u64 {
-            let fp = format!("{i:016x}");
-            if seen.insert(cache.shard_index(&fp)) {
-                out.push(fp);
-                if out.len() == want {
-                    return out;
-                }
-            }
-        }
-        panic!("could not find {want} fingerprints on distinct shards");
-    }
-
-    #[test]
-    fn sharded_budget_is_per_shard_and_stats_aggregate_losslessly() {
-        let one = entry_cost("ffffffffffffffff", "x");
-        // 4 shards, 2-entries-ish each: the whole cache could hold ~8, but
-        // one configuration's shard alone holds only ~2
-        let cache = ShardedSolveCache::new(4 * (2 * one + one / 2), 4);
-        assert_eq!(cache.shard_count(), 4);
-        let fps = distinct_shard_fingerprints(&cache, 2);
-        for i in 0..4 {
-            let rate = 0.001 * (i + 1) as f64;
-            cache.insert(&fps[0], rate, "x".to_string());
-        }
-        // the overloaded shard evicted down to its own budget even though
-        // the total budget had room to spare
-        let per_shard = cache.shard_stats();
-        let loaded = cache.shard_index(&fps[0]);
-        assert_eq!(per_shard[loaded].entries, 2, "per-shard LRU holds ~2 entries");
-        assert!(per_shard[loaded].evictions >= 2);
-        cache.insert(&fps[1], 0.001, "x".to_string());
-        assert!(matches!(cache.lookup(&fps[1], 0.001), Lookup::Hit { hits: 1, .. }));
-        // aggregate stats are exactly the field-by-field sum of the shards
-        let sum =
-            cache.shard_stats().into_iter().fold(SolveCounters::default(), SolveCounters::merge);
-        let stats = cache.stats();
-        for (key, got) in [
-            ("entries", sum.entries),
-            ("bytes", sum.bytes),
-            ("budget_bytes", sum.budget_bytes),
-            ("hits", sum.hits),
-            ("misses", sum.misses),
-            ("evictions", sum.evictions),
-        ] {
-            assert_eq!(stats.get(key).unwrap().as_u64(), Some(got), "aggregate {key}");
-        }
-        assert_eq!(stats.get("shards").unwrap().as_u64(), Some(4));
-        assert_eq!(stats.get("inserted").unwrap().as_u64(), Some(5));
-        assert_eq!(cache.len(), sum.entries as usize);
-        assert!(!cache.is_empty());
-    }
-
-    #[test]
-    fn lookups_and_inserts_keep_a_configuration_on_one_shard() {
-        let cache = ShardedSolveCache::new(1 << 20, 4);
-        let fp = "00000000000000aa";
-        let home = cache.shard_index(fp);
-        let rates = [0.001, 0.002, 0.003];
-        for rate in rates {
-            assert_eq!(cache.lookup(fp, rate), Lookup::Miss);
-            cache.insert(fp, rate, format!("{{\"rate\":{rate}}}"));
-        }
-        // every rate of the configuration landed on its home shard…
-        let per_shard = cache.shard_stats();
-        for (index, shard) in per_shard.iter().enumerate() {
-            let (entries, misses) = if index == home { (3, 3) } else { (0, 0) };
-            assert_eq!((shard.entries, shard.misses), (entries, misses), "shard {index}");
-        }
-        // …and re-inserting a key, as two connections racing the same miss
-        // do, keeps a single entry serving the same bytes
-        cache.insert(fp, 0.002, "{\"rate\":0.002}".to_string());
-        assert_eq!(cache.len(), 3);
-        assert_eq!(
-            cache.lookup(fp, 0.002),
-            Lookup::Hit { payload: "{\"rate\":0.002}".to_string(), hits: 1 }
-        );
-        assert_eq!(cache.shard_stats()[home].hits, 1);
-        assert_eq!(cache.stats().get("inserted").unwrap().as_u64(), Some(4));
     }
 }

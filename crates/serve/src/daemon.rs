@@ -495,7 +495,7 @@ fn process_window(
                             ),
                         ))
                     }
-                    Ok(Some(_)) => match state.solves.lookup(&entry.fingerprint, query.rate) {
+                    Ok(Some(_)) => match state.solves.lookup(entry.fingerprint, query.rate) {
                         Lookup::Hit { payload, hits } => Planned::Ready(protocol::ok_query(
                             query.id,
                             CacheOutcome::Exact,
@@ -520,7 +520,7 @@ fn process_window(
         .zip(&estimates)
         .map(|(job, estimate)| {
             let payload = encode_estimate(estimate);
-            state.solves.insert(&job.entry.fingerprint, job.point.traffic_rate, payload.clone());
+            state.solves.insert(job.entry.fingerprint, job.point.traffic_rate, payload.clone());
             payload
         })
         .collect();

@@ -97,11 +97,11 @@ pub fn prewarm(
     configs: &[WireScenario],
     rates: usize,
 ) -> io::Result<PrewarmReport> {
-    let mut seen: HashSet<String> = HashSet::new();
+    let mut seen: HashSet<u64> = HashSet::new();
     let mut entries: Vec<Arc<ConfigEntry>> = Vec::new();
     for wire in configs {
         let entry = state.configs.resolve(wire);
-        if !seen.insert(entry.fingerprint.clone()) {
+        if !seen.insert(entry.fingerprint) {
             continue;
         }
         match entry.scenario.model_params(0.0) {
@@ -137,7 +137,7 @@ pub fn prewarm(
         solve_cold(state, &entry.scenario.at(*rate), entry)
     });
     for ((entry, rate), estimate) in jobs.iter().zip(&estimates) {
-        state.solves.insert(&entry.fingerprint, *rate, encode_estimate(estimate));
+        state.solves.insert(entry.fingerprint, *rate, encode_estimate(estimate));
     }
     Ok(PrewarmReport { configs: entries.len(), solves: jobs.len() })
 }

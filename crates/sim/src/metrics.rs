@@ -149,7 +149,8 @@ pub struct SimReport {
     /// Per-stage skip counts over the active cycles: how often each pipeline
     /// stage started with an empty work set.  `active_cycles − skips[stage]`
     /// is the number of cycles the stage actually ran — the per-stage cost
-    /// breakdown `sim-bench` reports.
+    /// breakdown the benchmark's traced `star-sim.stage_runs.*` layers
+    /// report.
     pub stage_skips: StageSkips,
 }
 

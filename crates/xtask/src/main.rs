@@ -5,7 +5,10 @@
 //!   GitHub Actions workflow runs it: a **benchmark lockfile check**
 //!   (`cargo metadata --locked` on `perfbench/Cargo.toml`, so a change to
 //!   the crates' dependency edges fails instead of rewriting the
-//!   benchmark's `Cargo.lock`), rustfmt check, clippy with warnings
+//!   benchmark's `Cargo.lock`), a **trajectory check** (every `BENCH_*.json`
+//!   at the repository root must parse as a JSON array, so a conflicted
+//!   trajectory fails here rather than at the next recording), rustfmt
+//!   check, clippy with warnings
 //!   denied, release build, tests, doctests, a **knee audit** (the
 //!   `#[ignore]`d tests of `tests/saturation_exact.rs`, in release: every
 //!   certified knee search over S4–S6, Q5–Q9, T6–T10 and R8–R14 held bit for
@@ -45,22 +48,13 @@
 //!   byte-identical to an unsharded run (validating that the shard set is
 //!   complete and consistent).
 //! * `cargo xtask bench-record --workload W [--seed S] [--seconds T]` —
-//!   runs the repository benchmark (`perfbench/run.sh`, unchanged; seed 42
-//!   and 25 s by default) on one workload, untraced and then traced, and
-//!   appends one point with both final result lines, the git rev, a dirty
-//!   flag and `available_parallelism` to `BENCH_<W>.json` at the repository
-//!   root.
-//! * `cargo xtask serve-bench` — launches `star-serve` on an ephemeral port
-//!   (8 shards, the `pool` prewarm list) and replays the pinned `star-load`
-//!   stream against it (2000 queries, seed 7, pipeline 8, 4 connections), appending the measurement to `BENCH_serve.json` at the
-//!   repository root; extra arguments are forwarded to `star-load` and
-//!   override the pinned knobs.
-//! * `cargo xtask sim-bench` — runs the pinned `sim-bench` flit-throughput
-//!   scenario (S5, Enhanced-NBC, 20 000 measured messages, seed 42) at the
-//!   light/moderate/heavy utilisation points and appends one measurement per
-//!   point — flits/sec and the stage-skip counters — to `BENCH_sim.json` at
-//!   the repository root; extra arguments are forwarded to `sim-bench` and override the
-//!   pinned knobs.
+//!   the one tool that writes perf trajectories: runs the repository
+//!   benchmark (`perfbench/run.sh`, unchanged; seed 42 and 25 s by default)
+//!   on one workload, untraced and then traced, and appends one point with
+//!   both final result lines, the git rev, a dirty flag and
+//!   `available_parallelism` to `BENCH_<W>.json` at the repository root.
+//!   `BENCH_sim.json` and `BENCH_serve.json` are frozen history from the
+//!   harnesses it replaced.
 
 use std::env;
 use std::fs;
@@ -71,7 +65,6 @@ use std::process::{Child, Command, ExitCode, Stdio};
 use std::time::Instant;
 
 use serde_json::Value;
-use star_bench::loadgen::append_trajectory;
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
@@ -93,8 +86,6 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "serve-bench" => serve_bench(rest),
-        "sim-bench" => sim_bench(rest),
         "serve-smoke" => match serve_smoke() {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
@@ -118,7 +109,8 @@ fn print_help() {
     eprintln!("usage: cargo xtask <command>\n");
     eprintln!("commands:");
     eprintln!(
-        "  ci            bench-lockfile check, fmt-check, clippy -D warnings, build, test, \
+        "  ci            bench-lockfile check, bench-trajectories check, fmt-check, clippy \
+         -D warnings, build, test, \
          doctest, knee audit, bench smoke, replicate smoke, torus smoke, shard smoke, serve smoke, perfbench \
          self-test, doc -D warnings"
     );
@@ -135,17 +127,8 @@ fn print_help() {
          untraced and traced, append both result lines to BENCH_<W>.json with the git rev"
     );
     eprintln!(
-        "  serve-bench   launch star-serve, replay the pinned star-load stream and \
-         append the measurement to BENCH_serve.json (forwards extra args to star-load)"
-    );
-    eprintln!(
         "  serve-smoke   just the ci serving-contract check, cold and prewarmed (needs release \
          builds: cargo build --release -p star-serve -p star-bench)"
-    );
-    eprintln!(
-        "  sim-bench     run the pinned sim-bench scenario at the light/moderate/heavy \
-         utilisation points and append flits/sec plus stage-skip counters per point \
-         to BENCH_sim.json (forwards extra args to sim-bench)"
     );
 }
 
@@ -271,6 +254,16 @@ fn ci() -> ExitCode {
     ) {
         eprintln!("\nci FAILED at {e}");
         return ExitCode::FAILURE;
+    }
+    // a trajectory that no longer parses (a merge-conflict marker, a
+    // trailing comma) fails here, not at the next recording
+    println!("\n==> bench-trajectories: every BENCH_*.json reads as a JSON array");
+    match bench_trajectories() {
+        Ok(checked) => println!("==> bench-trajectories: ok ({checked} files)"),
+        Err(e) => {
+            eprintln!("\nci FAILED at bench-trajectories: {e}");
+            return ExitCode::FAILURE;
+        }
     }
     for (name, args) in pipeline {
         if let Err(e) = step(name, args) {
@@ -532,8 +525,8 @@ fn cold_serve_smoke() -> Result<(), String> {
         return Err(format!("daemon exited with {status}"));
     }
     println!(
-        "==> serve-smoke: {} exact- and warm-mode queries byte-identical to batch, second pass \
-         cached, cold 4-connection replay clean ({:.1}s)",
+        "==> serve-smoke: {} queries, every other one naming the retired warm mode, \
+         byte-identical to batch, second pass cached, cold 4-connection replay clean ({:.1}s)",
         cases.len() * 2,
         started.elapsed().as_secs_f64()
     );
@@ -650,21 +643,27 @@ fn star_load(addr: &str, extra: &[&str]) -> Result<(), String> {
     Ok(())
 }
 
-/// `cargo xtask bench-record --workload W [--seed S] [--seconds T]`: runs the
-/// repository benchmark (`perfbench/run.sh`, unchanged) on one workload
-/// untraced, then traced, and appends one point holding both final result
-/// lines to `BENCH_<W>.json`, stamped with the git rev, whether tracked
-/// files differ from it, and the host's available parallelism.  Returns the
-/// trajectory file's name.
-fn bench_record(rest: &[String]) -> Result<String, String> {
-    let (mut workload, mut seed, mut seconds) = (None, "42".to_string(), "25".to_string());
+/// What `cargo xtask bench-record` was asked to run.
+#[derive(Debug, PartialEq)]
+struct RecordArgs {
+    workload: String,
+    seed: u64,
+    seconds: f64,
+}
+
+/// Parses `--workload W [--seed S] [--seconds T]` (seed 42 and 25 s by
+/// default), rejecting anything perfbench could not finish: its pass loops
+/// stop once the elapsed time reaches `seconds`, so a non-finite or
+/// non-positive value never stops or measures nothing.
+fn parse_record_args(rest: &[String]) -> Result<RecordArgs, String> {
+    let (mut workload, mut seed, mut seconds): (_, u64, f64) = (None, 42, 25.0);
     let mut args = rest.iter().filter(|a| a.as_str() != "--");
     while let Some(flag) = args.next() {
-        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?.clone();
+        let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
         match flag.as_str() {
-            "--workload" => workload = Some(value),
-            "--seed" => seed = value,
-            "--seconds" => seconds = value,
+            "--workload" => workload = Some(value.clone()),
+            "--seed" => seed = value.parse().map_err(|e| format!("--seed: {e}"))?,
+            "--seconds" => seconds = value.parse().map_err(|e| format!("--seconds: {e}"))?,
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
@@ -673,11 +672,32 @@ fn bench_record(rest: &[String]) -> Result<String, String> {
     if workload.is_empty() || !workload.chars().all(|c| c.is_ascii_alphanumeric() || c == '_') {
         return Err(format!("--workload `{workload}` is not a workload name"));
     }
-    let seed_value: u64 = seed.parse().map_err(|e| format!("--seed: {e}"))?;
-    let seconds_value: f64 = seconds.parse().map_err(|e| format!("--seconds: {e}"))?;
+    if !(seconds.is_finite() && seconds > 0.0) {
+        return Err(format!("--seconds must be a finite number above 0, not {seconds}"));
+    }
+    Ok(RecordArgs { workload, seed, seconds })
+}
+
+/// `cargo xtask bench-record --workload W [--seed S] [--seconds T]`: runs the
+/// repository benchmark (`perfbench/run.sh`, unchanged) on one workload
+/// untraced, then traced, and appends one point holding both final result
+/// lines to `BENCH_<W>.json`, stamped with the git rev, whether tracked
+/// files differ from it, and the host's available parallelism.  Returns the
+/// trajectory file's name.
+fn bench_record(rest: &[String]) -> Result<String, String> {
+    let RecordArgs { workload, seed, seconds } = parse_record_args(rest)?;
+    let (seed_arg, seconds_arg) = (seed.to_string(), seconds.to_string());
     let run = |trace: &str| -> Result<Value, String> {
-        let args =
-            ["--workload", &workload, "--seed", &seed, "--seconds", &seconds, "--trace", trace];
+        let args = [
+            "--workload",
+            &workload,
+            "--seed",
+            &seed_arg,
+            "--seconds",
+            &seconds_arg,
+            "--trace",
+            trace,
+        ];
         println!("==> bash perfbench/run.sh {}", args.join(" "));
         let output = Command::new("bash")
             .arg("perfbench/run.sh")
@@ -713,125 +733,65 @@ fn bench_record(rest: &[String]) -> Result<String, String> {
         ("rev".to_string(), Value::from(rev)),
         ("dirty".to_string(), Value::from(dirty)),
         ("available_parallelism".to_string(), Value::from(parallelism)),
-        ("seed".to_string(), Value::from(seed_value)),
-        ("seconds".to_string(), Value::from(seconds_value)),
+        ("seed".to_string(), Value::from(seed)),
+        ("seconds".to_string(), Value::from(seconds)),
         ("end_to_end".to_string(), end_to_end),
         ("traced".to_string(), traced),
     ]);
     let path = format!("BENCH_{workload}.json");
-    append_trajectory(Path::new(&path), &point).map_err(|e| format!("writing {path}: {e}"))?;
+    append_trajectory(Path::new(&path), &point)?;
     Ok(path)
 }
 
-/// `cargo xtask serve-bench`: build, launch the daemon, replay the pinned
-/// `star-load` stream and append the measurement to `BENCH_serve.json`.
-fn serve_bench(rest: &[String]) -> ExitCode {
-    if let Err(e) = step("build", &["build", "--release", "-p", "star-serve", "-p", "star-bench"]) {
-        eprintln!("\nserve-bench FAILED at {e}");
-        return ExitCode::FAILURE;
-    }
-    // the pinned daemon configuration: the sharded cache at its default
-    // width, prewarmed with the very pool star-load draws from
-    let daemon =
-        match spawn_daemon(&["--shards", "8", "--prewarm", "pool", "--prewarm-rates", "24"]) {
-            Ok(daemon) => daemon,
-            Err(e) => {
-                eprintln!("\nserve-bench FAILED: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let mut daemon = daemon;
-    println!("==> star-serve listening on {}", daemon.addr);
-    let load = release_bin("star-load");
-    // the pinned trajectory configuration; forwarded args come last so they
-    // win over the pins (star-load's parser keeps the last assignment)
-    let mut args: Vec<String> = [
-        "--addr",
-        &daemon.addr,
-        "--queries",
-        "2000",
-        "--seed",
-        "7",
-        "--pipeline",
-        "8",
-        "--connections",
-        "4",
-        "--rates",
-        "24",
-        "--json",
-        "BENCH_serve.json",
-        "--shutdown",
-    ]
-    .map(str::to_string)
-    .to_vec();
-    args.extend(rest.iter().filter(|a| a.as_str() != "--").cloned());
-    println!("==> star-load {}", args.join(" "));
-    let load_status = Command::new(&load).args(&args).status();
-    if !matches!(&load_status, Ok(status) if status.success()) {
-        // star-load never reached the shutdown op: don't wait on a live daemon
-        let _ = daemon.child.kill();
-    }
-    let daemon_status = daemon.child.wait();
-    match (load_status, daemon_status) {
-        (Ok(load), Ok(served)) if load.success() && served.success() => {
-            println!("\nserve-bench: measurement appended to BENCH_serve.json");
-            ExitCode::SUCCESS
-        }
-        (Ok(load), Ok(served)) => {
-            eprintln!("\nserve-bench FAILED: star-load exited {load}, star-serve exited {served}");
-            ExitCode::FAILURE
-        }
-        (load, served) => {
-            eprintln!("\nserve-bench FAILED: star-load {load:?}, star-serve {served:?}");
-            ExitCode::FAILURE
-        }
+/// Reads a trajectory file: a JSON array of points, or `None` when the file
+/// does not exist.
+///
+/// # Errors
+/// Any other read failure, or content that is not one JSON array, named
+/// with the file's path.
+fn read_trajectory(path: &Path) -> Result<Option<Vec<Value>>, String> {
+    let text = match fs::read_to_string(path) {
+        Ok(text) => text,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(format!("reading {}: {e}", path.display())),
+    };
+    match serde_json::from_str(&text) {
+        Ok(Value::Array(points)) => Ok(Some(points)),
+        Ok(_) => Err(format!("{} is not a JSON array", path.display())),
+        Err(e) => Err(format!("{} is not valid JSON: {e}", path.display())),
     }
 }
 
-/// `cargo xtask sim-bench`: build, run the pinned flit-throughput scenario
-/// at every utilisation point (light/moderate/heavy) and append one
-/// measurement per point to `BENCH_sim.json`.
-fn sim_bench(rest: &[String]) -> ExitCode {
-    if let Err(e) = step("build", &["build", "--release", "-p", "star-bench"]) {
-        eprintln!("\nsim-bench FAILED at {e}");
-        return ExitCode::FAILURE;
+/// Appends one point to a trajectory file, creating the file when it does
+/// not exist.  A file that exists but cannot be read as a JSON array is an
+/// error and keeps its bytes: its history is never replaced.
+fn append_trajectory(path: &Path, point: &Value) -> Result<(), String> {
+    let mut points = read_trajectory(path)?.unwrap_or_default();
+    points.push(point.clone());
+    let mut out = String::from("[\n");
+    for (i, p) in points.iter().enumerate() {
+        out.push_str("  ");
+        out.push_str(&p.to_string());
+        out.push_str(if i + 1 < points.len() { ",\n" } else { "\n" });
     }
-    let binary = release_bin("sim-bench");
-    // the pinned trajectory configuration; forwarded args come last so they
-    // win over the pins (sim-bench's parser keeps the last assignment)
-    let mut args: Vec<String> = [
-        "--messages",
-        "20000",
-        "--seed",
-        "42",
-        "--points",
-        "light,moderate,heavy",
-        "--json",
-        "BENCH_sim.json",
-    ]
-    .map(str::to_string)
-    .to_vec();
-    args.extend(rest.iter().filter(|a| a.as_str() != "--").cloned());
-    println!("==> sim-bench {}", args.join(" "));
-    // the trajectory file actually written (a forwarded --json overrides the pin)
-    let json = args.iter().rposition(|a| a == "--json").and_then(|i| args.get(i + 1)).cloned();
-    match Command::new(&binary).args(&args).status() {
-        Ok(status) if status.success() => {
-            println!(
-                "\nsim-bench: measurement appended to {}",
-                json.as_deref().unwrap_or("the trajectory file")
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(status) => {
-            eprintln!("\nsim-bench FAILED: sim-bench exited with {status}");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("\nsim-bench FAILED: spawning {}: {e}", binary.display());
-            ExitCode::FAILURE
+    out.push_str("]\n");
+    fs::write(path, out).map_err(|e| format!("writing {}: {e}", path.display()))
+}
+
+/// The `bench-trajectories` ci step: every `BENCH_*.json` in the current
+/// directory (the repository root) must read as a JSON array.  Returns how
+/// many files it checked.
+fn bench_trajectories() -> Result<usize, String> {
+    let mut checked = 0;
+    for entry in fs::read_dir(".").map_err(|e| format!("listing the repository root: {e}"))? {
+        let path = entry.map_err(|e| format!("listing the repository root: {e}"))?.path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or_default();
+        if name.starts_with("BENCH_") && name.ends_with(".json") {
+            read_trajectory(&path)?;
+            checked += 1;
         }
     }
+    Ok(checked)
 }
 
 fn figure1(rest: &[String]) -> ExitCode {
@@ -905,6 +865,64 @@ fn merge_shards(rest: &[String]) -> ExitCode {
         Err(e) => {
             eprintln!("merge failed: {e}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A fresh directory under the system temp dir, unique to one test.
+    fn scratch_dir(test: &str) -> PathBuf {
+        let dir = env::temp_dir().join(format!("xtask-{test}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn trajectory_files_append_and_survive_garbage() {
+        let dir = scratch_dir("trajectory");
+        let path = dir.join("BENCH_test.json");
+        let point = Value::Object(vec![("qps".to_string(), Value::from(1000.0))]);
+        append_trajectory(&path, &point).unwrap();
+        append_trajectory(&path, &point).unwrap();
+        assert_eq!(read_trajectory(&path).unwrap().map(|points| points.len()), Some(2));
+        // a file that does not parse as an array keeps its bytes, and the
+        // error names it
+        for garbage in ["not json", "[\n  {\"qps\":1},\n]\n", "<<<<<<< HEAD\n[]\n", "{}"] {
+            fs::write(&path, garbage).unwrap();
+            let error = append_trajectory(&path, &point).unwrap_err();
+            assert!(error.contains("BENCH_test.json"), "{error}");
+            assert_eq!(fs::read_to_string(&path).unwrap(), garbage);
+        }
+        // so does a path that cannot be read for a reason other than absence
+        let error = append_trajectory(&dir, &point).unwrap_err();
+        assert!(error.contains(&dir.display().to_string()), "{error}");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn record_args_default_and_reject_what_perfbench_cannot_finish() {
+        let args = |line: &str| -> Vec<String> { line.split(' ').map(str::to_string).collect() };
+        assert_eq!(
+            parse_record_args(&args("--workload sim_light")),
+            Ok(RecordArgs { workload: "sim_light".to_string(), seed: 42, seconds: 25.0 })
+        );
+        assert_eq!(
+            parse_record_args(&args("-- --workload model_sweep --seed 7 --seconds 0.5")),
+            Ok(RecordArgs { workload: "model_sweep".to_string(), seed: 7, seconds: 0.5 })
+        );
+        for seconds in ["inf", "-inf", "NaN", "0", "-0", "-3", "1e400"] {
+            let got =
+                parse_record_args(&args(&format!("--workload sim_light --seconds {seconds}")));
+            assert!(got.unwrap_err().starts_with("--seconds"), "--seconds {seconds}");
+        }
+        for bad in ["", "--seed 1", "--workload ../x", "--workload sim_light --seed", "--rate 3"] {
+            let parsed =
+                if bad.is_empty() { parse_record_args(&[]) } else { parse_record_args(&args(bad)) };
+            assert!(parsed.is_err(), "`{bad}` parsed");
         }
     }
 }

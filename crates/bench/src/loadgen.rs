@@ -120,8 +120,6 @@ pub struct LoadReport {
     pub p50_us: f64,
     /// 99th-percentile amortized per-query latency, microseconds.
     pub p99_us: f64,
-    /// The daemon's own `stats` snapshot after the replay.
-    pub stats: Value,
 }
 
 impl LoadReport {
@@ -216,9 +214,8 @@ fn replay_connection(addr: &str, batches: &[&[Query]]) -> io::Result<ConnectionT
 /// The stream's batches are dealt round-robin across
 /// [`LoadConfig::connections`] concurrent connections; each connection
 /// pipelines its own batches independently, and the tallies merge into one
-/// report.  The stats snapshot (and the optional shutdown) goes over a
-/// fresh connection after every replay connection has finished, so it sees
-/// the post-replay cache state.
+/// report.  The optional shutdown goes over a fresh connection after every
+/// replay connection has finished.
 ///
 /// # Errors
 /// Connection failures, short reads, out-of-order or malformed responses.
@@ -257,24 +254,10 @@ pub fn run_load(config: &LoadConfig) -> io::Result<LoadReport> {
         samples_us.extend(tally.samples_us);
     }
 
-    // one stats snapshot after the replay, through the same wire
-    let conn = TcpStream::connect(&config.addr)?;
-    conn.set_nodelay(true)?;
-    let mut reader = BufReader::new(conn.try_clone()?);
-    let mut writer = BufWriter::new(conn);
-    let mut line = String::new();
-    writeln!(writer, "{{\"id\":{},\"op\":\"stats\"}}", stream.len())?;
-    writer.flush()?;
-    reader.read_line(&mut line)?;
-    let stats = serde_json::from_str(line.trim_end())
-        .ok()
-        .and_then(|v: Value| v.get("stats").cloned())
-        .unwrap_or(Value::Null);
     if config.shutdown {
-        writeln!(writer, "{{\"id\":{},\"op\":\"shutdown\"}}", stream.len() + 1)?;
-        writer.flush()?;
-        line.clear();
-        let _ = reader.read_line(&mut line);
+        let mut conn = TcpStream::connect(&config.addr)?;
+        conn.write_all(format!("{{\"id\":{},\"op\":\"shutdown\"}}\n", stream.len()).as_bytes())?;
+        let _ = BufReader::new(conn).read_line(&mut String::new());
     }
 
     samples_us.sort_by(f64::total_cmp);
@@ -289,7 +272,6 @@ pub fn run_load(config: &LoadConfig) -> io::Result<LoadReport> {
         p50_us: percentile(&samples_us, 0.50),
         p99_us: percentile(&samples_us, 0.99),
         outcomes,
-        stats,
     })
 }
 

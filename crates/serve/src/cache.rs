@@ -3,11 +3,11 @@
 //! **Level 1 — [`ConfigCache`].**  Keyed by the [`WireScenario`] itself
 //! (every field of it is model-relevant): one entry per configuration ever
 //! queried, holding the rebuilt [`Scenario`], the configuration's
-//! [`ScenarioModel`] and its fingerprint digest.  The cache keeps one base scenario per network and
-//! derives every configuration on that network (`S7` under two
-//! disciplines, say) from it with [`WireScenario::scenario_on`], so they
-//! all share the base's topology value and the spectrum the base carries
-//! ([`ScenarioSpectrum::build`]).  The expensive half of a solve is paid
+//! [`ScenarioModel`] and its fingerprint digest.  The cache keeps one base
+//! scenario per network and derives every configuration on that network
+//! (`S7` under two disciplines, say) from it with
+//! [`WireScenario::scenario_on`], so they all share the base's topology
+//! value and the spectrum the base carries ([`ScenarioSpectrum::build`]).  The expensive half of a solve is paid
 //! once per *network*, prewarming's rate grids included, and the model's
 //! step kernel once per configuration — never per query.  The
 //! configuration space is small (four families × tabled sizes × four
@@ -26,10 +26,10 @@
 //! upgrades to a write lock only to build a new entry.  The solve cache is
 //! write-heavy (every miss inserts), so [`ShardedSolveCache`] splits it into
 //! independently locked shards picked by the fingerprint digest — all rates
-//! of one configuration land on one shard — each with its own byte budget and
-//! counters that [`ShardedSolveCache::stats`] aggregates losslessly.  A miss
-//! is a [`ShardedSolveCache::lookup`] then a [`ShardedSolveCache::insert`]
-//! of the solved answer; two connections missing the same key at once each
+//! of one configuration land on one shard — each with its own byte budget
+//! and counters that [`ShardedSolveCache::stats`] aggregates losslessly.  A
+//! miss is a [`ShardedSolveCache::lookup`] then a
+//! [`ShardedSolveCache::insert`] of the solved answer; two connections missing the same key at once each
 //! solve it and store the same bytes, since the cold solve is deterministic.
 
 use std::collections::{BTreeMap, HashMap};

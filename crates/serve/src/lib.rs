@@ -10,13 +10,14 @@
 //! point queries) wants them paid once:
 //!
 //! * **Level 1** ([`cache::ConfigCache`]): configurations keyed by their
-//!   [`star_exec::RunFingerprint`] identity, derived from one base scenario
+//!   wire scenario, derived from one base scenario
 //!   per network so they share its spectrum build — one spectrum per
 //!   *network* across all disciplines and knobs — and one model per
 //!   configuration, whose step kernel every miss reuses.
 //! * **Level 2** ([`cache::ShardedSolveCache`]): solved answers keyed by
-//!   (fingerprint, exact rate bits) under an LRU byte budget with per-entry
-//!   hit counters.  The level is **sharded**: the fingerprint hash picks
+//!   (configuration fingerprint, exact rate bits) under an LRU byte budget
+//!   with per-entry hit counters.  The level is **sharded**: the fingerprint
+//!   (a [`star_exec::RunFingerprint`] digest) picks
 //!   one of N independently locked [`cache::SolveCache`] shards (all rates
 //!   of a configuration share a shard).  A miss is a lookup, one cold
 //!   solve and an insert.

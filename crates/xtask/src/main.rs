@@ -686,6 +686,9 @@ fn parse_record_args(rest: &[String]) -> Result<RecordArgs, String> {
 /// trajectory file's name.
 fn bench_record(rest: &[String]) -> Result<String, String> {
     let RecordArgs { workload, seed, seconds } = parse_record_args(rest)?;
+    let path = format!("BENCH_{workload}.json");
+    // an unreadable trajectory fails before the runs, not after them
+    read_trajectory(Path::new(&path))?;
     let (seed_arg, seconds_arg) = (seed.to_string(), seconds.to_string());
     let run = |trace: &str| -> Result<Value, String> {
         let args = [
@@ -738,7 +741,6 @@ fn bench_record(rest: &[String]) -> Result<String, String> {
         ("end_to_end".to_string(), end_to_end),
         ("traced".to_string(), traced),
     ]);
-    let path = format!("BENCH_{workload}.json");
     append_trajectory(Path::new(&path), &point)?;
     Ok(path)
 }

@@ -83,28 +83,19 @@ impl RunFingerprint {
     pub fn finish(&self) -> u64 {
         self.0
     }
+}
 
-    /// The digest as its stable 16-digit lower-hex spelling — the exact
-    /// string stamped into shard partial headers and used as a cache key by
-    /// the serving layer, so the two agree on one identity format.
+impl fmt::Display for RunFingerprint {
+    /// Formats the digest as 16 lower-hex digits (zero-padded, no prefix):
+    /// the spelling stamped into shard partial headers.
     ///
     /// ```
     /// use star_exec::RunFingerprint;
     ///
     /// let mut fp = RunFingerprint::new();
     /// fp.add_str("S5/enhanced-nbc/V6/M32");
-    /// assert_eq!(fp.to_hex().len(), 16);
-    /// assert_eq!(fp.to_hex(), format!("{fp}"));
-    /// assert_eq!(fp.to_hex(), format!("{:016x}", fp.finish()));
+    /// assert_eq!(format!("{fp}"), format!("{:016x}", fp.finish()));
     /// ```
-    #[must_use]
-    pub fn to_hex(&self) -> String {
-        format!("{self}")
-    }
-}
-
-impl fmt::Display for RunFingerprint {
-    /// Formats the digest as 16 lower-hex digits (zero-padded, no prefix).
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{:016x}", self.0)
     }
@@ -197,7 +188,7 @@ impl fmt::Display for ShardSpec {
 
 /// The header line of a partial CSV for the given unsharded header,
 /// stamped with the run's [`RunFingerprint`] digest (its stable
-/// [`RunFingerprint::to_hex`] spelling).
+/// 16-hex-digit [`Display`](fmt::Display) spelling).
 #[must_use]
 pub fn partial_header(header: &str, fingerprint: RunFingerprint) -> String {
     format!("{PARTIAL_INDEX_COLUMN}:{fingerprint},{header}")
@@ -463,13 +454,12 @@ mod tests {
     #[test]
     fn hex_spelling_is_stable_and_round_trips_through_headers() {
         let fp = fp_of(0xBEEF);
-        assert_eq!(fp.to_hex(), format!("{:016x}", fp.finish()));
-        assert_eq!(fp.to_hex(), fp.to_string(), "Display and to_hex agree");
-        assert_eq!(fp.to_hex().len(), 16, "zero-padded to a fixed width");
+        assert_eq!(fp.to_string(), format!("{:016x}", fp.finish()));
+        assert_eq!(fp.to_string().len(), 16, "zero-padded to a fixed width");
         // the header stamp is exactly the hex spelling, and the merge parser
         // reads it back as the same digest
         let header = partial_header("x,y", fp);
-        assert_eq!(header, format!("row:{},x,y", fp.to_hex()));
+        assert_eq!(header, format!("row:{fp},x,y"));
         let merged = merge_shard_csvs(&[format!("{header}\n0,1,a\n")]).unwrap();
         assert_eq!(merged, "x,y\n1,a\n");
     }

@@ -384,10 +384,14 @@ impl ShardedSolveCache {
         self.shards.len()
     }
 
-    /// The shard holding every rate of a configuration: the fingerprint is
-    /// already an FNV-1a digest, so its remainder spreads configurations.
+    /// The shard holding every rate of a configuration.  The fingerprint
+    /// is a byte-wise FNV-1a digest, whose low `k` bits depend only on the
+    /// low `k` bits of each input byte, so configurations differing in `M`
+    /// by a power of two would share a shard under a plain remainder;
+    /// folding the high half in first mixes in every input bit.
     fn shard(&self, fingerprint: u64) -> &Shard {
-        &self.shards[(fingerprint % self.shards.len() as u64) as usize]
+        let mixed = fingerprint ^ (fingerprint >> 32);
+        &self.shards[(mixed % self.shards.len() as u64) as usize]
     }
 
     /// Looks up (configuration, rate) on its shard: a hit answers

@@ -245,8 +245,9 @@ impl WireScenario {
 
     /// The configuration identity of this wire scenario: a fingerprint over
     /// exactly the fields that determine a model answer, under a versioned
-    /// domain tag.  This is what the daemon's caches key on, spelled with
-    /// the same [`RunFingerprint`] hex used in shard partial headers.
+    /// domain tag.  The daemon's solve cache keys and shards on its
+    /// [`RunFingerprint::finish`] digest; its configuration cache keys on
+    /// the wire scenario itself.
     #[must_use]
     pub fn fingerprint(&self) -> RunFingerprint {
         let mut fp = RunFingerprint::new();
@@ -633,8 +634,8 @@ mod tests {
         .unwrap();
         assert_eq!(base.fingerprint().finish(), same.fingerprint().finish());
         assert_eq!(
-            scenario_fingerprint(&Scenario::star(5)).unwrap().to_hex(),
-            base.fingerprint().to_hex()
+            scenario_fingerprint(&Scenario::star(5)).unwrap().finish(),
+            base.fingerprint().finish()
         );
         let mut variants = vec![base.fingerprint().finish()];
         variants.push(decode(r#"{"topology":"star","size":6}"#).unwrap().fingerprint().finish());
